@@ -3,7 +3,7 @@ shortest x-y paths, solved exactly (treewidth DP, Pareto-label
 Dijkstra, color coding) or approximately (value-scaling FPTAS)."""
 
 from .approx import ScaledInstance, fptas_optimize, scale_values
-from .connected import solve_connected, solve_connected_rooted
+from .connected import solve_connected
 from .decomposition import (NiceDecomposition, build_nice_decomposition,
                             decompose, elimination_order_minfill,
                             validate_nice_decomposition)
@@ -32,7 +32,7 @@ __all__ = [
     "instance_from_json", "instance_to_json",
     "elimination_order_minfill", "build_nice_decomposition",
     "validate_nice_decomposition", "decompose",
-    "solve_connected", "solve_connected_rooted",
+    "solve_connected",
     "solve_path_tree", "solve_path_color_coding", "solve_path_color_sweep",
     "solve_path_treewidth", "solve_shortest_path",
     "scale_values", "fptas_optimize",

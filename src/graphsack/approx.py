@@ -8,7 +8,7 @@ gives alpha(witness) >= (1 - eps) * OPT.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -45,9 +45,7 @@ def scale_values(inst: Instance, epsilon) -> ScaledInstance:
         return ScaledInstance(inst, eps, inst, 0, True)
     factor = Fraction(inst.n) / (eps * alpha_max)
     scaled_values = tuple(int(a * factor) for a in inst.value)
-    scaled = Instance(variant=inst.variant, n=inst.n, edges=inst.edges,
-                      weight=inst.weight, value=scaled_values, s=inst.s,
-                      d=None, x=inst.x, y=inst.y, edge_cost=inst.edge_cost)
+    scaled = replace(inst, value=scaled_values, d=None)
     return ScaledInstance(inst, eps, scaled, alpha_max, False)
 
 
@@ -73,13 +71,11 @@ def prune_overweight(inst: Instance) -> tuple[Instance, Optional[tuple[int, ...]
         if u in kept and v in kept:
             edges.append((remap[u], remap[v]))
             costs.append(cmap[(u, v)])
-    pruned = Instance(
-        variant=inst.variant, n=len(keep), edges=tuple(edges),
+    pruned = replace(
+        inst, n=len(keep), edges=tuple(edges),
         weight=tuple(inst.weight[v] for v in keep),
         value=tuple(inst.value[v] for v in keep),
-        s=inst.s, d=inst.d,
-        x=remap.get(inst.x) if inst.x is not None else None,
-        y=remap.get(inst.y) if inst.y is not None else None,
+        x=remap.get(inst.x), y=remap.get(inst.y),
         edge_cost=tuple(costs) if inst.variant is Variant.SHORTEST_PATH
         else None)
     return validate_instance(pruned), tuple(keep)

@@ -11,6 +11,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import replace
 from typing import Optional
 
 from . import errors, generators, reductions
@@ -85,7 +86,7 @@ def _run_engine(inst: Instance, engine: str, seed: int,
                 trials: Optional[int]) -> SolveReport:
     if engine == "treewidth":
         if inst.variant is Variant.CONNECTED:
-            return solve_connected(inst, early_stop=inst.d is not None)
+            return solve_connected(inst)
         return solve_path_treewidth(inst)
     if engine == "color":
         return solve_path_color_sweep(inst, seed=seed, trials=trials)
@@ -122,9 +123,7 @@ def cmd_solve(args) -> int:
         raise errors.EngineMismatch("decision mode needs d in the instance")
     if args.mode == "optimize" and inst.d is not None:
         log.info("optimize mode: ignoring target d=%s", inst.d)
-        inst = Instance(variant=inst.variant, n=inst.n, edges=inst.edges,
-                        weight=inst.weight, value=inst.value, s=inst.s,
-                        d=None, x=inst.x, y=inst.y, edge_cost=inst.edge_cost)
+        inst = replace(inst, d=None)
     engine = _pick_engine(inst, args.engine)
     if inst.variant not in _ENGINE_VARIANTS[engine]:
         raise errors.EngineMismatch(

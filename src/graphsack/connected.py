@@ -1,34 +1,32 @@
-"""Exact Connected Knapsack solver: partition-state DP over a nice
-edge tree decomposition, rooted at each candidate anchor vertex.
+"""Exact Connected Knapsack solver: one partition-state DP pass over an
+unpinned nice edge tree decomposition.
 
-A DP state at node t is a partition of the bag: the distinguished
-"outside" set (bag vertices not in the partial solution) plus one
-block per connected component trace of the partial solution.  Cell
-payloads are undominated (weight, value) frontiers; each pair keeps
-one back-reference for witness reconstruction.
+A DP state at node t is (outside, blocks, closed): the bag vertices not
+in the partial solution, one block per connected component trace of
+the partial solution, and whether the partial solution is already one
+finished component.  Forgetting the last bag vertex of the only block
+closes the state; a closed state admits no more solution vertices.  So
+the root (empty bag) holds the empty solution in its open state and
+every non-empty connected subset in its closed state.  Cell payloads
+are undominated (weight, value) frontiers; each pair keeps one
+back-reference for witness reconstruction.
 """
 from __future__ import annotations
 
 import time
-from typing import Optional
 
 from .decomposition import (FORGET_VERTEX, INTRODUCE_EDGE, INTRODUCE_VERTEX,
                             JOIN, LEAF, NiceDecomposition,
                             build_nice_decomposition,
-                            elimination_order_minfill)
+                            elimination_order_minfill, trace_witness)
 from .model import (Instance, ParetoSet, SolveReport, Variant, build_report,
                     prune_pairs)
 
-State = tuple[frozenset, tuple]
+State = tuple[frozenset, tuple, bool]
 
 
 def _canon_blocks(blocks) -> tuple:
     return tuple(sorted((b for b in blocks if b), key=min))
-
-
-def _prune_cell(cell: dict, cap_s: int) -> dict:
-    keep = prune_pairs(cell.keys(), cap_s)
-    return {p: cell[p] for p in keep}
 
 
 def _merge_blocks(blocks: tuple, i: int, j: int) -> tuple:
@@ -59,8 +57,7 @@ def _union_partitions(insol: frozenset, parts1: tuple, parts2: tuple) -> tuple:
     return _canon_blocks(frozenset(c) for c in classes.values())
 
 
-def _rooted_tables(inst: Instance, anchor: int, nd: NiceDecomposition,
-                   stats: dict):
+def _tables(inst: Instance, nd: NiceDecomposition, stats: dict):
     """Fill the DP tables bottom-up; returns {node: {state: {pair: ref}}}."""
     s = inst.s
     weight, value = inst.weight, inst.value
@@ -72,43 +69,45 @@ def _rooted_tables(inst: Instance, anchor: int, nd: NiceDecomposition,
         out: dict[State, dict] = {}
 
         if node.kind == LEAF:
-            out[(frozenset({anchor}), ())] = {(0, 0): ("leaf", False)}
-            if weight[anchor] <= s:
-                out[(frozenset(), (frozenset({anchor}),))] = {
-                    (weight[anchor], value[anchor]): ("leaf", True)}
+            # leaf bags of an unpinned decomposition are empty
+            out[(frozenset(), (), False)] = {(0, 0): ("leaf",)}
 
         elif node.kind == INTRODUCE_VERTEX:
             child = node.children[0]
             u = node.vertex
             wu, au = weight[u], value[u]
             for state, cell in tables[child].items():
-                outside, blocks = state
-                st_out = (outside | {u}, blocks)
-                out[st_out] = {p: ("copy", child, state, p) for p in cell}
-                st_in = (outside, _canon_blocks(blocks + (frozenset({u}),)))
-                shifted = {}
-                for (w, a) in cell:
-                    if w + wu <= s:
-                        shifted[(w + wu, a + au)] = ("add", child, state,
-                                                     (w, a), u)
+                outside, blocks, closed = state
+                out[(outside | {u}, blocks, closed)] = {
+                    p: ("copy", child, state, p) for p in cell}
+                if closed:
+                    continue
+                shifted = {(w + wu, a + au): ("add", child, state, (w, a), u)
+                           for (w, a) in cell if w + wu <= s}
                 if shifted:
+                    st_in = (outside,
+                             _canon_blocks(blocks + (frozenset({u}),)), False)
                     out[st_in] = shifted
 
         elif node.kind == FORGET_VERTEX:
             child = node.children[0]
             u = node.vertex
             for state, cell in tables[child].items():
-                outside, blocks = state
+                outside, blocks, closed = state
                 if u in outside:
-                    new_state = (outside - {u}, blocks)
+                    new_state = (outside - {u}, blocks, closed)
                 else:
                     idx = next(i for i, b in enumerate(blocks) if u in b)
-                    if len(blocks[idx]) == 1:
-                        # the only trace of this component vanished; it can
-                        # never reach the anchor's component any more
+                    if len(blocks[idx]) > 1:
+                        rest = (blocks[:idx] + (blocks[idx] - {u},)
+                                + blocks[idx + 1:])
+                        new_state = (outside, _canon_blocks(rest), False)
+                    elif len(blocks) == 1:
+                        new_state = (outside, (), True)
+                    else:
+                        # this component left the bag apart from the
+                        # others and can never reach them any more
                         continue
-                    rest = blocks[:idx] + (blocks[idx] - {u},) + blocks[idx + 1:]
-                    new_state = (outside, _canon_blocks(rest))
                 dst = out.setdefault(new_state, {})
                 for p in cell:
                     dst.setdefault(p, ("copy", child, state, p))
@@ -117,7 +116,7 @@ def _rooted_tables(inst: Instance, anchor: int, nd: NiceDecomposition,
             child = node.children[0]
             u, v = node.edge
             for state, cell in tables[child].items():
-                outside, blocks = state
+                outside, blocks, closed = state
                 if u in outside or v in outside:
                     new_state = state
                 else:
@@ -126,7 +125,8 @@ def _rooted_tables(inst: Instance, anchor: int, nd: NiceDecomposition,
                     if iu == iv:
                         new_state = state
                     else:
-                        new_state = (outside, _merge_blocks(blocks, iu, iv))
+                        new_state = (outside, _merge_blocks(blocks, iu, iv),
+                                     closed)
                 dst = out.setdefault(new_state, {})
                 for p in cell:
                     dst.setdefault(p, ("copy", child, state, p))
@@ -138,7 +138,7 @@ def _rooted_tables(inst: Instance, anchor: int, nd: NiceDecomposition,
                 by_outside.setdefault(state[0], []).append((state, cell))
             insol_all = node.bag
             for state1, cell1 in tables[c1].items():
-                outside = state1[0]
+                outside, blocks1, closed1 = state1
                 partners = by_outside.get(outside)
                 if not partners:
                     continue
@@ -146,8 +146,11 @@ def _rooted_tables(inst: Instance, anchor: int, nd: NiceDecomposition,
                 w_off = sum(weight[v] for v in insol)
                 a_off = sum(value[v] for v in insol)
                 for state2, cell2 in partners:
+                    if closed1 and state2[2]:
+                        continue  # two finished components never connect
                     merged = (outside,
-                              _union_partitions(insol, state1[1], state2[1]))
+                              _union_partitions(insol, blocks1, state2[1]),
+                              closed1 or state2[2])
                     dst = out.setdefault(merged, {})
                     for p1 in cell1:
                         for p2 in cell2:
@@ -160,82 +163,35 @@ def _rooted_tables(inst: Instance, anchor: int, nd: NiceDecomposition,
         else:
             raise AssertionError(node.kind)
 
-        out = {st: _prune_cell(cell, s) for st, cell in out.items() if cell}
-        out = {st: cell for st, cell in out.items() if cell}
+        out = {st: {p: cell[p] for p in prune_pairs(cell.keys(), s)}
+               for st, cell in out.items() if cell}
         stats["states_touched"] += sum(len(c) for c in out.values())
         tables[nid] = out
     return tables
 
 
-def _reconstruct(tables, nid, state, pair, leaf_vertices) -> set[int]:
-    chosen: set[int] = set()
-    stack = [(nid, state, pair)]
-    while stack:
-        nid, state, pair = stack.pop()
-        ref = tables[nid][state][pair]
-        kind = ref[0]
-        if kind == "leaf":
-            if ref[1]:
-                chosen.update(leaf_vertices)
-        elif kind == "copy":
-            stack.append((ref[1], ref[2], ref[3]))
-        elif kind == "add":
-            chosen.add(ref[4])
-            stack.append((ref[1], ref[2], ref[3]))
-        else:  # join
-            stack.append((ref[1], ref[2], ref[3]))
-            stack.append((ref[4], ref[5], ref[6]))
-    return chosen
-
-
-def solve_connected_rooted(inst: Instance, anchor: int,
-                           nd: Optional[NiceDecomposition] = None,
-                           stats: Optional[dict] = None) -> ParetoSet:
-    """Frontier over connected subsets containing ``anchor``."""
-    frontier, _ = _solve_rooted_with_witnesses(inst, anchor, nd, stats)
-    return frontier
-
-
-def _solve_rooted_with_witnesses(inst, anchor, nd=None, stats=None):
-    if nd is None:
-        order = elimination_order_minfill(inst)
-        nd = build_nice_decomposition(inst, order, {anchor})
-    if stats is None:
-        stats = {"nodes_expanded": 0, "states_touched": 0}
-    tables = _rooted_tables(inst, anchor, nd, stats)
-    root_state = (frozenset(), (frozenset({anchor}),))
-    cell = tables[nd.root].get(root_state, {})
-    frontier = ParetoSet(prune_pairs(cell.keys(), inst.s))
-    witnesses = {p: frozenset(_reconstruct(tables, nd.root, root_state, p,
-                                           {anchor}))
-                 for p in frontier}
-    return frontier, witnesses
-
-
 def solve_connected(inst: Instance, early_stop: bool = False) -> SolveReport:
-    """Full Connected Knapsack solve: best over all anchors plus the
-    empty solution.
+    """Frontier over all connected vertex subsets within the budget, the
+    empty set included, from one DP pass.
 
-    With ``early_stop`` and a decision target, anchors are abandoned as
-    soon as some pair reaches the target (the frontier may then be
-    partial; the decision answer is unaffected).
+    ``early_stop`` is accepted for compatibility and ignored: the single
+    pass always computes the full frontier.
     """
     if inst.variant is not Variant.CONNECTED:
         raise ValueError("solve_connected requires the connected variant")
     t0 = time.perf_counter()
     stats = {"nodes_expanded": 0, "states_touched": 0}
-    pool: dict[tuple[int, int], frozenset[int]] = {(0, 0): frozenset()}
-    order = elimination_order_minfill(inst)
-    for anchor in range(inst.n):
-        nd = build_nice_decomposition(inst, order, {anchor})
-        frontier, witnesses = _solve_rooted_with_witnesses(
-            inst, anchor, nd, stats)
-        for pair, wit in witnesses.items():
-            if pair not in pool:
-                pool[pair] = wit
-        if (early_stop and inst.d is not None
-                and any(a >= inst.d for _, a in pool)):
-            break
-    frontier = ParetoSet(prune_pairs(pool.keys(), inst.s))
+    nd = build_nice_decomposition(inst, elimination_order_minfill(inst), ())
+    tables = _tables(inst, nd, stats)
+    # the root bag is empty: its open state holds the empty solution and
+    # its closed state every non-empty connected subset
+    root = tables[nd.root]
+    frontier = ParetoSet(prune_pairs(
+        [p for cell in root.values() for p in cell], inst.s))
+
+    def witness_for(pair):
+        state = next(st for st, cell in root.items() if pair in cell)
+        return trace_witness(tables, nd.root, state, pair)
+
     stats["wall_time"] = time.perf_counter() - t0
-    return build_report(inst, frontier, pool, stats)
+    return build_report(inst, frontier, witness_for, stats)

@@ -3,7 +3,8 @@
 The width heuristic is greedy min-fill; DP correctness downstream is
 width-agnostic, so no attempt is made at exact treewidth.  Pinning is
 implemented by adding the pinned vertices to every bag, which inflates
-the width by at most |pinned|.
+the width by at most |pinned|.  ``trace_witness`` walks the
+back-references that the DPs over these decompositions store.
 """
 from __future__ import annotations
 
@@ -63,6 +64,33 @@ class NiceDecomposition:
             nodes.append(entry)
         return {"nodes": nodes, "root": self.root,
                 "pinned": sorted(self.pinned), "width": self.width}
+
+
+def trace_witness(tables: dict, nid: int, state, pair,
+                  leaf_vertices: Iterable[int] = ()) -> frozenset[int]:
+    """Vertex set behind one (node, state, pair) entry of a DP table.
+
+    ``tables[node][state][pair]`` is one back-reference:
+    ``("leaf",)``, ``("copy", child, state, pair)``,
+    ``("add", child, state, pair, vertex)`` or
+    ``("join", c1, state1, pair1, c2, state2, pair2)``.  Each leaf
+    reached contributes ``leaf_vertices``.
+    """
+    chosen: set[int] = set()
+    stack = [(nid, state, pair)]
+    while stack:
+        nid, state, pair = stack.pop()
+        ref = tables[nid][state][pair]
+        kind = ref[0]
+        if kind == "leaf":
+            chosen.update(leaf_vertices)
+            continue
+        stack.append(ref[1:4])
+        if kind == "add":
+            chosen.add(ref[4])
+        elif kind == "join":
+            stack.append(ref[4:7])
+    return frozenset(chosen)
 
 
 def elimination_order_minfill(inst: Instance, seed: int = 0) -> tuple[int, ...]:

@@ -16,7 +16,7 @@ from . import errors
 from .decomposition import (FORGET_VERTEX, INTRODUCE_EDGE, INTRODUCE_VERTEX,
                             JOIN, LEAF, NiceDecomposition,
                             build_nice_decomposition,
-                            elimination_order_minfill)
+                            elimination_order_minfill, trace_witness)
 from .model import (Instance, ParetoSet, SolveReport, Variant, build_report,
                     prune_pairs)
 
@@ -78,11 +78,11 @@ def solve_path_tree(inst: Instance) -> SolveReport:
 # ---------------------------------------------------------------------
 # Color coding (randomized, one-sided).
 
-def _colorful_trial(inst: Instance, k: int, coloring: list[int], stats: dict):
+def _colorful_trial(inst: Instance, adj: list[list[int]], k: int,
+                    coloring: list[int], stats: dict):
     """One DP run for a fixed coloring.  Returns {pair: path_tuple} of
     undominated x-y paths on exactly k distinct colors."""
     s = inst.s
-    adj = inst.adjacency()
     weight, value = inst.weight, inst.value
     full = (1 << k) - 1
 
@@ -132,12 +132,14 @@ def _color_pool(inst: Instance, k: int, trials: int, seed: int,
                 stats: dict) -> dict:
     """Run the trial loop; returns {pair: witness vertex set}."""
     rng = random.Random(seed)
+    adj = inst.adjacency()
     pool: dict[tuple[int, int], frozenset[int]] = {}
     for _ in range(trials):
         coloring = [rng.randrange(k) for _ in range(inst.n)]
         stats["trials_run"] += 1
         stats["nodes_expanded"] += 1
-        for pair, path in _colorful_trial(inst, k, coloring, stats).items():
+        for pair, path in _colorful_trial(inst, adj, k, coloring,
+                                          stats).items():
             pool.setdefault(pair, frozenset(path))
         if inst.d is not None and any(a >= inst.d for _, a in pool):
             break
@@ -383,26 +385,6 @@ def _acyclic_union(insol, blocks1, blocks2):
     return list(classes.values())
 
 
-def _reconstruct_path(tables, nid, state, pair, pinned) -> set[int]:
-    chosen: set[int] = set()
-    stack = [(nid, state, pair)]
-    while stack:
-        nid, state, pair = stack.pop()
-        ref = tables[nid][state][pair]
-        kind = ref[0]
-        if kind == "leaf":
-            chosen.update(pinned)
-        elif kind == "copy":
-            stack.append((ref[1], ref[2], ref[3]))
-        elif kind == "add":
-            chosen.add(ref[4])
-            stack.append((ref[1], ref[2], ref[3]))
-        else:
-            stack.append((ref[1], ref[2], ref[3]))
-            stack.append((ref[4], ref[5], ref[6]))
-    return chosen
-
-
 def solve_path_treewidth(inst: Instance,
                          nd: Optional[NiceDecomposition] = None) -> SolveReport:
     """Exact frontier over all simple x-y paths within the budget."""
@@ -420,8 +402,7 @@ def solve_path_treewidth(inst: Instance,
         accept = _canon_segments([{inst.x, inst.y}], {inst.x: 1, inst.y: 1})
     cell = tables[nd.root].get(accept, {})
     frontier = ParetoSet(prune_pairs(cell.keys(), inst.s))
-    witnesses = {p: frozenset(_reconstruct_path(tables, nd.root, accept, p,
-                                                pinned))
-                 for p in frontier}
     stats["wall_time"] = time.perf_counter() - t0
-    return build_report(inst, frontier, witnesses, stats)
+    return build_report(
+        inst, frontier,
+        lambda p: trace_witness(tables, nd.root, accept, p, pinned), stats)

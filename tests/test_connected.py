@@ -2,8 +2,7 @@
 import pytest
 
 from graphsack import (Instance, Variant, enumerate_connected_subsets_opt,
-                       solve_connected, solve_connected_rooted,
-                       validate_instance, verify_solution)
+                       solve_connected, validate_instance, verify_solution)
 from conftest import instance_stream
 
 
@@ -13,26 +12,38 @@ def make(n, edges, weight, value, s, d=None):
         weight=tuple(weight), value=tuple(value), s=s, d=d))
 
 
-class TestRooted:
+class TestFixedFrontiers:
+    """Full frontiers of small instances, worked out by hand."""
+
     def test_single_vertex(self):
         inst = make(1, (), (2,), (7,), 2)
-        assert solve_connected_rooted(inst, 0).pairs == ((2, 7),)
+        assert solve_connected(inst).frontier.pairs == ((0, 0), (2, 7))
 
-    def test_path_rooted_heavy_middle(self):
+    def test_path_heavy_middle(self):
         inst = make(3, ((0, 1), (1, 2)), (1, 5, 1), (2, 1, 2), 2)
-        assert solve_connected_rooted(inst, 0).pairs == ((1, 2),)
+        assert solve_connected(inst).frontier.pairs == ((0, 0), (1, 2))
 
-    def test_triangle_rooted(self):
+    def test_triangle(self):
         inst = make(3, ((0, 1), (1, 2), (0, 2)), (1, 1, 1), (1, 2, 3), 2)
-        assert solve_connected_rooted(inst, 0).pairs == ((1, 1), (2, 4))
+        assert (solve_connected(inst).frontier.pairs
+                == ((0, 0), (1, 3), (2, 5)))
 
-    def test_rooted_dominated_by_full_frontier(self):
-        inst = make(4, ((0, 1), (1, 2), (2, 3)), (1, 2, 1, 3),
-                    (4, 1, 5, 2), 6)
-        full = solve_connected(inst).frontier
-        for v in range(inst.n):
-            for w, a in solve_connected_rooted(inst, v):
-                assert any(w2 <= w and a2 >= a for w2, a2 in full)
+    def test_two_isolated_vertices_never_combine(self):
+        # the decomposition is a chain: a finished component admits no
+        # further vertex
+        inst = make(2, (), (1, 1), (5, 5), 2)
+        assert solve_connected(inst).frontier.pairs == ((0, 0), (1, 5))
+
+    def test_star_leaves_past_heavy_center_never_combine(self):
+        # each leaf finishes below a join under the center: two finished
+        # components never join
+        inst = make(3, ((0, 2), (1, 2)), (1, 1, 5), (5, 5, 1), 2)
+        assert solve_connected(inst).frontier.pairs == ((0, 0), (1, 5))
+
+    def test_empty_graph(self):
+        report = solve_connected(make(0, (), (), (), 0))
+        assert report.frontier.pairs == ((0, 0),)
+        assert report.witness == frozenset()
 
 
 class TestFull:
