@@ -8,8 +8,8 @@ from .decomposition import (NiceDecomposition, build_nice_decomposition,
                             decompose, elimination_order_minfill,
                             validate_nice_decomposition)
 from .model import (Instance, ParetoSet, SolveReport, Variant, VerifyResult,
-                    instance_from_json, instance_to_json, pareto_insert,
-                    pareto_join, validate_instance, verify_solution)
+                    instance_from_json, instance_to_json, validate_instance,
+                    verify_solution)
 from .oracles import (enumerate_connected_subsets_opt, enumerate_paths_opt,
                       enumerate_shortest_paths_opt, oracle_for)
 from .paths import (solve_path_color_coding, solve_path_color_sweep,
@@ -28,7 +28,7 @@ __all__ = [
     "Instance", "ParetoSet", "SolveReport", "Variant", "VerifyResult",
     "NiceDecomposition", "ScaledInstance", "ReductionOutput",
     "SourceGraph", "KnapsackItems",
-    "validate_instance", "verify_solution", "pareto_insert", "pareto_join",
+    "validate_instance", "verify_solution",
     "instance_from_json", "instance_to_json",
     "elimination_order_minfill", "build_nice_decomposition",
     "validate_nice_decomposition", "decompose",

@@ -3,8 +3,10 @@
 The width heuristic is greedy min-fill; DP correctness downstream is
 width-agnostic, so no attempt is made at exact treewidth.  Pinning is
 implemented by adding the pinned vertices to every bag, which inflates
-the width by at most |pinned|.  ``trace_witness`` walks the
-back-references that the DPs over these decompositions store.
+the width by at most |pinned|.  ``run_dp`` is the Pareto DP over these
+decompositions that both exact solvers share: each supplies only its
+state rules, and ``trace_witness`` walks the back-references the driver
+stores.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from . import errors
-from .model import Instance
+from .model import Instance, prune_pairs
 
 LEAF = "leaf"
 INTRODUCE_VERTEX = "introduce_vertex"
@@ -64,6 +66,134 @@ class NiceDecomposition:
             nodes.append(entry)
         return {"nodes": nodes, "root": self.root,
                 "pinned": sorted(self.pinned), "width": self.width}
+
+
+def by_least(blocks: Iterable[frozenset]) -> tuple:
+    """Blocks sorted by least vertex: the canonical order of a partition."""
+    return tuple(sorted(blocks, key=min))
+
+
+def union_blocks(blocks1: tuple, blocks2: Iterable[frozenset]) -> tuple:
+    """Merge the blocks of ``blocks1`` that each block of ``blocks2``
+    meets; vertices in no block of ``blocks1`` are ignored.  For two
+    partitions of one vertex set this is their transitive closure."""
+    merged = list(blocks1)
+    for block in blocks2:
+        touching = [b for b in merged if not block.isdisjoint(b)]
+        if len(touching) > 1:
+            merged = [b for b in merged if block.isdisjoint(b)]
+            merged.append(frozenset().union(*touching))
+    return by_least(merged)
+
+
+def _copy(out: dict, dst_state, child: int, state, cell: dict) -> None:
+    dst = out.setdefault(dst_state, {})
+    for p in cell:
+        dst.setdefault(p, ("copy", child, state, p))
+
+
+def run_dp(inst: Instance, nd: NiceDecomposition, rules, stats: dict) -> dict:
+    """Fill a (weight, value) Pareto DP over ``nd`` bottom-up.
+
+    ``rules`` holds the states of one problem:
+
+    - ``leaf() -> {state: pair}``;
+    - ``introduce(state, u) -> (skip, take)``: the states with u left
+      out of and put into the partial solution; take is None when u may
+      not join it;
+    - ``forget(state, u) -> state | None``: the state once u leaves the
+      bag, or None to drop it;
+    - ``edge(state, u, v) -> states``: the states once edge uv is in;
+    - ``join_key(state)``: the bag vertices in the partial solution, on
+      which the children of a join are paired;
+    - ``join(state1, state2)``: the merged state, or None.
+
+    The driver owns the pairs: taking u adds its weight and value, a join
+    subtracts its key's vertices counted on both sides, pairs over the
+    budget are dropped and every cell is pruned to its frontier.  It
+    counts ``nodes_expanded`` and ``states_touched`` (pairs kept) in
+    ``stats`` and returns ``{node: {state: {pair: back-reference}}}``
+    for ``trace_witness``.
+    """
+    s = inst.s
+    weight, value = inst.weight, inst.value
+    tables: dict[int, dict] = {}
+
+    for nid in nd.postorder():
+        node = nd.nodes[nid]
+        stats["nodes_expanded"] += 1
+        out: dict = {}
+        if node.kind == LEAF:
+            for state, pair in rules.leaf().items():
+                if pair[0] <= s:
+                    out[state] = {pair: ("leaf",)}
+
+        elif node.kind == INTRODUCE_VERTEX:
+            child = node.children[0]
+            u = node.vertex
+            wu, au = weight[u], value[u]
+            for state, cell in tables[child].items():
+                skip, take = rules.introduce(state, u)
+                # skip before take: the order of the states in a table
+                # decides which of two equal pairs keeps its witness
+                _copy(out, skip, child, state, cell)
+                if take is None:
+                    continue
+                shifted = {(w + wu, a + au): ("add", child, state, (w, a), u)
+                           for w, a in cell if w + wu <= s}
+                if shifted:
+                    dst = out.setdefault(take, {})
+                    for p, ref in shifted.items():
+                        dst.setdefault(p, ref)
+
+        elif node.kind == FORGET_VERTEX:
+            child = node.children[0]
+            for state, cell in tables[child].items():
+                new_state = rules.forget(state, node.vertex)
+                if new_state is not None:
+                    _copy(out, new_state, child, state, cell)
+
+        elif node.kind == INTRODUCE_EDGE:
+            child = node.children[0]
+            u, v = node.edge
+            for state, cell in tables[child].items():
+                for new_state in rules.edge(state, u, v):
+                    _copy(out, new_state, child, state, cell)
+
+        elif node.kind == JOIN:
+            c1, c2 = node.children
+            by_key: dict[frozenset, list] = {}
+            for state, cell in tables[c2].items():
+                by_key.setdefault(rules.join_key(state), []).append(
+                    (state, cell))
+            for state1, cell1 in tables[c1].items():
+                key = rules.join_key(state1)
+                partners = by_key.get(key)
+                if not partners:
+                    continue
+                w_off = sum(weight[v] for v in key)
+                a_off = sum(value[v] for v in key)
+                for state2, cell2 in partners:
+                    merged = rules.join(state1, state2)
+                    if merged is None:
+                        continue
+                    dst = out.setdefault(merged, {})
+                    for p1 in cell1:
+                        for p2 in cell2:
+                            w = p1[0] + p2[0] - w_off
+                            if w <= s:
+                                dst.setdefault((w, p1[1] + p2[1] - a_off),
+                                               ("join", c1, state1, p1,
+                                                c2, state2, p2))
+        else:
+            raise AssertionError(node.kind)
+
+        # a join cell is empty when every pair in it overran the budget
+        out = {st: {p: cell[p] for p in prune_pairs(cell.keys(), s)}
+               for st, cell in out.items() if cell}
+        stats["states_touched"] += sum(len(c) for c in out.values())
+        tables[nid] = out
+    return tables
 
 
 def trace_witness(tables: dict, nid: int, state, pair,

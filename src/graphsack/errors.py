@@ -35,12 +35,6 @@ class BadInstanceJson(ValidationError):
     pass
 
 
-# -- pareto machinery ---------------------------------------------------
-
-class NegativeCombined(GraphsackError):
-    """A join produced a negative coordinate; the offsets were wrong."""
-
-
 # -- decomposition ------------------------------------------------------
 
 class PinnedTooLarge(ValidationError):
@@ -78,10 +72,6 @@ class Unreachable(GraphsackError):
 
 
 class NotATree(GraphsackError):
-    pass
-
-
-class NoPath(GraphsackError):
     pass
 
 

@@ -177,28 +177,6 @@ def prune_pairs(pairs: Iterable[Pair], cap_s: Optional[int] = None) -> tuple[Pai
     return tuple(out)
 
 
-def pareto_insert(ps: ParetoSet, pair: Pair, cap_s: int) -> ParetoSet:
-    """Return the undominated closure of ps plus one pair."""
-    return ParetoSet(prune_pairs(list(ps.pairs) + [pair], cap_s))
-
-
-def pareto_join(a: ParetoSet, b: ParetoSet, offset_w: int, offset_a: int,
-                cap_s: int) -> ParetoSet:
-    """Cross-combine two frontiers, subtracting the doubly-counted offsets."""
-    combined: list[Pair] = []
-    for w1, a1 in a:
-        for w2, a2 in b:
-            w = w1 + w2 - offset_w
-            al = a1 + a2 - offset_a
-            if w < 0 or al < 0:
-                raise errors.NegativeCombined(
-                    f"combined pair ({w},{al}) from ({w1},{a1})+({w2},{a2})"
-                    f" with offsets ({offset_w},{offset_a})")
-            if w <= cap_s:
-                combined.append((w, al))
-    return ParetoSet(prune_pairs(combined))
-
-
 # ---------------------------------------------------------------------
 # Reports and verification
 

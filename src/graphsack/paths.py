@@ -13,10 +13,9 @@ import time
 from typing import Optional
 
 from . import errors
-from .decomposition import (FORGET_VERTEX, INTRODUCE_EDGE, INTRODUCE_VERTEX,
-                            JOIN, LEAF, NiceDecomposition,
-                            build_nice_decomposition,
-                            elimination_order_minfill, trace_witness)
+from .decomposition import (NiceDecomposition, build_nice_decomposition,
+                            by_least, elimination_order_minfill, run_dp,
+                            trace_witness, union_blocks)
 from .model import (Instance, ParetoSet, SolveReport, Variant, build_report,
                     prune_pairs)
 
@@ -60,16 +59,17 @@ def solve_path_tree(inst: Instance) -> SolveReport:
     cx = root_chain(inst.x)
     cy = root_chain(inst.y)
     if cx[-1] != cy[-1]:
-        raise errors.NoPath(f"{inst.x} and {inst.y} are in different components")
-    sx, sy = set(cx), set(cy)
-    meet = next(v for v in cx if v in sy)
-    path = cx[:cx.index(meet) + 1] + list(reversed(cy[:cy.index(meet)]))
+        path = []  # x and y lie in different trees: there is no x-y path
+    else:
+        sy = set(cy)
+        meet = next(v for v in cx if v in sy)
+        path = cx[:cx.index(meet) + 1] + list(reversed(cy[:cy.index(meet)]))
 
     w = inst.total_weight(path)
     a = inst.total_value(path)
-    stats = {"nodes_expanded": len(path), "states_touched": 1,
+    stats = {"nodes_expanded": len(path), "states_touched": 1 if path else 0,
              "wall_time": time.perf_counter() - t0}
-    if w > inst.s:
+    if not path or w > inst.s:
         return SolveReport(False, None, None, ParetoSet(), stats)
     return build_report(inst, ParetoSet(((w, a),)),
                         {(w, a): frozenset(path)}, stats)
@@ -204,185 +204,78 @@ def solve_path_color_sweep(inst: Instance, seed: int = 0,
 # ---------------------------------------------------------------------
 # Treewidth DP with segment states.
 
-SegState = tuple[tuple, tuple]  # (blocks, ((vertex, degree), ...))
+class _PathRules:
+    """Segment states ``(blocks, ((vertex, degree), ...))`` for
+    ``run_dp``: the partial solution is a set of vertex-disjoint paths,
+    one block per path's bag vertices, with the solution degree of each
+    bag vertex.  A terminal may reach degree 1 (0 when x == y), any
+    other vertex 2, and a vertex leaves the bag only at degree 2."""
 
+    def __init__(self, inst: Instance):
+        self.ends = sorted({inst.x, inst.y})
+        self.limit = [2] * inst.n
+        for v in self.ends:
+            self.limit[v] = len(self.ends) - 1
+        self.leaf_pair = (inst.total_weight(self.ends),
+                          inst.total_value(self.ends))
 
-def _canon_segments(blocks, degs) -> SegState:
-    return (tuple(sorted((frozenset(b) for b in blocks if b), key=min)),
-            tuple(sorted(degs.items())))
+    def leaf(self):
+        # every bag of the decomposition is pinned at both terminals
+        state = (by_least(frozenset({v}) for v in self.ends),
+                 tuple((v, 0) for v in self.ends))
+        return {state: self.leaf_pair}
 
+    def accept(self):
+        """The root state of one x-y path."""
+        return ((frozenset(self.ends),),
+                tuple((v, len(self.ends) - 1) for v in self.ends))
 
-def _deg_limit(inst: Instance, v: int) -> int:
-    if inst.x == inst.y:
-        return 0 if v == inst.x else 2
-    if v in (inst.x, inst.y):
-        return 1
-    return 2
+    @staticmethod
+    def introduce(state, u):
+        blocks, degs = state
+        return state, (by_least(blocks + (frozenset({u}),)),
+                       tuple(sorted(degs + ((u, 0),))))
 
+    @staticmethod
+    def forget(state, u):
+        blocks, degs = state
+        block = next((b for b in blocks if u in b), None)
+        if block is None:
+            return state
+        if dict(degs)[u] != 2:
+            return None  # an open segment end left the bag
+        if len(block) == 1:
+            return None  # component lost its last bag vertex
+        return (by_least(b - {u} if b is block else b for b in blocks),
+                tuple(e for e in degs if e[0] != u))
 
-def _path_tables(inst: Instance, nd: NiceDecomposition, stats: dict):
-    s = inst.s
-    weight, value = inst.weight, inst.value
-    x, y = inst.x, inst.y
-    tables: dict[int, dict[SegState, dict]] = {}
+    def edge(self, state, u, v):
+        blocks, degs = state
+        dmap = dict(degs)
+        if (u not in dmap or v not in dmap or dmap[u] >= self.limit[u]
+                or dmap[v] >= self.limit[v]):
+            return [state]
+        merged = union_blocks(blocks, [frozenset((u, v))])
+        if len(merged) == len(blocks):
+            return [state]  # closing a cycle
+        return [state, (merged, tuple((w, d + (w == u or w == v))
+                                      for w, d in degs))]
 
-    for nid in nd.postorder():
-        node = nd.nodes[nid]
-        stats["nodes_expanded"] += 1
-        out: dict[SegState, dict] = {}
+    @staticmethod
+    def join_key(state):
+        return frozenset(v for v, _ in state[1])
 
-        if node.kind == LEAF:
-            if x == y:
-                if weight[x] <= s:
-                    st = _canon_segments([{x}], {x: 0})
-                    out[st] = {(weight[x], value[x]): ("leaf",)}
-            else:
-                w0 = weight[x] + weight[y]
-                if w0 <= s:
-                    st = _canon_segments([{x}, {y}], {x: 0, y: 0})
-                    out[st] = {(w0, value[x] + value[y]): ("leaf",)}
-
-        elif node.kind == INTRODUCE_VERTEX:
-            child = node.children[0]
-            u = node.vertex
-            wu, au = weight[u], value[u]
-            for state, cell in tables[child].items():
-                # u stays outside the partial solution
-                out[state] = {p: ("copy", child, state, p) for p in cell}
-                blocks, degs = state
-                st_in = _canon_segments(list(blocks) + [{u}],
-                                        dict(degs) | {u: 0})
-                shifted = {}
-                for (w, a) in cell:
-                    if w + wu <= s:
-                        shifted[(w + wu, a + au)] = ("add", child, state,
-                                                     (w, a), u)
-                if shifted:
-                    out[st_in] = shifted
-
-        elif node.kind == FORGET_VERTEX:
-            child = node.children[0]
-            u = node.vertex
-            for state, cell in tables[child].items():
-                blocks, degs = state
-                dmap = dict(degs)
-                if u not in dmap:
-                    new_state = state
-                elif dmap[u] == 2:
-                    idx = next(i for i, b in enumerate(blocks) if u in b)
-                    if len(blocks[idx]) == 1:
-                        continue  # component lost its last bag vertex
-                    del dmap[u]
-                    nb = list(blocks)
-                    nb[idx] = blocks[idx] - {u}
-                    new_state = _canon_segments(nb, dmap)
-                else:
-                    # an open segment end left the bag: dead state
-                    continue
-                dst = out.setdefault(new_state, {})
-                for p in cell:
-                    dst.setdefault(p, ("copy", child, state, p))
-
-        elif node.kind == INTRODUCE_EDGE:
-            child = node.children[0]
-            u, v = node.edge
-            for state, cell in tables[child].items():
-                dst = out.setdefault(state, {})
-                for p in cell:
-                    dst.setdefault(p, ("copy", child, state, p))
-                blocks, degs = state
-                dmap = dict(degs)
-                if u not in dmap or v not in dmap:
-                    continue
-                if dmap[u] >= _deg_limit(inst, u) or dmap[v] >= _deg_limit(inst, v):
-                    continue
-                iu = next(i for i, b in enumerate(blocks) if u in b)
-                iv = next(i for i, b in enumerate(blocks) if v in b)
-                if iu == iv:
-                    continue  # closing a cycle
-                dmap[u] += 1
-                dmap[v] += 1
-                nb = [b for i, b in enumerate(blocks) if i not in (iu, iv)]
-                nb.append(blocks[iu] | blocks[iv])
-                new_state = _canon_segments(nb, dmap)
-                dst2 = out.setdefault(new_state, {})
-                for p in cell:
-                    dst2.setdefault(p, ("copy", child, state, p))
-
-        elif node.kind == JOIN:
-            c1, c2 = node.children
-            by_insol: dict[frozenset, list] = {}
-            for state, cell in tables[c2].items():
-                insol = frozenset(v for v, _ in state[1])
-                by_insol.setdefault(insol, []).append((state, cell))
-            for state1, cell1 in tables[c1].items():
-                insol = frozenset(v for v, _ in state1[1])
-                partners = by_insol.get(insol)
-                if not partners:
-                    continue
-                d1 = dict(state1[1])
-                w_off = sum(weight[v] for v in insol)
-                a_off = sum(value[v] for v in insol)
-                for state2, cell2 in partners:
-                    d2 = dict(state2[1])
-                    dsum = {v: d1[v] + d2[v] for v in insol}
-                    if any(dv > _deg_limit(inst, v)
-                           for v, dv in dsum.items()):
-                        continue
-                    merged_blocks = _acyclic_union(insol, state1[0], state2[0])
-                    if merged_blocks is None:
-                        continue
-                    new_state = _canon_segments(merged_blocks, dsum)
-                    dst = out.setdefault(new_state, {})
-                    for p1 in cell1:
-                        for p2 in cell2:
-                            w = p1[0] + p2[0] - w_off
-                            if w > s:
-                                continue
-                            pair = (w, p1[1] + p2[1] - a_off)
-                            dst.setdefault(pair, ("join", c1, state1, p1,
-                                                  c2, state2, p2))
-        else:
-            raise AssertionError(node.kind)
-
-        pruned = {}
-        for st, cell in out.items():
-            keep = prune_pairs(cell.keys(), s)
-            if keep:
-                pruned[st] = {p: cell[p] for p in keep}
-        stats["states_touched"] += sum(len(c) for c in pruned.values())
-        tables[nid] = pruned
-    return tables
-
-
-def _acyclic_union(insol, blocks1, blocks2):
-    """Union two segment partitions; None when the union closes a cycle."""
-    parent = {v: v for v in insol}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for block in blocks1:
-        it = iter(block)
-        first = find(next(it))
-        for v in it:
-            parent[find(v)] = first
-    for block in blocks2:
-        it = iter(sorted(block))
-        prev = next(it)
-        for v in it:
-            ra, rb = find(prev), find(v)
-            if ra == rb:
-                return None
-            parent[ra] = rb
-            prev = v
-    classes: dict[int, set] = {}
-    for v in insol:
-        classes.setdefault(find(v), set()).add(v)
-    return list(classes.values())
+    def join(self, state1, state2):
+        (blocks1, degs1), (blocks2, degs2) = state1, state2
+        degs = tuple((v, d1 + d2) for (v, d1), (_, d2) in zip(degs1, degs2))
+        if any(d > self.limit[v] for v, d in degs):
+            return None
+        merged = union_blocks(blocks1, blocks2)
+        # the blocks of both sides, linked by their shared vertices, must
+        # form a forest, or the union closes a cycle
+        if len(merged) != len(blocks1) + len(blocks2) - len(degs):
+            return None
+        return merged, degs
 
 
 def solve_path_treewidth(inst: Instance,
@@ -395,11 +288,9 @@ def solve_path_treewidth(inst: Instance,
         order = elimination_order_minfill(inst)
         nd = build_nice_decomposition(inst, order, pinned)
     stats = {"nodes_expanded": 0, "states_touched": 0}
-    tables = _path_tables(inst, nd, stats)
-    if inst.x == inst.y:
-        accept = _canon_segments([{inst.x}], {inst.x: 0})
-    else:
-        accept = _canon_segments([{inst.x, inst.y}], {inst.x: 1, inst.y: 1})
+    rules = _PathRules(inst)
+    tables = run_dp(inst, nd, rules, stats)
+    accept = rules.accept()
     cell = tables[nd.root].get(accept, {})
     frontier = ParetoSet(prune_pairs(cell.keys(), inst.s))
     stats["wall_time"] = time.perf_counter() - t0

@@ -75,6 +75,17 @@ class TestSolve:
         assert code in (0, 1)
         assert "trials_run" not in json.loads(out)["stats"]
 
+    def test_forest_disconnected_terminals_exit_one(self, capsys, tmp_path):
+        from graphsack.model import Instance, validate_instance
+        inst = validate_instance(Instance(
+            variant=Variant.PATH, n=4, edges=((0, 1), (2, 3)),
+            weight=(1,) * 4, value=(1,) * 4, s=4, x=0, y=3))
+        path = write_instance(tmp_path, inst)
+        code, out = run(capsys, "solve", "--input", path)
+        doc = json.loads(out)
+        assert code == 1 and doc["feasible"] is False
+        assert doc["frontier"] == [] and doc["witness"] is None
+
     def test_epsilon_flag(self, capsys, tmp_path):
         inst = random_instance(Variant.CONNECTED, "gnp", 6, 5, p=0.5)
         path = write_instance(tmp_path, inst)

@@ -1,10 +1,12 @@
-"""Nice edge tree decompositions: construction, validation, mutation."""
+"""Nice edge tree decompositions: construction, validation, mutation,
+and the DP driver both exact solvers share."""
 import random
 
 import pytest
 
 from graphsack import (Instance, Variant, build_nice_decomposition, decompose,
-                       elimination_order_minfill, validate_instance,
+                       elimination_order_minfill, solve_connected,
+                       solve_path_treewidth, validate_instance,
                        validate_nice_decomposition)
 from graphsack import errors
 from graphsack.decomposition import INTRODUCE_EDGE, DecompNode, NiceDecomposition
@@ -147,3 +149,27 @@ class TestValidate:
                                    nd.width)
         with pytest.raises((errors.RootNotPinnedBag, errors.BadNodeArity)):
             validate_nice_decomposition(inst, broken)
+
+
+class TestSharedDriver:
+    """Pins what the CLI prints for the two solvers on ``run_dp`` and
+    the frontier tests cannot see: which witness a tie yields, and how
+    many nodes and states the DP visits."""
+
+    @pytest.mark.parametrize("variant, kind, n, seed, witness, counts", [
+        (Variant.CONNECTED, "tree", 12, 5, {2, 3, 5}, (56, 364)),
+        (Variant.CONNECTED, "gnp", 16, 0, {0, 4, 5, 6, 7, 11, 13, 14},
+         (82, 2233)),
+        (Variant.PATH, "grid", 9, 1, {0, 1, 2, 5}, (37, 718)),
+        (Variant.PATH, "grid", 9, 4, {0, 1, 2, 3, 5, 6, 7, 8}, (38, 1059)),
+    ])
+    def test_witness_and_counters_pinned(self, variant, kind, n, seed,
+                                         witness, counts):
+        inst = random_instance(variant, kind, n, seed, max_weight=8,
+                               max_value=8, p=0.3, decision=bool(seed % 2))
+        solve = (solve_connected if variant is Variant.CONNECTED
+                 else solve_path_treewidth)
+        report = solve(inst)
+        assert report.witness == frozenset(witness)
+        assert (report.stats["nodes_expanded"],
+                report.stats["states_touched"]) == counts

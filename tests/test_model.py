@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from graphsack import (Instance, ParetoSet, Variant, instance_from_json,
-                       instance_to_json, pareto_insert, pareto_join,
-                       validate_instance, verify_solution)
+                       instance_to_json, validate_instance, verify_solution)
 from graphsack import errors
 from graphsack.model import prune_pairs
 
@@ -58,39 +57,6 @@ class TestValidateInstance:
 
 
 class TestParetoOps:
-    def test_insert_no_dominance(self):
-        ps = ParetoSet(((1, 5), (3, 8)))
-        assert pareto_insert(ps, (2, 6), 10).pairs == ((1, 5), (2, 6), (3, 8))
-
-    def test_insert_dominated(self):
-        ps = ParetoSet(((1, 5),))
-        assert pareto_insert(ps, (2, 4), 10).pairs == ((1, 5),)
-
-    def test_insert_dominates_all(self):
-        ps = ParetoSet(((1, 5), (3, 8)))
-        assert pareto_insert(ps, (0, 9), 10).pairs == ((0, 9),)
-
-    def test_insert_over_cap_discarded(self):
-        ps = ParetoSet(((1, 5),))
-        assert pareto_insert(ps, (11, 99), 10).pairs == ((1, 5),)
-
-    def test_join_shared_bag(self):
-        a = ParetoSet(((2, 3),))
-        assert pareto_join(a, a, 2, 3, 10).pairs == ((2, 3),)
-
-    def test_join_neutral(self):
-        a, b = ParetoSet(((0, 0),)), ParetoSet(((4, 7),))
-        assert pareto_join(a, b, 0, 0, 10).pairs == ((4, 7),)
-
-    def test_join_cap(self):
-        a = ParetoSet(((1, 1), (2, 5)))
-        b = ParetoSet(((1, 2),))
-        assert pareto_join(a, b, 0, 0, 2).pairs == ((2, 3),)
-
-    def test_join_negative_offset_bug_detected(self):
-        with pytest.raises(errors.NegativeCombined):
-            pareto_join(ParetoSet(((0, 0),)), ParetoSet(((0, 0),)), 1, 0, 10)
-
     def test_non_canonical_rejected(self):
         with pytest.raises(ValueError):
             ParetoSet(((1, 5), (2, 4)))
@@ -109,24 +75,17 @@ class TestParetoOps:
     @given(st.lists(st.tuples(st.integers(0, 20), st.integers(0, 20)),
                     max_size=12),
            st.randoms(use_true_random=False))
-    def test_insert_order_insensitive(self, pairs, rng):
-        cap = 20
-        base = ParetoSet()
-        for p in pairs:
-            base = pareto_insert(base, p, cap)
+    def test_prune_order_insensitive(self, pairs, rng):
         shuffled = list(pairs)
         rng.shuffle(shuffled)
-        other = ParetoSet()
-        for p in shuffled:
-            other = pareto_insert(other, p, cap)
-        assert base.pairs == other.pairs
+        assert prune_pairs(shuffled, 20) == prune_pairs(pairs, 20)
 
     @given(st.lists(st.tuples(st.integers(0, 20), st.integers(0, 20)),
                     max_size=10))
-    def test_insert_idempotent(self, pairs):
-        ps = ParetoSet(prune_pairs(pairs, 20))
-        for p in ps.pairs:
-            assert pareto_insert(ps, p, 20).pairs == ps.pairs
+    def test_prune_idempotent(self, pairs):
+        front = prune_pairs(pairs, 20)
+        for p in front:
+            assert prune_pairs(front + (p,), 20) == front
 
 
 class TestVerifySolution:

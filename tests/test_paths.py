@@ -42,8 +42,11 @@ class TestTreeSolver:
 
     def test_disconnected_terminals(self):
         inst = make(4, ((0, 1), (2, 3)), (0,) * 4, (0,) * 4, 0, x=0, y=3)
-        with pytest.raises(errors.NoPath):
-            solve_path_tree(inst)
+        report = solve_path_tree(inst)
+        assert not report.feasible and report.witness is None
+        assert report.best_value is None and not report.frontier
+        assert (report.stats["nodes_expanded"],
+                report.stats["states_touched"]) == (0, 0)
 
     def test_same_terminal(self):
         report = solve_path_tree(make(**P3, s=3, x=1, y=1))
