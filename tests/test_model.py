@@ -7,6 +7,9 @@ from hypothesis import given, strategies as st
 from graphsack import (Instance, ParetoSet, Variant, instance_from_json,
                        instance_to_json, validate_instance, verify_solution)
 from graphsack import errors
+from graphsack.decomposition import (FORGET_VERTEX, INTRODUCE_VERTEX, JOIN,
+                                     LEAF, DecompNode, NiceDecomposition,
+                                     run_dp)
 from graphsack.model import prune_pairs
 
 
@@ -56,7 +59,95 @@ class TestValidateInstance:
         assert inst.edge_cost == (3, 5)
 
 
+def insert(front, pair, cap):
+    """Add one pair to a frontier: the step every DP cell repeats."""
+    return prune_pairs(front + (pair,), cap)
+
+
+class _SubsetRules:
+    """``run_dp`` states: the set of bag vertices taken; any set goes."""
+
+    @staticmethod
+    def leaf():
+        return {frozenset(): (0, 0)}
+
+    @staticmethod
+    def introduce(state, u):
+        return state, state | {u}
+
+    @staticmethod
+    def forget(state, u):
+        return state - {u}
+
+    @staticmethod
+    def edge(state, u, v):
+        return (state,)
+
+    @staticmethod
+    def join_key(state):
+        return state
+
+    @staticmethod
+    def join(state1, state2):
+        return state1 | state2
+
+
+def join_frontiers(weight, value, s, side1, side2, shared=()):
+    """Run ``run_dp`` on a join of two branches that each introduce the
+    ``shared`` vertices and introduce and forget their own side's; return
+    the join's ``{state: frontier}``."""
+    nodes = []
+
+    def add(kind, bag, children, vertex=None):
+        nodes.append(DecompNode(kind, frozenset(bag), tuple(children), vertex))
+        return len(nodes) - 1
+
+    def branch(private):
+        nid, bag = add(LEAF, (), ()), set()
+        for v in shared:
+            bag.add(v)
+            nid = add(INTRODUCE_VERTEX, bag, (nid,), v)
+        for v in private:
+            nid = add(INTRODUCE_VERTEX, bag | {v}, (nid,), v)
+            nid = add(FORGET_VERTEX, bag, (nid,), v)
+        return nid
+
+    root = add(JOIN, shared, (branch(side1), branch(side2)))
+    nd = NiceDecomposition(tuple(nodes), root, frozenset(), len(shared))
+    inst = make(n=len(weight), edges=(), weight=weight, value=value, s=s)
+    stats = {"nodes_expanded": 0, "states_touched": 0}
+    tables = run_dp(inst, nd, _SubsetRules, stats)
+    return {state: tuple(cell) for state, cell in tables[root].items()}
+
+
 class TestParetoOps:
+    def test_insert_no_dominance(self):
+        assert insert(((1, 5), (3, 8)), (2, 6), 10) == ((1, 5), (2, 6), (3, 8))
+
+    def test_insert_dominated(self):
+        assert insert(((1, 5),), (2, 4), 10) == ((1, 5),)
+
+    def test_insert_dominates_all(self):
+        assert insert(((1, 5), (3, 8)), (0, 9), 10) == ((0, 9),)
+
+    def test_insert_over_cap_discarded(self):
+        assert insert(((1, 5),), (11, 99), 10) == ((1, 5),)
+
+    def test_join_shared_bag(self):
+        # vertex 0 is taken on both sides but counted once
+        out = join_frontiers((2,), (3,), 10, (), (), shared=(0,))
+        assert out == {frozenset(): ((0, 0),), frozenset({0}): ((2, 3),)}
+
+    def test_join_neutral(self):
+        # the empty side holds only (0, 0): the join is the other side
+        out = join_frontiers((4,), (7,), 10, (), (0,))
+        assert out == {frozenset(): ((0, 0), (4, 7))}
+
+    def test_join_cap(self):
+        # sides ((0,0),(1,1),(2,5)) and ((0,0),(1,2)); (3,7) is over s=2
+        out = join_frontiers((1, 2, 1), (1, 5, 2), 2, (0, 1), (2,))
+        assert out == {frozenset(): ((0, 0), (1, 2), (2, 5))}
+
     def test_non_canonical_rejected(self):
         with pytest.raises(ValueError):
             ParetoSet(((1, 5), (2, 4)))
@@ -75,17 +166,23 @@ class TestParetoOps:
     @given(st.lists(st.tuples(st.integers(0, 20), st.integers(0, 20)),
                     max_size=12),
            st.randoms(use_true_random=False))
-    def test_prune_order_insensitive(self, pairs, rng):
+    def test_insert_order_insensitive(self, pairs, rng):
         shuffled = list(pairs)
         rng.shuffle(shuffled)
-        assert prune_pairs(shuffled, 20) == prune_pairs(pairs, 20)
+        fronts = []
+        for order in (pairs, shuffled):
+            front = ()
+            for p in order:
+                front = insert(front, p, 20)
+            fronts.append(front)
+        assert fronts[0] == fronts[1] == prune_pairs(shuffled, 20)
 
     @given(st.lists(st.tuples(st.integers(0, 20), st.integers(0, 20)),
                     max_size=10))
-    def test_prune_idempotent(self, pairs):
+    def test_insert_idempotent(self, pairs):
         front = prune_pairs(pairs, 20)
         for p in front:
-            assert prune_pairs(front + (p,), 20) == front
+            assert insert(front, p, 20) == front
 
 
 class TestVerifySolution:
