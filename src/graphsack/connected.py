@@ -2,7 +2,8 @@
 unpinned nice edge tree decomposition.
 
 A DP state at node t is (blocks, closed): one block per connected
-component trace of the partial solution in the bag, and whether the
+component trace of the partial solution in the bag, each a vertex
+bitmask (bit v = vertex v) with the blocks sorted, and whether the
 partial solution is already one finished component.  Forgetting the
 last bag vertex of the only block closes the state; a closed state
 admits no more solution vertices.  So the root (empty bag) holds the
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import time
 
-from .decomposition import (build_nice_decomposition, by_least,
+from .decomposition import (build_nice_decomposition,
                             elimination_order_minfill, run_dp, trace_witness,
                             union_blocks)
 from .model import (Instance, ParetoSet, SolveReport, Variant, build_report,
@@ -35,16 +36,17 @@ class _ConnectedRules:
         blocks, closed = state
         if closed:
             return state, None
-        return state, (by_least(blocks + (frozenset({u}),)), False)
+        return state, (tuple(sorted(blocks + (1 << u,))), False)
 
     @staticmethod
     def forget(state, u):
         blocks, closed = state
-        block = next((b for b in blocks if u in b), None)
-        if block is None:
+        bit = 1 << u
+        block = next((b for b in blocks if b & bit), 0)
+        if not block:
             return state
-        if len(block) > 1:
-            return by_least(b - {u} if b is block else b for b in blocks), False
+        if block != bit:
+            return tuple(sorted(b & ~bit for b in blocks)), False
         if len(blocks) == 1:
             return (), True
         # this component left the bag apart from the others and can
@@ -55,11 +57,11 @@ class _ConnectedRules:
     def edge(state, u, v):
         blocks, closed = state
         # an edge between two solution vertices joins their blocks
-        return [(union_blocks(blocks, [frozenset((u, v))]), closed)]
+        return [(union_blocks(blocks, (1 << u | 1 << v,)), closed)]
 
     @staticmethod
     def join_key(state):
-        return frozenset().union(*state[0])
+        return sum(state[0])  # the blocks are disjoint: sum is union
 
     @staticmethod
     def join(state1, state2):

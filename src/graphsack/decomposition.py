@@ -6,7 +6,8 @@ implemented by adding the pinned vertices to every bag, which inflates
 the width by at most |pinned|.  ``run_dp`` is the Pareto DP over these
 decompositions that both exact solvers share: each supplies only its
 state rules, and ``trace_witness`` walks the back-references the driver
-stores.
+stores.  A state keeps each block of bag vertices as an int bitmask
+(bit v = vertex v), and ``union_blocks`` merges two partitions of them.
 """
 from __future__ import annotations
 
@@ -68,22 +69,19 @@ class NiceDecomposition:
                 "pinned": sorted(self.pinned), "width": self.width}
 
 
-def by_least(blocks: Iterable[frozenset]) -> tuple:
-    """Blocks sorted by least vertex: the canonical order of a partition."""
-    return tuple(sorted(blocks, key=min))
-
-
-def union_blocks(blocks1: tuple, blocks2: Iterable[frozenset]) -> tuple:
+def union_blocks(blocks1: tuple, blocks2: Iterable[int]) -> tuple:
     """Merge the blocks of ``blocks1`` that each block of ``blocks2``
-    meets; vertices in no block of ``blocks1`` are ignored.  For two
-    partitions of one vertex set this is their transitive closure."""
+    meets; vertices in no block of ``blocks1`` are ignored.  A block is a
+    vertex bitmask (bit v = vertex v) and the result is sorted, the
+    canonical order of disjoint blocks.  For two partitions of one
+    vertex set this is their transitive closure."""
     merged = list(blocks1)
     for block in blocks2:
-        touching = [b for b in merged if not block.isdisjoint(b)]
+        touching = [b for b in merged if b & block]
         if len(touching) > 1:
-            merged = [b for b in merged if block.isdisjoint(b)]
-            merged.append(frozenset().union(*touching))
-    return by_least(merged)
+            merged = [b for b in merged if not b & block]
+            merged.append(sum(touching))  # disjoint: sum is union
+    return tuple(sorted(merged))
 
 
 def _copy(out: dict, dst_state, child: int, state, cell: dict) -> None:
@@ -104,13 +102,15 @@ def run_dp(inst: Instance, nd: NiceDecomposition, rules, stats: dict) -> dict:
     - ``forget(state, u) -> state | None``: the state once u leaves the
       bag, or None to drop it;
     - ``edge(state, u, v) -> states``: the states once edge uv is in;
-    - ``join_key(state)``: the bag vertices in the partial solution, on
-      which the children of a join are paired;
+    - ``join_key(state)``: the bitmask (bit v = vertex v) of the bag
+      vertices in the partial solution, on which the children of a join
+      are paired;
     - ``join(state1, state2)``: the merged state, or None.
 
     The driver owns the pairs: taking u adds its weight and value, a join
     subtracts its key's vertices counted on both sides, pairs over the
-    budget are dropped and every cell is pruned to its frontier.  It
+    budget are dropped and every cell of two or more pairs is pruned to
+    its frontier (a single pair is already within the budget).  It
     counts ``nodes_expanded`` and ``states_touched`` (pairs kept) in
     ``stats`` and returns ``{node: {state: {pair: back-reference}}}``
     for ``trace_witness``.
@@ -162,7 +162,7 @@ def run_dp(inst: Instance, nd: NiceDecomposition, rules, stats: dict) -> dict:
 
         elif node.kind == JOIN:
             c1, c2 = node.children
-            by_key: dict[frozenset, list] = {}
+            by_key: dict[int, list] = {}
             for state, cell in tables[c2].items():
                 by_key.setdefault(rules.join_key(state), []).append(
                     (state, cell))
@@ -171,8 +171,8 @@ def run_dp(inst: Instance, nd: NiceDecomposition, rules, stats: dict) -> dict:
                 partners = by_key.get(key)
                 if not partners:
                     continue
-                w_off = sum(weight[v] for v in key)
-                a_off = sum(value[v] for v in key)
+                w_off = sum(weight[v] for v in node.bag if key >> v & 1)
+                a_off = sum(value[v] for v in node.bag if key >> v & 1)
                 for state2, cell2 in partners:
                     merged = rules.join(state1, state2)
                     if merged is None:
@@ -189,7 +189,8 @@ def run_dp(inst: Instance, nd: NiceDecomposition, rules, stats: dict) -> dict:
             raise AssertionError(node.kind)
 
         # a join cell is empty when every pair in it overran the budget
-        out = {st: {p: cell[p] for p in prune_pairs(cell.keys(), s)}
+        out = {st: cell if len(cell) == 1
+               else {p: cell[p] for p in prune_pairs(cell.keys(), s)}
                for st, cell in out.items() if cell}
         stats["states_touched"] += sum(len(c) for c in out.values())
         tables[nid] = out

@@ -3,7 +3,9 @@
 Three routes with very different profiles: the unique-path walk on
 trees, a randomized color-coding search parameterized by the path
 length, and an exact segment-state DP over a nice edge tree
-decomposition pinned at both terminals.
+decomposition pinned at both terminals.  The segment states are
+vertex bitmasks: the path blocks of the bag and the bag vertices at
+solution degree 1 and 2.
 """
 from __future__ import annotations
 
@@ -14,8 +16,8 @@ from typing import Optional
 
 from . import errors
 from .decomposition import (NiceDecomposition, build_nice_decomposition,
-                            by_least, elimination_order_minfill, run_dp,
-                            trace_witness, union_blocks)
+                            elimination_order_minfill, run_dp, trace_witness,
+                            union_blocks)
 from .model import (Instance, ParetoSet, SolveReport, Variant, build_report,
                     prune_pairs)
 
@@ -108,8 +110,9 @@ def _colorful_trial(inst: Instance, adj: list[list[int]], k: int,
                         dst.setdefault((w + weight[u], a + value[u]),
                                        (mask, v, (w, a)))
         for key, cell in nxt.items():
-            keep = prune_pairs(cell.keys(), s)
-            table[key] = {p: cell[p] for p in keep}
+            # a single pair is already within the budget
+            table[key] = cell if len(cell) == 1 else {
+                p: cell[p] for p in prune_pairs(cell.keys(), s)}
         level = list(nxt.keys())
         stats["states_touched"] += sum(len(table[key]) for key in nxt)
 
@@ -205,77 +208,74 @@ def solve_path_color_sweep(inst: Instance, seed: int = 0,
 # Treewidth DP with segment states.
 
 class _PathRules:
-    """Segment states ``(blocks, ((vertex, degree), ...))`` for
-    ``run_dp``: the partial solution is a set of vertex-disjoint paths,
-    one block per path's bag vertices, with the solution degree of each
-    bag vertex.  A terminal may reach degree 1 (0 when x == y), any
-    other vertex 2, and a vertex leaves the bag only at degree 2."""
+    """Segment states ``(blocks, one, two)`` for ``run_dp``: the partial
+    solution is a set of vertex-disjoint paths, one block per path's bag
+    vertices, and ``one`` and ``two`` are the bag vertices at solution
+    degree 1 and 2; all are vertex bitmasks (bit v = vertex v).  A
+    terminal may reach degree 1 (0 when x == y), any other vertex 2, and
+    a vertex leaves the bag only at degree 2."""
 
     def __init__(self, inst: Instance):
         self.ends = sorted({inst.x, inst.y})
-        self.limit = [2] * inst.n
-        for v in self.ends:
-            self.limit[v] = len(self.ends) - 1
+        ends = sum(1 << v for v in self.ends)
+        # terminals whose degree limit is 1 (x != y) or 0 (x == y)
+        self.lim1 = ends if len(self.ends) == 2 else 0
+        self.lim0 = ends ^ self.lim1
         self.leaf_pair = (inst.total_weight(self.ends),
                           inst.total_value(self.ends))
 
     def leaf(self):
         # every bag of the decomposition is pinned at both terminals
-        state = (by_least(frozenset({v}) for v in self.ends),
-                 tuple((v, 0) for v in self.ends))
-        return {state: self.leaf_pair}
+        return {(tuple(1 << v for v in self.ends), 0, 0): self.leaf_pair}
 
     def accept(self):
         """The root state of one x-y path."""
-        return ((frozenset(self.ends),),
-                tuple((v, len(self.ends) - 1) for v in self.ends))
+        return ((self.lim1 | self.lim0,), self.lim1, 0)
 
     @staticmethod
     def introduce(state, u):
-        blocks, degs = state
-        return state, (by_least(blocks + (frozenset({u}),)),
-                       tuple(sorted(degs + ((u, 0),))))
+        blocks, one, two = state
+        return state, (tuple(sorted(blocks + (1 << u,))), one, two)
 
     @staticmethod
     def forget(state, u):
-        blocks, degs = state
-        block = next((b for b in blocks if u in b), None)
-        if block is None:
+        blocks, one, two = state
+        bit = 1 << u
+        block = next((b for b in blocks if b & bit), 0)
+        if not block:
             return state
-        if dict(degs)[u] != 2:
+        if not two & bit:
             return None  # an open segment end left the bag
-        if len(block) == 1:
+        if block == bit:
             return None  # component lost its last bag vertex
-        return (by_least(b - {u} if b is block else b for b in blocks),
-                tuple(e for e in degs if e[0] != u))
+        return tuple(sorted(b & ~bit for b in blocks)), one, two & ~bit
 
     def edge(self, state, u, v):
-        blocks, degs = state
-        dmap = dict(degs)
-        if (u not in dmap or v not in dmap or dmap[u] >= self.limit[u]
-                or dmap[v] >= self.limit[v]):
-            return [state]
-        merged = union_blocks(blocks, [frozenset((u, v))])
+        blocks, one, two = state
+        uv = 1 << u | 1 << v
+        if uv & (two | one & self.lim1 | self.lim0):
+            return [state]  # an endpoint is at its degree limit
+        merged = union_blocks(blocks, (uv,))
         if len(merged) == len(blocks):
-            return [state]  # closing a cycle
-        return [state, (merged, tuple((w, d + (w == u or w == v))
-                                      for w, d in degs))]
+            return [state]  # an endpoint is out, or closing a cycle
+        return [state, (merged, one ^ uv, two | one & uv)]
 
     @staticmethod
     def join_key(state):
-        return frozenset(v for v, _ in state[1])
+        return sum(state[0])  # the blocks are disjoint: sum is union
 
     def join(self, state1, state2):
-        (blocks1, degs1), (blocks2, degs2) = state1, state2
-        degs = tuple((v, d1 + d2) for (v, d1), (_, d2) in zip(degs1, degs2))
-        if any(d > self.limit[v] for v, d in degs):
-            return None
+        (blocks1, one1, two1), (blocks2, one2, two2) = state1, state2
+        used1, used2 = one1 | two1, one2 | two2
+        if (two1 & used2) | (used1 & two2) | (one1 & one2 & self.lim1):
+            return None  # a degree sum over its limit
         merged = union_blocks(blocks1, blocks2)
         # the blocks of both sides, linked by their shared vertices, must
         # form a forest, or the union closes a cycle
-        if len(merged) != len(blocks1) + len(blocks2) - len(degs):
+        shared = sum(blocks1).bit_count()
+        if len(merged) != len(blocks1) + len(blocks2) - shared:
             return None
-        return merged, degs
+        return merged, one1 ^ one2, two1 | two2 | one1 & one2
 
 
 def solve_path_treewidth(inst: Instance,

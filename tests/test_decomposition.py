@@ -9,7 +9,8 @@ from graphsack import (Instance, Variant, build_nice_decomposition, decompose,
                        solve_path_treewidth, validate_instance,
                        validate_nice_decomposition)
 from graphsack import errors
-from graphsack.decomposition import INTRODUCE_EDGE, DecompNode, NiceDecomposition
+from graphsack.decomposition import (INTRODUCE_EDGE, DecompNode,
+                                     NiceDecomposition, union_blocks)
 from graphsack.generators import random_instance
 
 
@@ -149,6 +150,31 @@ class TestValidate:
                                    nd.width)
         with pytest.raises((errors.RootNotPinnedBag, errors.BadNodeArity)):
             validate_nice_decomposition(inst, broken)
+
+
+class TestUnionBlocks:
+    """Blocks are vertex bitmasks: 0b0011 is the block {0, 1}."""
+
+    def test_edge_merges_two_blocks(self):
+        assert union_blocks((0b0011, 0b0100), (0b0110,)) == (0b0111,)
+
+    def test_endpoint_in_no_block_ignored(self):
+        assert union_blocks((0b0011, 0b0100), (0b1010,)) == (0b0011, 0b0100)
+
+    def test_three_way_merge_through_one_block(self):
+        assert union_blocks((0b001, 0b010, 0b100), (0b111,)) == (0b111,)
+
+    def test_result_sorted(self):
+        assert union_blocks((0b0010, 0b0100, 0b1000), (0b0110,)) == (
+            0b0110, 0b1000)
+
+    def test_block_count_drop_detects_cycle(self):
+        # the path join keeps a merge only when the block count is
+        # len1 + len2 - |key|, i.e. the two sides' segments close no cycle
+        cycle = union_blocks((0b011,), (0b011,))  # 0-1 segment on both sides
+        assert len(cycle) != 1 + 1 - 2
+        chain = union_blocks((0b011, 0b100), (0b001, 0b110))  # 0-1 then 1-2
+        assert chain == (0b111,) and len(chain) == 2 + 2 - 3
 
 
 class TestSharedDriver:

@@ -65,19 +65,19 @@ def insert(front, pair, cap):
 
 
 class _SubsetRules:
-    """``run_dp`` states: the set of bag vertices taken; any set goes."""
+    """``run_dp`` states: the bitmask of bag vertices taken; any set goes."""
 
     @staticmethod
     def leaf():
-        return {frozenset(): (0, 0)}
+        return {0: (0, 0)}
 
     @staticmethod
     def introduce(state, u):
-        return state, state | {u}
+        return state, state | 1 << u
 
     @staticmethod
     def forget(state, u):
-        return state - {u}
+        return state & ~(1 << u)
 
     @staticmethod
     def edge(state, u, v):
@@ -136,17 +136,17 @@ class TestParetoOps:
     def test_join_shared_bag(self):
         # vertex 0 is taken on both sides but counted once
         out = join_frontiers((2,), (3,), 10, (), (), shared=(0,))
-        assert out == {frozenset(): ((0, 0),), frozenset({0}): ((2, 3),)}
+        assert out == {0: ((0, 0),), 1: ((2, 3),)}
 
     def test_join_neutral(self):
         # the empty side holds only (0, 0): the join is the other side
         out = join_frontiers((4,), (7,), 10, (), (0,))
-        assert out == {frozenset(): ((0, 0), (4, 7))}
+        assert out == {0: ((0, 0), (4, 7))}
 
     def test_join_cap(self):
         # sides ((0,0),(1,1),(2,5)) and ((0,0),(1,2)); (3,7) is over s=2
         out = join_frontiers((1, 2, 1), (1, 5, 2), 2, (0, 1), (2,))
-        assert out == {frozenset(): ((0, 0), (1, 2), (2, 5))}
+        assert out == {0: ((0, 0), (1, 2), (2, 5))}
 
     def test_non_canonical_rejected(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 """Path Knapsack solvers: tree walk, color coding, treewidth DP."""
+import dataclasses
 import math
 
 import pytest
@@ -10,6 +11,7 @@ from graphsack import (Instance, Variant, enumerate_paths_opt,
 from graphsack import errors
 from conftest import instance_stream
 from graphsack.generators import random_instance
+from graphsack.oracles import oracle_for
 
 
 def make(n, edges, weight, value, s, x, y, d=None):
@@ -117,6 +119,19 @@ class TestTreewidthDP:
     def test_single_edge(self):
         inst = make(2, ((0, 1),), (1, 2), (3, 4), 3, x=0, y=1)
         assert solve_path_treewidth(inst).frontier.pairs == ((3, 7),)
+
+    def test_same_terminal_matches_oracle(self):
+        # the generator never draws x == y: the terminal's degree limit
+        # is then 0 and the only path is the one vertex x
+        for seed in range(10):
+            for kind in ("gnp", "grid", "tree"):
+                for n in (1, 3, 5, 8):
+                    inst = random_instance(Variant.PATH, kind, n, seed)
+                    inst = dataclasses.replace(inst, y=inst.x)
+                    report = solve_path_treewidth(inst)
+                    assert report.frontier == oracle_for(inst), inst
+                    if report.feasible:
+                        assert report.witness == frozenset({inst.x})
 
     def test_oracle_equivalence_sample(self):
         for inst in instance_stream(Variant.PATH, 60, 5000, 10):
