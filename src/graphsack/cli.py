@@ -22,7 +22,7 @@ from .decomposition import (build_nice_decomposition,
                             validate_nice_decomposition)
 from .model import (Instance, SolveReport, Variant, build_report,
                     instance_from_json, instance_to_json, verify_solution)
-from .oracles import oracle_for
+from .oracles import oracle_with_witnesses
 from .paths import (solve_path_color_sweep, solve_path_tree,
                     solve_path_treewidth)
 from .shortest import solve_shortest_path
@@ -95,8 +95,8 @@ def _run_engine(inst: Instance, engine: str, seed: int,
     if engine == "tree":
         return solve_path_tree(inst)
     if engine == "oracle":
-        frontier = oracle_for(inst)
-        return build_report(inst, frontier, lambda pair: None, {})
+        frontier, found = oracle_with_witnesses(inst)
+        return build_report(inst, frontier, found, {})
     raise AssertionError(engine)
 
 
@@ -130,8 +130,6 @@ def cmd_solve(args) -> int:
             f"engine {engine} does not handle variant {inst.variant.value}")
     log.info("engine=%s variant=%s n=%d", engine, inst.variant.value, inst.n)
 
-    for _ in range(max(0, args.repeat - 1)):
-        _run_engine(inst, engine, args.seed, args.trials)
     if args.epsilon is not None:
         solver = lambda i: _run_engine(i, engine, args.seed, args.trials)
         report = fptas_optimize(inst, args.epsilon, solver)
@@ -255,9 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="approximate mode, e.g. 1/4 or 0.25")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=None,
-                   help="color-coding trial budget per path length")
-    p.add_argument("--repeat", type=int, default=1,
-                   help="re-run the solver this many times (timing aid)")
+                   help="total trial budget of the one color-coding run "
+                        "(default: ceil(3e^k) for k colors)")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("generate", help="emit a random or gadget instance")

@@ -12,9 +12,9 @@ MAX_CONNECTED_N = 20
 MAX_PATH_N = 12
 
 
-def enumerate_connected_subsets_opt(inst: Instance) -> ParetoSet:
-    """Exact frontier over all connected subsets (including the empty
-    set) within the budget, by subset enumeration."""
+def _connected_found(inst: Instance) -> dict:
+    """{pair: the first connected subset with it} over all connected
+    subsets (the empty set first) within the budget."""
     if inst.n > MAX_CONNECTED_N:
         raise errors.TooLarge(f"n={inst.n} exceeds {MAX_CONNECTED_N}")
     adj_mask = [0] * inst.n
@@ -22,7 +22,7 @@ def enumerate_connected_subsets_opt(inst: Instance) -> ParetoSet:
         adj_mask[u] |= 1 << v
         adj_mask[v] |= 1 << u
 
-    pairs = [(0, 0)]
+    found = {(0, 0): frozenset()}
     for mask in range(1, 1 << inst.n):
         w = a = 0
         m = mask
@@ -31,7 +31,7 @@ def enumerate_connected_subsets_opt(inst: Instance) -> ParetoSet:
             w += inst.weight[v]
             a += inst.value[v]
             m &= m - 1
-        if w > inst.s:
+        if w > inst.s or (w, a) in found:
             continue
         # flood fill within the subset
         start = mask & -mask
@@ -44,8 +44,9 @@ def enumerate_connected_subsets_opt(inst: Instance) -> ParetoSet:
             seen |= grow
             frontier |= grow
         if seen == mask:
-            pairs.append((w, a))
-    return ParetoSet(prune_pairs(pairs, inst.s))
+            found[(w, a)] = frozenset(
+                v for v in range(inst.n) if mask >> v & 1)
+    return found
 
 
 def _all_simple_paths(inst: Instance):
@@ -74,20 +75,20 @@ def _all_simple_paths(inst: Instance):
     yield from extend(x)
 
 
-def enumerate_paths_opt(inst: Instance) -> ParetoSet:
-    """Exact frontier over all simple x-y paths within the budget."""
+def _paths_found(inst: Instance) -> dict:
+    """{pair: the first simple x-y path with it} within the budget."""
     if inst.n > MAX_PATH_N:
         raise errors.TooLarge(f"n={inst.n} exceeds {MAX_PATH_N}")
-    pairs = []
+    found = {}
     for path in _all_simple_paths(inst):
         w = inst.total_weight(path)
         if w <= inst.s:
-            pairs.append((w, inst.total_value(path)))
-    return ParetoSet(prune_pairs(pairs, inst.s))
+            found.setdefault((w, inst.total_value(path)), frozenset(path))
+    return found
 
 
-def enumerate_shortest_paths_opt(inst: Instance) -> ParetoSet:
-    """Exact frontier over minimum-cost simple x-y paths within the
+def _shortest_paths_found(inst: Instance) -> dict:
+    """{pair: the first minimum-cost simple x-y path with it} within the
     budget.  Raises Unreachable when no x-y path exists at all."""
     if inst.n > MAX_PATH_N:
         raise errors.TooLarge(f"n={inst.n} exceeds {MAX_PATH_N}")
@@ -102,19 +103,39 @@ def enumerate_shortest_paths_opt(inst: Instance) -> ParetoSet:
             best_cost = cost
     if best_cost is None:
         raise errors.Unreachable(f"no path from {inst.x} to {inst.y}")
-    pairs = []
+    found = {}
     for cost, path in costed:
-        if cost != best_cost:
-            continue
         w = inst.total_weight(path)
-        if w <= inst.s:
-            pairs.append((w, inst.total_value(path)))
-    return ParetoSet(prune_pairs(pairs, inst.s))
+        if cost == best_cost and w <= inst.s:
+            found.setdefault((w, inst.total_value(path)), frozenset(path))
+    return found
+
+
+def enumerate_connected_subsets_opt(inst: Instance) -> ParetoSet:
+    """Exact frontier over all connected subsets (including the empty
+    set) within the budget, by subset enumeration."""
+    return ParetoSet(prune_pairs(_connected_found(inst)))
+
+
+def enumerate_paths_opt(inst: Instance) -> ParetoSet:
+    """Exact frontier over all simple x-y paths within the budget."""
+    return ParetoSet(prune_pairs(_paths_found(inst)))
+
+
+def enumerate_shortest_paths_opt(inst: Instance) -> ParetoSet:
+    """Exact frontier over minimum-cost simple x-y paths within the
+    budget.  Raises Unreachable when no x-y path exists at all."""
+    return ParetoSet(prune_pairs(_shortest_paths_found(inst)))
+
+
+def oracle_with_witnesses(inst: Instance) -> tuple[ParetoSet, dict]:
+    """The exact frontier of ``inst``'s variant and, for each of its
+    pairs, the first solution the enumeration met with that pair."""
+    found = {Variant.CONNECTED: _connected_found,
+             Variant.PATH: _paths_found,
+             Variant.SHORTEST_PATH: _shortest_paths_found}[inst.variant](inst)
+    return ParetoSet(prune_pairs(found)), found
 
 
 def oracle_for(inst: Instance) -> ParetoSet:
-    if inst.variant is Variant.CONNECTED:
-        return enumerate_connected_subsets_opt(inst)
-    if inst.variant is Variant.PATH:
-        return enumerate_paths_opt(inst)
-    return enumerate_shortest_paths_opt(inst)
+    return oracle_with_witnesses(inst)[0]

@@ -1,17 +1,18 @@
 """Path Knapsack solvers.
 
 Three routes with very different profiles: the unique-path walk on
-trees, a randomized color-coding search parameterized by the path
-length, and an exact segment-state DP over a nice edge tree
-decomposition pinned at both terminals.  The segment states are
-vertex bitmasks: the path blocks of the bag and the bag vertices at
-solution degree 1 and 2.
+trees, a randomized color-coding search whose one run with k colors
+finds x-y paths of every length up to k, and an exact segment-state
+DP over a nice edge tree decomposition pinned at both terminals.  The
+segment states are vertex bitmasks: the path blocks of the bag and
+the bag vertices at solution degree 1 and 2.
 """
 from __future__ import annotations
 
 import math
 import random
 import time
+from itertools import accumulate
 from typing import Optional
 
 from . import errors
@@ -81,59 +82,54 @@ def solve_path_tree(inst: Instance) -> SolveReport:
 # Color coding (randomized, one-sided).
 
 def _colorful_trial(inst: Instance, adj: list[list[int]], k: int,
-                    coloring: list[int], stats: dict):
-    """One DP run for a fixed coloring.  Returns {pair: path_tuple} of
-    undominated x-y paths on exactly k distinct colors."""
-    s = inst.s
-    weight, value = inst.weight, inst.value
-    full = (1 << k) - 1
+                    coloring: list[int], stats: dict) -> dict:
+    """One DP run for a fixed coloring with k colors.
 
-    # table[(mask, v)] = {pair: predecessor (mask', v', pair') or None}
-    base_mask = 1 << coloring[inst.x]
+    Returns ``table[(mask, v)] = {pair: predecessor (mask', v', pair')
+    or None}``, the undominated colorful x-v paths whose colors are
+    ``mask``.  A cell is stored only once a pair fits the budget, and
+    in ascending weight.  Cells at y are never expanded: a colorful
+    path cannot leave y and come back to it.
+    """
+    s, y = inst.s, inst.y
+    weight, value = inst.weight, inst.value
     table: dict[tuple[int, int], dict] = {}
     if weight[inst.x] <= s:
-        table[(base_mask, inst.x)] = {
+        table[(1 << coloring[inst.x], inst.x)] = {
             (weight[inst.x], value[inst.x]): None}
-    level = list(table.keys())
+    level = list(table)
     for _ in range(1, k):
         nxt: dict[tuple[int, int], dict] = {}
         for (mask, v) in level:
+            if v == y:
+                continue
             cell = table[(mask, v)]
+            lightest = next(iter(cell))[0]
             for u in adj[v]:
                 bit = 1 << coloring[u]
-                if mask & bit:
+                wu, au = weight[u], value[u]
+                if mask & bit or lightest + wu > s:
                     continue
-                key = (mask | bit, u)
-                dst = nxt.setdefault(key, {})
+                dst = nxt.setdefault((mask | bit, u), {})
                 for (w, a) in cell:
-                    if w + weight[u] <= s:
-                        dst.setdefault((w + weight[u], a + value[u]),
-                                       (mask, v, (w, a)))
+                    if w + wu > s:
+                        break  # every later pair is heavier
+                    dst.setdefault((w + wu, a + au), (mask, v, (w, a)))
         for key, cell in nxt.items():
             # a single pair is already within the budget
             table[key] = cell if len(cell) == 1 else {
                 p: cell[p] for p in prune_pairs(cell.keys(), s)}
-        level = list(nxt.keys())
+        level = list(nxt)
         stats["states_touched"] += sum(len(table[key]) for key in nxt)
-
-    found = {}
-    cell = table.get((full, inst.y))
-    if not cell:
-        return found
-    for pair in cell:
-        path = []
-        cur = (full, inst.y, pair)
-        while cur is not None:
-            mask, v, p = cur
-            path.append(v)
-            cur = table[(mask, v)][p]
-        found[pair] = tuple(reversed(path))
-    return found
+    return table
 
 
-def _color_pool(inst: Instance, k: int, trials: int, seed: int,
-                stats: dict) -> dict:
-    """Run the trial loop; returns {pair: witness vertex set}."""
+def _color_search(inst: Instance, k: int, trials: int, seed: int,
+                  masks) -> SolveReport:
+    """Run ``trials`` random k-colorings and read the x-y cells whose
+    color mask is in ``masks``; each pair keeps the first path seen."""
+    t0 = time.perf_counter()
+    stats = {"nodes_expanded": 0, "states_touched": 0, "trials_run": 0}
     rng = random.Random(seed)
     adj = inst.adjacency()
     pool: dict[tuple[int, int], frozenset[int]] = {}
@@ -141,12 +137,21 @@ def _color_pool(inst: Instance, k: int, trials: int, seed: int,
         coloring = [rng.randrange(k) for _ in range(inst.n)]
         stats["trials_run"] += 1
         stats["nodes_expanded"] += 1
-        for pair, path in _colorful_trial(inst, adj, k, coloring,
-                                          stats).items():
-            pool.setdefault(pair, frozenset(path))
+        table = _colorful_trial(inst, adj, k, coloring, stats)
+        for (mask, v), cell in table.items():
+            if v != inst.y or mask not in masks:
+                continue
+            for pair in cell.keys() - pool.keys():
+                path, cur = [], (mask, v, pair)
+                while cur is not None:
+                    path.append(cur[1])
+                    cur = table[cur[:2]][cur[2]]
+                pool[pair] = frozenset(path)
         if inst.d is not None and any(a >= inst.d for _, a in pool):
             break
-    return pool
+    frontier = ParetoSet(prune_pairs(pool.keys(), inst.s))
+    stats["wall_time"] = time.perf_counter() - t0
+    return build_report(inst, frontier, pool, stats)
 
 
 def solve_path_color_coding(inst: Instance, k: int, trials: int,
@@ -163,45 +168,34 @@ def solve_path_color_coding(inst: Instance, k: int, trials: int,
         raise errors.GraphsackError(f"k={k} out of range 1..{inst.n}")
     if trials < 1:
         raise errors.GraphsackError("trials must be positive")
-    t0 = time.perf_counter()
-    stats = {"nodes_expanded": 0, "states_touched": 0, "trials_run": 0}
-    if k == 1 and inst.x != inst.y:
-        pool = {}
-    else:
-        pool = _color_pool(inst, k, trials, seed, stats)
-    frontier = ParetoSet(prune_pairs(pool.keys(), inst.s))
-    stats["wall_time"] = time.perf_counter() - t0
-    return build_report(inst, frontier, pool, stats)
+    return _color_search(inst, k, trials, seed, ((1 << k) - 1,))
 
 
 def default_trials(k: int) -> int:
-    """Trial budget giving >= 95% success on yes-instances."""
+    """Trial budget that finds a fixed path on at most k vertices with
+    probability >= 95% when coloring with k colors: each trial makes it
+    colorful with probability >= e^-k, and (1 - e^-k)^(3e^k) < e^-3."""
     return math.ceil(3 * math.e ** k)
 
 
 def solve_path_color_sweep(inst: Instance, seed: int = 0,
                            trials: Optional[int] = None) -> SolveReport:
-    """Sweep the path length k = 1..n and merge the frontiers.
+    """Frontier over x-y paths of every length from one color-coding run.
 
-    Still one-sided overall, but with the default per-k budget each
-    length is found with probability >= 95%.
+    The run uses k colors, where k counts the lightest vertices whose
+    weights fit in s together (1 when x == y): no longer path fits the
+    budget.  Each trial reads the x-y cell of every color mask, so it
+    finds colorful paths of every length j <= k.  A fixed j-vertex path
+    is colorful with probability k!/((k-j)! k^j) >= k!/k^k >= e^-k, so
+    the default budget ``default_trials(k)`` still finds each path with
+    probability >= 95%.  ``trials`` overrides that total budget.
+    One-sided, like solve_path_color_coding.
     """
     _require_path_variant(inst)
-    t0 = time.perf_counter()
-    pool: dict[tuple[int, int], frozenset[int]] = {}
-    stats = {"nodes_expanded": 0, "states_touched": 0, "trials_run": 0}
-    k_hi = 1 if inst.x == inst.y else inst.n
-    k_lo = 1 if inst.x == inst.y else 2
-    for k in range(k_lo, k_hi + 1):
-        budget = trials if trials is not None else default_trials(k)
-        for pair, wit in _color_pool(inst, k, budget, seed + k,
-                                     stats).items():
-            pool.setdefault(pair, wit)
-        if inst.d is not None and any(a >= inst.d for _, a in pool):
-            break
-    frontier = ParetoSet(prune_pairs(pool.keys(), inst.s))
-    stats["wall_time"] = time.perf_counter() - t0
-    return build_report(inst, frontier, pool, stats)
+    k = 1 if inst.x == inst.y else max(1, sum(
+        total <= inst.s for total in accumulate(sorted(inst.weight))))
+    budget = trials if trials is not None else default_trials(k)
+    return _color_search(inst, k, budget, seed, range(1 << k))
 
 
 # ---------------------------------------------------------------------

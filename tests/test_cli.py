@@ -94,6 +94,19 @@ class TestSolve:
         assert code == 0
         assert json.loads(out)["stats"]["epsilon"] == "1/4"
 
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_oracle_engine_witness_verifies(self, capsys, tmp_path, variant):
+        from graphsack.model import verify_solution
+        inst = random_instance(variant, "gnp", 7, 12, p=0.5)
+        path = write_instance(tmp_path, inst)
+        code, out = run(capsys, "solve", "--input", path,
+                        "--engine", "oracle")
+        doc = json.loads(out)
+        assert code == 0 and doc["witness"] is not None
+        result = verify_solution(inst, doc["witness"])
+        assert result.ok, result.reason
+        assert [result.w, result.alpha] == doc["frontier"][-1]
+
     def test_solve_deterministic(self, capsys, tmp_path):
         inst = random_instance(Variant.PATH, "gnp", 7, 6, p=0.5)
         path = write_instance(tmp_path, inst)

@@ -8,10 +8,11 @@ from graphsack import (Instance, Variant, enumerate_paths_opt,
                        solve_path_color_coding, solve_path_color_sweep,
                        solve_path_tree, solve_path_treewidth,
                        validate_instance, verify_solution)
-from graphsack import errors
+from graphsack import errors, paths
 from conftest import instance_stream
 from graphsack.generators import random_instance
 from graphsack.oracles import oracle_for
+from graphsack.paths import default_trials
 
 
 def make(n, edges, weight, value, s, x, y, d=None):
@@ -97,6 +98,44 @@ class TestColorCoding:
             exact = enumerate_paths_opt(inst)
             for w, a in got:
                 assert any(w2 <= w and a2 >= a for w2, a2 in exact), inst
+
+    def test_sweep_matches_exact_frontier(self):
+        for seed in range(40):
+            inst = random_instance(Variant.PATH, "gnp", 8, 4000 + seed,
+                                   p=0.5)
+            got = solve_path_color_sweep(inst, seed=seed).frontier
+            assert got == solve_path_treewidth(inst).frontier, inst
+
+    def test_sweep_runs_one_budget_at_k(self):
+        # the budget fits the 3 lightest vertices, so k = 3 colors
+        inst = make(5, ((0, 1), (0, 4), (1, 4), (1, 2), (2, 3)),
+                    (1, 1, 5, 5, 1), (1, 1, 1, 1, 1), 3, x=0, y=1)
+        report = solve_path_color_sweep(inst, seed=2)
+        assert report.stats["trials_run"] == default_trials(3)
+        assert report.frontier.pairs == ((2, 2), (3, 3))
+
+    def test_sweep_same_terminal(self):
+        report = solve_path_color_sweep(make(**P3, s=3, x=1, y=1))
+        assert report.witness == frozenset({1})
+        assert report.stats["trials_run"] == default_trials(1)
+
+    def test_no_empty_cell_is_pruned(self, monkeypatch):
+        sizes = []
+        prune_pairs = paths.prune_pairs
+
+        def counting(pairs, cap_s=None):
+            pairs = list(pairs)
+            sizes.append(len(pairs))
+            return prune_pairs(pairs, cap_s)
+
+        monkeypatch.setattr(paths, "prune_pairs", counting)
+        for seed in (0, 2, 4, 6, 7):  # feasible instances
+            inst = random_instance(Variant.PATH, "gnp", 8, 4000 + seed,
+                                   p=0.5)
+            k = len(solve_path_color_sweep(inst, seed=seed).witness)
+            assert solve_path_color_coding(inst, k, default_trials(k),
+                                           seed=seed).feasible
+        assert sizes and min(sizes) > 0
 
     def test_invalid_parameters(self):
         inst = make(**P3, s=3, x=0, y=2)
