@@ -17,9 +17,7 @@ from typing import Optional
 from . import errors, generators, reductions
 from .approx import fptas_optimize
 from .connected import solve_connected
-from .decomposition import (build_nice_decomposition,
-                            elimination_order_minfill,
-                            validate_nice_decomposition)
+from .decomposition import decompose
 from .model import (Instance, SolveReport, Variant, build_report,
                     instance_from_json, instance_to_json, verify_solution)
 from .oracles import oracle_with_witnesses
@@ -228,10 +226,7 @@ def cmd_decompose(args) -> int:
         for v in pinned:
             if not (0 <= v < inst.n):
                 raise errors.IdOutOfRange(f"pin {v} out of range")
-    order = elimination_order_minfill(inst, seed=args.seed)
-    nd = build_nice_decomposition(inst, order, pinned)
-    validate_nice_decomposition(inst, nd)
-    _emit(nd.to_doc())
+    _emit(decompose(inst, pinned, seed=args.seed).to_doc())
     return 0
 
 

@@ -9,7 +9,7 @@ last bag vertex of the only block closes the state; a closed state
 admits no more solution vertices.  So the root (empty bag) holds the
 empty solution in its open state and every non-empty connected subset
 in its closed state.  ``decomposition.run_dp`` carries the (weight,
-value) frontiers and their back-references; this module only supplies
+value) frontiers and their witness masks; this module only supplies
 the state rules.
 """
 from __future__ import annotations
@@ -17,8 +17,8 @@ from __future__ import annotations
 import time
 
 from .decomposition import (build_nice_decomposition,
-                            elimination_order_minfill, run_dp, trace_witness,
-                            union_blocks)
+                            elimination_order_minfill, run_dp, union_blocks,
+                            vertex_set)
 from .model import (Instance, ParetoSet, SolveReport, Variant, build_report,
                     prune_pairs)
 
@@ -82,16 +82,16 @@ def solve_connected(inst: Instance, early_stop: bool = False) -> SolveReport:
     t0 = time.perf_counter()
     stats = {"nodes_expanded": 0, "states_touched": 0}
     nd = build_nice_decomposition(inst, elimination_order_minfill(inst), ())
-    tables = run_dp(inst, nd, _ConnectedRules(), stats)
     # the root bag is empty: its open state holds the empty solution and
     # its closed state every non-empty connected subset
-    root = tables[nd.root]
+    root = run_dp(inst, nd, _ConnectedRules(), stats)
     frontier = ParetoSet(prune_pairs(
         [p for cell in root.values() for p in cell], inst.s))
 
     def witness_for(pair):
-        state = next(st for st, cell in root.items() if pair in cell)
-        return trace_witness(tables, nd.root, state, pair)
+        # the first root state that holds the pair gives its witness
+        return vertex_set(next(cell[pair] for cell in root.values()
+                               if pair in cell))
 
     stats["wall_time"] = time.perf_counter() - t0
     return build_report(inst, frontier, witness_for, stats)

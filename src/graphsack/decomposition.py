@@ -5,9 +5,11 @@ width-agnostic, so no attempt is made at exact treewidth.  Pinning is
 implemented by adding the pinned vertices to every bag, which inflates
 the width by at most |pinned|.  ``run_dp`` is the Pareto DP over these
 decompositions that both exact solvers share: each supplies only its
-state rules, and ``trace_witness`` walks the back-references the driver
-stores.  A state keeps each block of bag vertices as an int bitmask
-(bit v = vertex v), and ``union_blocks`` merges two partitions of them.
+state rules.  Every stored pair carries the vertex bitmask of the first
+partial solution that reached it, so the root cell holds its own
+witnesses and no child table outlives its parent.  A state keeps each
+block of bag vertices as an int bitmask (bit v = vertex v), and
+``union_blocks`` merges two partitions of them.
 """
 from __future__ import annotations
 
@@ -84,10 +86,15 @@ def union_blocks(blocks1: tuple, blocks2: Iterable[int]) -> tuple:
     return tuple(sorted(merged))
 
 
-def _copy(out: dict, dst_state, child: int, state, cell: dict) -> None:
+def vertex_set(mask: int) -> frozenset[int]:
+    """The vertices whose bits are set in ``mask``."""
+    return frozenset(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+
+def _copy(out: dict, dst_state, cell: dict) -> None:
     dst = out.setdefault(dst_state, {})
-    for p in cell:
-        dst.setdefault(p, ("copy", child, state, p))
+    for p, mask in cell.items():
+        dst.setdefault(p, mask)
 
 
 def run_dp(inst: Instance, nd: NiceDecomposition, rules, stats: dict) -> dict:
@@ -95,7 +102,7 @@ def run_dp(inst: Instance, nd: NiceDecomposition, rules, stats: dict) -> dict:
 
     ``rules`` holds the states of one problem:
 
-    - ``leaf() -> {state: pair}``;
+    - ``leaf() -> {state: pair}``, where the pair counts the leaf's bag;
     - ``introduce(state, u) -> (skip, take)``: the states with u left
       out of and put into the partial solution; take is None when u may
       not join it;
@@ -110,10 +117,12 @@ def run_dp(inst: Instance, nd: NiceDecomposition, rules, stats: dict) -> dict:
     The driver owns the pairs: taking u adds its weight and value, a join
     subtracts its key's vertices counted on both sides, pairs over the
     budget are dropped and every cell of two or more pairs is pruned to
-    its frontier (a single pair is already within the budget).  It
-    counts ``nodes_expanded`` and ``states_touched`` (pairs kept) in
-    ``stats`` and returns ``{node: {state: {pair: back-reference}}}``
-    for ``trace_witness``.
+    its frontier (a single pair is already within the budget).  Each
+    pair maps to the vertex bitmask of the first partial solution that
+    reached it: a leaf's bag, plus u when u is taken, or the union of the
+    two sides at a join.  Child tables are dropped once their parent is
+    filled.  It counts ``nodes_expanded`` and ``states_touched`` (pairs
+    kept) in ``stats`` and returns the root's ``{state: {pair: mask}}``.
     """
     s = inst.s
     weight, value = inst.weight, inst.value
@@ -124,49 +133,45 @@ def run_dp(inst: Instance, nd: NiceDecomposition, rules, stats: dict) -> dict:
         stats["nodes_expanded"] += 1
         out: dict = {}
         if node.kind == LEAF:
+            bag = sum(1 << v for v in node.bag)
             for state, pair in rules.leaf().items():
                 if pair[0] <= s:
-                    out[state] = {pair: ("leaf",)}
+                    out[state] = {pair: bag}
 
         elif node.kind == INTRODUCE_VERTEX:
-            child = node.children[0]
             u = node.vertex
-            wu, au = weight[u], value[u]
-            for state, cell in tables[child].items():
+            wu, au, bit = weight[u], value[u], 1 << u
+            for state, cell in tables.pop(node.children[0]).items():
                 skip, take = rules.introduce(state, u)
                 # skip before take: the order of the states in a table
                 # decides which of two equal pairs keeps its witness
-                _copy(out, skip, child, state, cell)
+                _copy(out, skip, cell)
                 if take is None:
                     continue
-                shifted = {(w + wu, a + au): ("add", child, state, (w, a), u)
-                           for w, a in cell if w + wu <= s}
+                shifted = {(w + wu, a + au): mask | bit
+                           for (w, a), mask in cell.items() if w + wu <= s}
                 if shifted:
-                    dst = out.setdefault(take, {})
-                    for p, ref in shifted.items():
-                        dst.setdefault(p, ref)
+                    _copy(out, take, shifted)
 
         elif node.kind == FORGET_VERTEX:
-            child = node.children[0]
-            for state, cell in tables[child].items():
+            for state, cell in tables.pop(node.children[0]).items():
                 new_state = rules.forget(state, node.vertex)
                 if new_state is not None:
-                    _copy(out, new_state, child, state, cell)
+                    _copy(out, new_state, cell)
 
         elif node.kind == INTRODUCE_EDGE:
-            child = node.children[0]
             u, v = node.edge
-            for state, cell in tables[child].items():
+            for state, cell in tables.pop(node.children[0]).items():
                 for new_state in rules.edge(state, u, v):
-                    _copy(out, new_state, child, state, cell)
+                    _copy(out, new_state, cell)
 
         elif node.kind == JOIN:
             c1, c2 = node.children
             by_key: dict[int, list] = {}
-            for state, cell in tables[c2].items():
+            for state, cell in tables.pop(c2).items():
                 by_key.setdefault(rules.join_key(state), []).append(
                     (state, cell))
-            for state1, cell1 in tables[c1].items():
+            for state1, cell1 in tables.pop(c1).items():
                 key = rules.join_key(state1)
                 partners = by_key.get(key)
                 if not partners:
@@ -178,13 +183,11 @@ def run_dp(inst: Instance, nd: NiceDecomposition, rules, stats: dict) -> dict:
                     if merged is None:
                         continue
                     dst = out.setdefault(merged, {})
-                    for p1 in cell1:
-                        for p2 in cell2:
-                            w = p1[0] + p2[0] - w_off
+                    for (w1, a1), m1 in cell1.items():
+                        for (w2, a2), m2 in cell2.items():
+                            w = w1 + w2 - w_off
                             if w <= s:
-                                dst.setdefault((w, p1[1] + p2[1] - a_off),
-                                               ("join", c1, state1, p1,
-                                                c2, state2, p2))
+                                dst.setdefault((w, a1 + a2 - a_off), m1 | m2)
         else:
             raise AssertionError(node.kind)
 
@@ -194,34 +197,7 @@ def run_dp(inst: Instance, nd: NiceDecomposition, rules, stats: dict) -> dict:
                for st, cell in out.items() if cell}
         stats["states_touched"] += sum(len(c) for c in out.values())
         tables[nid] = out
-    return tables
-
-
-def trace_witness(tables: dict, nid: int, state, pair,
-                  leaf_vertices: Iterable[int] = ()) -> frozenset[int]:
-    """Vertex set behind one (node, state, pair) entry of a DP table.
-
-    ``tables[node][state][pair]`` is one back-reference:
-    ``("leaf",)``, ``("copy", child, state, pair)``,
-    ``("add", child, state, pair, vertex)`` or
-    ``("join", c1, state1, pair1, c2, state2, pair2)``.  Each leaf
-    reached contributes ``leaf_vertices``.
-    """
-    chosen: set[int] = set()
-    stack = [(nid, state, pair)]
-    while stack:
-        nid, state, pair = stack.pop()
-        ref = tables[nid][state][pair]
-        kind = ref[0]
-        if kind == "leaf":
-            chosen.update(leaf_vertices)
-            continue
-        stack.append(ref[1:4])
-        if kind == "add":
-            chosen.add(ref[4])
-        elif kind == "join":
-            stack.append(ref[4:7])
-    return frozenset(chosen)
+    return tables[nd.root]
 
 
 def elimination_order_minfill(inst: Instance, seed: int = 0) -> tuple[int, ...]:

@@ -17,8 +17,8 @@ from typing import Optional
 
 from . import errors
 from .decomposition import (NiceDecomposition, build_nice_decomposition,
-                            elimination_order_minfill, run_dp, trace_witness,
-                            union_blocks)
+                            elimination_order_minfill, run_dp, union_blocks,
+                            vertex_set)
 from .model import (Instance, ParetoSet, SolveReport, Variant, build_report,
                     prune_pairs)
 
@@ -277,17 +277,12 @@ def solve_path_treewidth(inst: Instance,
     """Exact frontier over all simple x-y paths within the budget."""
     _require_path_variant(inst)
     t0 = time.perf_counter()
-    pinned = {inst.x, inst.y}
     if nd is None:
         order = elimination_order_minfill(inst)
-        nd = build_nice_decomposition(inst, order, pinned)
+        nd = build_nice_decomposition(inst, order, {inst.x, inst.y})
     stats = {"nodes_expanded": 0, "states_touched": 0}
     rules = _PathRules(inst)
-    tables = run_dp(inst, nd, rules, stats)
-    accept = rules.accept()
-    cell = tables[nd.root].get(accept, {})
+    cell = run_dp(inst, nd, rules, stats).get(rules.accept(), {})
     frontier = ParetoSet(prune_pairs(cell.keys(), inst.s))
     stats["wall_time"] = time.perf_counter() - t0
-    return build_report(
-        inst, frontier,
-        lambda p: trace_witness(tables, nd.root, accept, p, pinned), stats)
+    return build_report(inst, frontier, lambda p: vertex_set(cell[p]), stats)

@@ -1,5 +1,6 @@
 """CLI: exit-code contract, determinism, engine dispatch."""
 import json
+from pathlib import Path
 
 import pytest
 
@@ -115,6 +116,25 @@ class TestSolve:
         _, second = run(capsys, "solve", "--input", path,
                         "--engine", "color", "--seed", "9")
         assert first == second
+
+    def test_readme_example(self, capsys, tmp_path):
+        code, out = run(capsys, "generate", "--random", "gnp", "--n", "6",
+                        "--seed", "11", "--variant", "connected")
+        assert code == 0
+        demo = tmp_path / "demo.json"
+        demo.write_text(out)
+        code, out = run(capsys, "solve", "--input", str(demo))
+        doc = json.loads(out)
+        assert code == 0
+        assert doc == {"best_value": 6, "feasible": True,
+                       "frontier": [[0, 3], [2, 6]],
+                       "stats": {"nodes_expanded": 17, "states_touched": 76},
+                       "witness": [3, 4]}
+        # the README prints the same document after `$ graphsack solve`
+        readme = (Path(__file__).parents[1] / "README.md").read_text(
+            encoding="utf-8")
+        block = readme.split("$ graphsack solve --input demo.json\n")[1]
+        assert json.loads(block.split("\n```")[0]) == doc
 
 
 class TestGenerate:

@@ -7,10 +7,13 @@ import pytest
 from graphsack import (Instance, Variant, build_nice_decomposition, decompose,
                        elimination_order_minfill, solve_connected,
                        solve_path_treewidth, validate_instance,
-                       validate_nice_decomposition)
+                       validate_nice_decomposition, verify_solution)
 from graphsack import errors
+from graphsack.connected import _ConnectedRules
 from graphsack.decomposition import (INTRODUCE_EDGE, DecompNode,
-                                     NiceDecomposition, union_blocks)
+                                     NiceDecomposition, run_dp, union_blocks,
+                                     vertex_set)
+from graphsack.paths import _PathRules
 from graphsack.generators import random_instance
 
 
@@ -199,3 +202,39 @@ class TestSharedDriver:
         assert report.witness == frozenset(witness)
         assert (report.stats["nodes_expanded"],
                 report.stats["states_touched"]) == counts
+
+
+class TestRootWitnesses:
+    """Every pair of the root cell carries the vertex mask of one
+    solution; on instances past the oracles' size limits this is what
+    shows the frontier is sound."""
+
+    @pytest.mark.parametrize("variant, kind, n, p", [
+        (Variant.CONNECTED, "grid", 25, 0.4),
+        (Variant.CONNECTED, "gnp", 24, 0.2),
+        (Variant.CONNECTED, "tree", 40, 0.4),
+        (Variant.PATH, "grid", 20, 0.4),
+        (Variant.PATH, "gnp", 16, 0.3),
+        (Variant.PATH, "tree", 30, 0.4),
+    ])
+    def test_every_root_pair_witness_verifies(self, variant, kind, n, p):
+        checked = 0
+        for seed in range(6):
+            inst = random_instance(variant, kind, n, seed, p=p)
+            stats = {"nodes_expanded": 0, "states_touched": 0}
+            if variant is Variant.CONNECTED:
+                root = run_dp(inst, decompose(inst), _ConnectedRules(), stats)
+                cells = list(root.values())
+            else:
+                rules = _PathRules(inst)
+                root = run_dp(inst, decompose(inst, {inst.x, inst.y}), rules,
+                              stats)
+                cells = [root.get(rules.accept(), {})]
+            for cell in cells:
+                for pair, mask in cell.items():
+                    assert mask >> inst.n == 0
+                    result = verify_solution(inst, vertex_set(mask))
+                    assert result.ok, (seed, pair, result.reason)
+                    assert (result.w, result.alpha) == pair
+                    checked += 1
+        assert checked > 0

@@ -116,8 +116,8 @@ def join_frontiers(weight, value, s, side1, side2, shared=()):
     nd = NiceDecomposition(tuple(nodes), root, frozenset(), len(shared))
     inst = make(n=len(weight), edges=(), weight=weight, value=value, s=s)
     stats = {"nodes_expanded": 0, "states_touched": 0}
-    tables = run_dp(inst, nd, _SubsetRules, stats)
-    return {state: tuple(cell) for state, cell in tables[root].items()}
+    return {state: tuple(cell)
+            for state, cell in run_dp(inst, nd, _SubsetRules, stats).items()}
 
 
 class TestParetoOps:
