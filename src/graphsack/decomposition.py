@@ -3,18 +3,22 @@
 The width heuristic is greedy min-fill; DP correctness downstream is
 width-agnostic, so no attempt is made at exact treewidth.  Pinning is
 implemented by adding the pinned vertices to every bag, which inflates
-the width by at most |pinned|.  ``run_dp`` is the Pareto DP over these
-decompositions that both exact solvers share: each supplies only its
-state rules.  Every stored pair carries the vertex bitmask of the first
-partial solution that reached it, so the root cell holds its own
-witnesses and no child table outlives its parent.  A state keeps each
-block of bag vertices as an int bitmask (bit v = vertex v), and
-``union_blocks`` merges two partitions of them.
+the width by at most |pinned|.  The build is one loop over elimination
+positions.  Each edge is introduced exactly once, right above the first
+introduce-vertex node that adds one of its ends to a bag already holding
+the other, or above the first leaf when both ends are pinned.
+``run_dp`` is the Pareto DP over these decompositions that both exact
+solvers share: each supplies only its state rules.  Every stored pair
+carries the vertex bitmask of the first partial solution that reached
+it, so the root cell holds its own witnesses and no child table
+outlives its parent.  A state keeps each block of bag vertices as an
+int bitmask (bit v = vertex v), and ``union_blocks`` merges two
+partitions of them.
 """
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from . import errors
@@ -226,8 +230,7 @@ def elimination_order_minfill(inst: Instance, seed: int = 0) -> tuple[int, ...]:
             nl = sorted(nbrs)
             for i, a in enumerate(nl):
                 fill += sum(1 for b in nl[i + 1:] if b not in adj[a])
-            if best_fill is None or fill < best_fill or (
-                    fill == best_fill and rng is None and v < best_v):
+            if best_fill is None or fill < best_fill:
                 best_fill, best_v = fill, v
         v = best_v
         nbrs = sorted(adj[v])
@@ -241,25 +244,6 @@ def elimination_order_minfill(inst: Instance, seed: int = 0) -> tuple[int, ...]:
         remaining.remove(v)
         order.append(v)
     return tuple(order)
-
-
-class _Builder:
-    def __init__(self):
-        self.kinds: list[str] = []
-        self.bags: list[frozenset[int]] = []
-        self.children: list[list[int]] = []
-        self.vertices: list[Optional[int]] = []
-        self.edges: list[Optional[tuple[int, int]]] = []
-
-    def add(self, kind: str, bag: Iterable[int], children: list[int],
-            vertex: Optional[int] = None,
-            edge: Optional[tuple[int, int]] = None) -> int:
-        self.kinds.append(kind)
-        self.bags.append(frozenset(bag))
-        self.children.append(children)
-        self.vertices.append(vertex)
-        self.edges.append(edge)
-        return len(self.kinds) - 1
 
 
 def _raw_bag_tree(inst: Instance, order: tuple[int, ...]):
@@ -300,102 +284,66 @@ def _raw_bag_tree(inst: Instance, order: tuple[int, ...]):
 def build_nice_decomposition(inst: Instance, order: tuple[int, ...],
                              pinned: Iterable[int]) -> NiceDecomposition:
     """Turn an elimination order into a rooted nice edge decomposition
-    whose root and leaf bags equal the pinned set."""
+    whose root and leaf bags equal the pinned set.
+
+    A raw bag's parent comes later in the elimination order, so one pass
+    over the positions builds every child chain before its parent joins
+    them.  Each edge is introduced once, right above the first
+    introduce-vertex node that adds one of its ends to a bag already
+    holding the other; an edge between two pinned vertices goes right
+    above the first leaf."""
     pinned = frozenset(pinned)
     if len(pinned) > 2:
         raise errors.PinnedTooLarge(f"pinned set {sorted(pinned)} too large")
-    b = _Builder()
 
     if inst.n == 0:
         node = DecompNode(LEAF, pinned, ())
         return NiceDecomposition((node,), 0, pinned, len(pinned) - 1)
 
+    nodes: list[DecompNode] = []
+    todo = set(inst.edges)  # normalized edges not yet introduced
+
+    def add(node: DecompNode) -> int:
+        nodes.append(node)
+        return len(nodes) - 1
+
+    def add_edges(nid: int, bag: frozenset[int], v: int) -> int:
+        for w in sorted(bag):
+            e = (min(v, w), max(v, w))
+            if e in todo:
+                todo.remove(e)
+                nid = add(DecompNode(INTRODUCE_EDGE, bag, (nid,), edge=e))
+        return nid
+
+    def chain(nid: int, bag: frozenset[int], want: frozenset[int]) -> int:
+        for v in sorted(bag - want):
+            bag = bag - {v}
+            nid = add(DecompNode(FORGET_VERTEX, bag, (nid,), vertex=v))
+        for v in sorted(want - bag):
+            bag = bag | {v}
+            nid = add(DecompNode(INTRODUCE_VERTEX, bag, (nid,), vertex=v))
+            nid = add_edges(nid, bag, v)
+        return nid
+
     raw_bags, raw_children, raw_root = _raw_bag_tree(inst, order)
-    for bag in raw_bags:
-        bag |= pinned
-
-    def chain_to(top_id: int, have: frozenset[int],
-                 want: frozenset[int]) -> int:
-        nid = top_id
-        bag = set(have)
-        for v in sorted(have - want):
-            bag.discard(v)
-            nid = b.add(FORGET_VERTEX, bag, [nid], vertex=v)
-        for v in sorted(want - have):
-            bag.add(v)
-            nid = b.add(INTRODUCE_VERTEX, bag, [nid], vertex=v)
-        return nid
-
-    def build(raw_id: int) -> int:
-        bag = frozenset(raw_bags[raw_id])
-        kids = raw_children[raw_id]
-        if not kids:
-            leaf = b.add(LEAF, pinned, [])
-            return chain_to(leaf, pinned, bag)
-        tops = []
-        for kid in kids:
-            kid_top = build(kid)
-            tops.append(chain_to(kid_top, frozenset(raw_bags[kid]), bag))
-        nid = tops[0]
-        for other in tops[1:]:
-            nid = b.add(JOIN, bag, [nid, other])
-        return nid
-
-    top = build(raw_root)
-    root = chain_to(top, frozenset(raw_bags[raw_root]), pinned)
-
-    root = _insert_edge_nodes(b, root, inst.edges)
-
-    nodes = tuple(DecompNode(b.kinds[i], b.bags[i], tuple(b.children[i]),
-                             b.vertices[i], b.edges[i])
-                  for i in range(len(b.kinds)))
-    width = max(len(node.bag) for node in nodes) - 1
-    return NiceDecomposition(nodes, root, pinned, width)
-
-
-def _insert_edge_nodes(b: _Builder, root: int,
-                       graph_edges: tuple[tuple[int, int], ...]) -> int:
-    """Place each graph edge at the deepest node whose bag holds both
-    endpoints, then splice an introduce-edge node directly above it."""
-    depth = {root: 0}
-    parent: dict[int, int] = {}
-    stack = [root]
-    topo = []
-    while stack:
-        nid = stack.pop()
-        topo.append(nid)
-        for c in b.children[nid]:
-            depth[c] = depth[nid] + 1
-            parent[c] = nid
-            stack.append(c)
-
-    placements: dict[int, list[tuple[int, int]]] = {}
-    for u, v in graph_edges:
-        best = None
-        for nid in topo:
-            if u in b.bags[nid] and v in b.bags[nid]:
-                key = (depth[nid], -nid)
-                if best is None or key > best[0]:
-                    best = (key, nid)
-        if best is None:
-            # cannot happen for bags built from an elimination order
-            raise errors.EdgeNeverIntroduced(f"no bag contains {{{u},{v}}}")
-        placements.setdefault(best[1], []).append((u, v))
-
-    for target, edge_list in placements.items():
-        below = target
-        for e in sorted(edge_list):
-            nid = b.add(INTRODUCE_EDGE, b.bags[target], [below], edge=e)
-            below = nid
-        if target in parent:
-            p = parent[target]
-            b.children[p] = [below if c == target else c
-                             for c in b.children[p]]
+    bags = [frozenset(bag | pinned) for bag in raw_bags]
+    tops: list[int] = []
+    for i, bag in enumerate(bags):
+        if raw_children[i]:
+            kid_tops = [chain(tops[k], bags[k], bag) for k in raw_children[i]]
         else:
-            # the decomposition collapsed to a single chain whose top
-            # holds both endpoints (both pinned): re-root above it
-            root = below
-    return root
+            nid = add(DecompNode(LEAF, pinned, ()))
+            for v in sorted(pinned):
+                nid = add_edges(nid, pinned, v)
+            kid_tops = [chain(nid, pinned, bag)]
+        nid = kid_tops[0]
+        for other in kid_tops[1:]:
+            nid = add(DecompNode(JOIN, bag, (nid, other)))
+        tops.append(nid)
+
+    root = chain(tops[raw_root], bags[raw_root], pinned)
+    width = max(len(node.bag) for node in nodes) - 1
+    return NiceDecomposition(tuple(nodes), root, pinned, width)
 
 
 def validate_nice_decomposition(inst: Instance,

@@ -1,6 +1,7 @@
 """Nice edge tree decompositions: construction, validation, mutation,
 and the DP driver both exact solvers share."""
 import random
+import sys
 
 import pytest
 
@@ -82,6 +83,13 @@ class TestBuild:
         b = build_nice_decomposition(inst, order, {0})
         assert a == b
 
+    def test_deep_elimination_tree_builds(self):
+        # eliminating a path end to end nests every raw bag under the next
+        n = sys.getrecursionlimit() + 100
+        inst = graph(n, [(v, v + 1) for v in range(n - 1)])
+        nd = build_nice_decomposition(inst, tuple(range(n)), ())
+        assert validate_nice_decomposition(inst, nd)
+
     def test_union_of_bags_covers_vertices(self):
         inst = random_instance(Variant.CONNECTED, "gnp", 10, 13, p=0.4)
         nd = decompose(inst)
@@ -100,6 +108,20 @@ class TestValidate:
             pinned = {seed % inst.n} if seed % 2 else set()
             order = elimination_order_minfill(inst)
             nd = build_nice_decomposition(inst, order, pinned)
+            assert validate_nice_decomposition(inst, nd)
+
+    def test_random_orders_and_pins_validate(self):
+        # any elimination order and up to two pinned vertices, not only
+        # the min-fill order with at most one pin the solvers use
+        rng = random.Random(0)
+        for seed in range(180):
+            kind = ("tree", "gnp", "grid")[seed % 3]
+            inst = random_instance(Variant.CONNECTED, kind, 2 + seed % 13,
+                                   seed, p=0.4)
+            order = list(range(inst.n))
+            rng.shuffle(order)
+            pinned = rng.sample(range(inst.n), seed // 3 % 3)
+            nd = build_nice_decomposition(inst, tuple(order), pinned)
             assert validate_nice_decomposition(inst, nd)
 
     def _mutate(self, nd, drop=None, duplicate=None):
@@ -188,9 +210,9 @@ class TestSharedDriver:
     @pytest.mark.parametrize("variant, kind, n, seed, witness, counts", [
         (Variant.CONNECTED, "tree", 12, 5, {2, 3, 5}, (56, 364)),
         (Variant.CONNECTED, "gnp", 16, 0, {0, 4, 5, 6, 7, 11, 13, 14},
-         (82, 2233)),
-        (Variant.PATH, "grid", 9, 1, {0, 1, 2, 5}, (37, 718)),
-        (Variant.PATH, "grid", 9, 4, {0, 1, 2, 3, 5, 6, 7, 8}, (38, 1059)),
+         (82, 2298)),
+        (Variant.PATH, "grid", 9, 1, {0, 1, 2, 5}, (37, 729)),
+        (Variant.PATH, "grid", 9, 4, {0, 1, 2, 3, 5, 6, 7, 8}, (38, 1195)),
     ])
     def test_witness_and_counters_pinned(self, variant, kind, n, seed,
                                          witness, counts):
