@@ -20,15 +20,12 @@ from .connected import solve_connected
 from .decomposition import decompose
 from .model import (Instance, SolveReport, Variant, build_report,
                     instance_from_json, instance_to_json, verify_solution)
-from .oracles import oracle_with_witnesses
+from .oracles import oracle_witnesses
 from .paths import (solve_path_color_sweep, solve_path_tree,
                     solve_path_treewidth)
 from .shortest import solve_shortest_path
 
 log = logging.getLogger("graphsack")
-
-# stats entries that vary run to run and would break byte-reproducibility
-_NONDETERMINISTIC_STATS = ("wall_time",)
 
 
 def _setup_logging() -> None:
@@ -93,21 +90,19 @@ def _run_engine(inst: Instance, engine: str, seed: int,
     if engine == "tree":
         return solve_path_tree(inst)
     if engine == "oracle":
-        frontier, found = oracle_with_witnesses(inst)
-        return build_report(inst, frontier, found, {})
+        found = oracle_witnesses(inst)
+        return build_report(inst, found, found.__getitem__, {})
     raise AssertionError(engine)
 
 
 def _report_doc(report: SolveReport) -> dict:
-    stats = {k: v for k, v in report.stats.items()
-             if k not in _NONDETERMINISTIC_STATS}
     return {
         "feasible": report.feasible,
         "best_value": report.best_value,
         "witness": sorted(report.witness) if report.witness is not None
         else None,
         "frontier": [[w, a] for w, a in report.frontier],
-        "stats": stats,
+        "stats": report.stats,
     }
 
 

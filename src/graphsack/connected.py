@@ -14,13 +14,10 @@ the state rules.
 """
 from __future__ import annotations
 
-import time
-
 from .decomposition import (build_nice_decomposition,
                             elimination_order_minfill, run_dp, union_blocks,
                             vertex_set)
-from .model import (Instance, ParetoSet, SolveReport, Variant, build_report,
-                    prune_pairs)
+from .model import Instance, SolveReport, Variant, build_report
 
 
 class _ConnectedRules:
@@ -79,19 +76,16 @@ def solve_connected(inst: Instance, early_stop: bool = False) -> SolveReport:
     """
     if inst.variant is not Variant.CONNECTED:
         raise ValueError("solve_connected requires the connected variant")
-    t0 = time.perf_counter()
     stats = {"nodes_expanded": 0, "states_touched": 0}
     nd = build_nice_decomposition(inst, elimination_order_minfill(inst), ())
     # the root bag is empty: its open state holds the empty solution and
     # its closed state every non-empty connected subset
     root = run_dp(inst, nd, _ConnectedRules(), stats)
-    frontier = ParetoSet(prune_pairs(
-        [p for cell in root.values() for p in cell], inst.s))
 
     def witness_for(pair):
         # the first root state that holds the pair gives its witness
         return vertex_set(next(cell[pair] for cell in root.values()
                                if pair in cell))
 
-    stats["wall_time"] = time.perf_counter() - t0
-    return build_report(inst, frontier, witness_for, stats)
+    return build_report(inst, [p for cell in root.values() for p in cell],
+                        witness_for, stats)

@@ -120,13 +120,13 @@ def run_dp(inst: Instance, nd: NiceDecomposition, rules, stats: dict) -> dict:
 
     The driver owns the pairs: taking u adds its weight and value, a join
     subtracts its key's vertices counted on both sides, pairs over the
-    budget are dropped and every cell of two or more pairs is pruned to
-    its frontier (a single pair is already within the budget).  Each
-    pair maps to the vertex bitmask of the first partial solution that
-    reached it: a leaf's bag, plus u when u is taken, or the union of the
-    two sides at a join.  Child tables are dropped once their parent is
-    filled.  It counts ``nodes_expanded`` and ``states_touched`` (pairs
-    kept) in ``stats`` and returns the root's ``{state: {pair: mask}}``.
+    budget are dropped where they are made, and every cell of two or
+    more pairs is pruned to its frontier.  Each pair maps to the vertex
+    bitmask of the first partial solution that reached it: a leaf's
+    bag, plus u when u is taken, or the union of the two sides at a
+    join.  Child tables are dropped once their parent is filled.  It
+    counts ``nodes_expanded`` and ``states_touched`` (pairs kept) in
+    ``stats`` and returns the root's ``{state: {pair: mask}}``.
     """
     s = inst.s
     weight, value = inst.weight, inst.value
@@ -197,7 +197,7 @@ def run_dp(inst: Instance, nd: NiceDecomposition, rules, stats: dict) -> dict:
 
         # a join cell is empty when every pair in it overran the budget
         out = {st: cell if len(cell) == 1
-               else {p: cell[p] for p in prune_pairs(cell.keys(), s)}
+               else {p: cell[p] for p in prune_pairs(cell.keys())}
                for st, cell in out.items() if cell}
         stats["states_touched"] += sum(len(c) for c in out.values())
         tables[nid] = out

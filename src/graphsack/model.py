@@ -160,12 +160,14 @@ class ParetoSet:
         return self.pairs[-1][1] if self.pairs else None
 
 
-def prune_pairs(pairs: Iterable[Pair], cap_s: Optional[int] = None) -> tuple[Pair, ...]:
-    """Reduce arbitrary pairs to the canonical undominated frontier."""
+def prune_pairs(pairs: Iterable[Pair]) -> tuple[Pair, ...]:
+    """Reduce arbitrary pairs to the canonical undominated frontier.
+
+    The budget is not checked here: every solver drops a pair over s
+    where it makes it.
+    """
     best: dict[int, int] = {}
     for w, a in pairs:
-        if cap_s is not None and w > cap_s:
-            continue
         if w not in best or a > best[w]:
             best[w] = a
     out: list[Pair] = []
@@ -189,31 +191,24 @@ class SolveReport:
     stats: dict = field(default_factory=dict)
 
 
-def build_report(inst: Instance, frontier: ParetoSet,
-                 witness_for, stats: Optional[dict] = None) -> SolveReport:
-    """Assemble a SolveReport from a frontier and a pair->witness lookup.
+def build_report(inst: Instance, pairs: Iterable[Pair], witness_for,
+                 stats: dict) -> SolveReport:
+    """Assemble a SolveReport from the pairs a solver found.
 
-    ``witness_for`` maps a frontier pair to a vertex set (or is a dict).
-    Decision mode (d set) asks for any pair with value >= d; optimize
-    mode is feasible whenever the frontier is non-empty.
+    Every solver returns through here.  ``pairs`` are all within the
+    budget already and are pruned to the frontier here; no pairs give
+    the infeasible report.  ``witness_for`` maps a frontier pair to its
+    vertex set.  Decision mode (d set) reports the cheapest pair with
+    value >= d; optimize mode is feasible whenever the frontier is
+    non-empty.
     """
-    stats = dict(stats or {})
-    lookup = witness_for.get if isinstance(witness_for, dict) else witness_for
+    frontier = ParetoSet(prune_pairs(pairs))
     best_value = frontier.best_value()
-    if not frontier:
-        return SolveReport(False, None, None, frontier, stats)
-    if inst.d is not None and best_value < inst.d:
+    if not frontier or inst.d is not None and best_value < inst.d:
         return SolveReport(False, best_value, None, frontier, stats)
-    top = frontier.pairs[-1]
-    if inst.d is not None:
-        # cheapest pair that already meets the target
-        for pair in frontier:
-            if pair[1] >= inst.d:
-                top = pair
-                break
-    witness = lookup(top)
-    return SolveReport(True, best_value,
-                       frozenset(witness) if witness is not None else None,
+    top = (frontier.pairs[-1] if inst.d is None
+           else next(pair for pair in frontier if pair[1] >= inst.d))
+    return SolveReport(True, best_value, frozenset(witness_for(top)),
                        frontier, stats)
 
 
@@ -241,49 +236,44 @@ def _induced_connected(inst: Instance, vertices: frozenset[int]) -> bool:
     return seen == vertices
 
 
-def _path_orderings(inst: Instance, vertices: frozenset[int],
-                    costs: Optional[dict] = None,
-                    budget: Optional[int] = None):
-    """Yield total edge costs of orderings of ``vertices`` forming an
-    x-y path.  With costs=None each edge counts 0 and the first hit
-    suffices."""
+def _is_path(inst: Instance, vertices: frozenset[int]) -> bool:
+    """Whether a simple x-y path visits exactly ``vertices``.
+
+    A depth-first search with an explicit stack: each entry holds the
+    vertices used so far (a bitmask) and the untried next vertices, and
+    y is taken only once every other vertex is used.
+    """
     x, y = inst.x, inst.y
     if x not in vertices or y not in vertices:
-        return
+        return False
     if x == y:
-        if vertices == {x}:
-            yield 0
-        return
-    adj = {u: set() for u in vertices}
-    cmap = inst.cost_map()
+        return vertices == {x}
+    # vertices are their bits (1 << v) throughout
+    adj: dict[int, list[int]] = {1 << u: [] for u in vertices}
     for u, v in inst.edges:
         if u in vertices and v in vertices:
-            adj[u].add(v)
-            adj[v].add(u)
-
-    target_len = len(vertices)
-    used = {x}
-
-    def walk(u, cost):
-        if len(used) == target_len:
-            if u == y:
-                yield cost
-            return
-        for v in adj[u]:
-            if v in used or v == y and len(used) != target_len - 1:
-                continue
-            step = cmap[(min(u, v), max(u, v))] if costs is not None else 0
-            if budget is not None and cost + step > budget:
-                continue
-            used.add(v)
-            yield from walk(v, cost + step)
-            used.remove(v)
-
-    yield from walk(x, 0)
+            adj[1 << u].append(1 << v)
+            adj[1 << v].append(1 << u)
+    y_bit = 1 << y
+    all_but_y = sum(adj) & ~y_bit
+    stack = [(1 << x, iter(adj[1 << x]))]
+    while stack:
+        used, untried = stack[-1]
+        for bit in untried:
+            if bit == y_bit:
+                if used == all_but_y:
+                    return True
+            elif not used & bit:
+                stack.append((used | bit, iter(adj[bit])))
+                break
+        else:
+            stack.pop()
+    return False
 
 
-def _reference_distance(inst: Instance, x: int, y: int) -> Optional[int]:
-    """Plain single-criterion Dijkstra, independent of the label solver."""
+def _reference_distances(inst: Instance, x: int) -> list[Optional[int]]:
+    """Plain single-criterion Dijkstra from x, independent of the label
+    solver; None marks an unreachable vertex."""
     import heapq
     adj: list[list[tuple[int, int]]] = [[] for _ in range(inst.n)]
     cmap = inst.cost_map()
@@ -301,7 +291,7 @@ def _reference_distance(inst: Instance, x: int, y: int) -> Optional[int]:
         for v, c in adj[u]:
             if dist[v] is None:
                 heapq.heappush(heap, (du + c, v))
-    return dist[y]
+    return dist
 
 
 def verify_solution(inst: Instance, subset: Iterable[int]) -> VerifyResult:
@@ -320,17 +310,24 @@ def verify_solution(inst: Instance, subset: Iterable[int]) -> VerifyResult:
     elif inst.variant is Variant.PATH:
         if not vertices:
             return VerifyResult(w, alpha, False, "missing_terminal")
-        if next(_path_orderings(inst, vertices), None) is None:
+        if not _is_path(inst, vertices):
             return VerifyResult(w, alpha, False, "not_a_path")
     else:
         if not vertices:
             return VerifyResult(w, alpha, False, "missing_terminal")
-        dist = _reference_distance(inst, inst.x, inst.y)
-        if dist is None:
+        dist = _reference_distances(inst, inst.x)
+        if dist[inst.y] is None:
             return VerifyResult(w, alpha, False, "unreachable")
-        hit = any(cost == dist for cost in
-                  _path_orderings(inst, vertices, costs=True, budget=dist))
-        if not hit:
+        # costs are >= 1, so distances from x rise strictly along a
+        # shortest path: sorted by distance (an unreachable vertex
+        # first), the set must run from x to y, each step an edge whose
+        # cost is the rise in distance
+        order = sorted(vertices, key=lambda v: -1 if dist[v] is None
+                       else dist[v])
+        cmap = inst.cost_map()
+        if order[0] != inst.x or order[-1] != inst.y or any(
+                cmap.get((min(u, v), max(u, v))) != dist[v] - dist[u]
+                for u, v in zip(order, order[1:])):
             return VerifyResult(w, alpha, False, "not_shortest")
 
     if w > inst.s:

@@ -128,14 +128,13 @@ def enumerate_shortest_paths_opt(inst: Instance) -> ParetoSet:
     return ParetoSet(prune_pairs(_shortest_paths_found(inst)))
 
 
-def oracle_with_witnesses(inst: Instance) -> tuple[ParetoSet, dict]:
-    """The exact frontier of ``inst``'s variant and, for each of its
-    pairs, the first solution the enumeration met with that pair."""
-    found = {Variant.CONNECTED: _connected_found,
-             Variant.PATH: _paths_found,
-             Variant.SHORTEST_PATH: _shortest_paths_found}[inst.variant](inst)
-    return ParetoSet(prune_pairs(found)), found
+def oracle_witnesses(inst: Instance) -> dict:
+    """{pair: the first solution the enumeration met with it} over every
+    solution of ``inst``'s variant within the budget."""
+    return {Variant.CONNECTED: _connected_found,
+            Variant.PATH: _paths_found,
+            Variant.SHORTEST_PATH: _shortest_paths_found}[inst.variant](inst)
 
 
 def oracle_for(inst: Instance) -> ParetoSet:
-    return oracle_with_witnesses(inst)[0]
+    return ParetoSet(prune_pairs(oracle_witnesses(inst)))

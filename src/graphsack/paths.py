@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import random
-import time
 from itertools import accumulate
 from typing import Optional
 
@@ -19,8 +18,7 @@ from . import errors
 from .decomposition import (NiceDecomposition, build_nice_decomposition,
                             elimination_order_minfill, run_dp, union_blocks,
                             vertex_set)
-from .model import (Instance, ParetoSet, SolveReport, Variant, build_report,
-                    prune_pairs)
+from .model import Instance, SolveReport, Variant, build_report, prune_pairs
 
 
 def _require_path_variant(inst: Instance):
@@ -34,7 +32,6 @@ def _require_path_variant(inst: Instance):
 def solve_path_tree(inst: Instance) -> SolveReport:
     """Unique-path solver for forests; NotATree on any cycle."""
     _require_path_variant(inst)
-    t0 = time.perf_counter()
     adj = inst.adjacency()
     parent: dict[int, Optional[int]] = {}
     for start in range(inst.n):
@@ -69,13 +66,9 @@ def solve_path_tree(inst: Instance) -> SolveReport:
         path = cx[:cx.index(meet) + 1] + list(reversed(cy[:cy.index(meet)]))
 
     w = inst.total_weight(path)
-    a = inst.total_value(path)
-    stats = {"nodes_expanded": len(path), "states_touched": 1 if path else 0,
-             "wall_time": time.perf_counter() - t0}
-    if not path or w > inst.s:
-        return SolveReport(False, None, None, ParetoSet(), stats)
-    return build_report(inst, ParetoSet(((w, a),)),
-                        {(w, a): frozenset(path)}, stats)
+    stats = {"nodes_expanded": len(path), "states_touched": 1 if path else 0}
+    pairs = [(w, inst.total_value(path))] if path and w <= inst.s else []
+    return build_report(inst, pairs, lambda pair: path, stats)
 
 
 # ---------------------------------------------------------------------
@@ -116,9 +109,9 @@ def _colorful_trial(inst: Instance, adj: list[list[int]], k: int,
                         break  # every later pair is heavier
                     dst.setdefault((w + wu, a + au), (mask, v, (w, a)))
         for key, cell in nxt.items():
-            # a single pair is already within the budget
+            # a single pair is already its own frontier
             table[key] = cell if len(cell) == 1 else {
-                p: cell[p] for p in prune_pairs(cell.keys(), s)}
+                p: cell[p] for p in prune_pairs(cell.keys())}
         level = list(nxt)
         stats["states_touched"] += sum(len(table[key]) for key in nxt)
     return table
@@ -128,7 +121,6 @@ def _color_search(inst: Instance, k: int, trials: int, seed: int,
                   masks) -> SolveReport:
     """Run ``trials`` random k-colorings and read the x-y cells whose
     color mask is in ``masks``; each pair keeps the first path seen."""
-    t0 = time.perf_counter()
     stats = {"nodes_expanded": 0, "states_touched": 0, "trials_run": 0}
     rng = random.Random(seed)
     adj = inst.adjacency()
@@ -149,9 +141,7 @@ def _color_search(inst: Instance, k: int, trials: int, seed: int,
                 pool[pair] = frozenset(path)
         if inst.d is not None and any(a >= inst.d for _, a in pool):
             break
-    frontier = ParetoSet(prune_pairs(pool.keys(), inst.s))
-    stats["wall_time"] = time.perf_counter() - t0
-    return build_report(inst, frontier, pool, stats)
+    return build_report(inst, pool, pool.__getitem__, stats)
 
 
 def solve_path_color_coding(inst: Instance, k: int, trials: int,
@@ -276,13 +266,10 @@ def solve_path_treewidth(inst: Instance,
                          nd: Optional[NiceDecomposition] = None) -> SolveReport:
     """Exact frontier over all simple x-y paths within the budget."""
     _require_path_variant(inst)
-    t0 = time.perf_counter()
     if nd is None:
         order = elimination_order_minfill(inst)
         nd = build_nice_decomposition(inst, order, {inst.x, inst.y})
     stats = {"nodes_expanded": 0, "states_touched": 0}
     rules = _PathRules(inst)
     cell = run_dp(inst, nd, rules, stats).get(rules.accept(), {})
-    frontier = ParetoSet(prune_pairs(cell.keys(), inst.s))
-    stats["wall_time"] = time.perf_counter() - t0
-    return build_report(inst, frontier, lambda p: vertex_set(cell[p]), stats)
+    return build_report(inst, cell, lambda p: vertex_set(cell[p]), stats)

@@ -8,10 +8,8 @@ distance merges it.
 from __future__ import annotations
 
 import heapq
-import time
 
-from .model import (Instance, ParetoSet, SolveReport, Variant, build_report,
-                    prune_pairs)
+from .model import Instance, SolveReport, Variant, build_report, prune_pairs
 
 
 def solve_shortest_path(inst: Instance) -> SolveReport:
@@ -23,7 +21,6 @@ def solve_shortest_path(inst: Instance) -> SolveReport:
     """
     if inst.variant is not Variant.SHORTEST_PATH:
         raise ValueError("solve_shortest_path requires the shortest_path variant")
-    t0 = time.perf_counter()
     n = inst.n
     cmap = inst.cost_map()
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
@@ -64,18 +61,13 @@ def solve_shortest_path(inst: Instance) -> SolveReport:
             for (w, a) in labels[z]:
                 if w + wu <= inst.s:
                     cell.setdefault((w + wu, a + au), (z, (w, a)))
-            keep = prune_pairs(cell.keys(), inst.s)
+            keep = prune_pairs(cell.keys())
             labels[u] = {p: cell[p] for p in keep}
             stats["states_touched"] += len(keep)
 
     stats["distances"] = [None if d == INF else d for d in delta]
     if delta[inst.y] == INF:
-        stats["unreachable"] = True
-        stats["wall_time"] = time.perf_counter() - t0
-        return SolveReport(False, None, None, ParetoSet(), stats)
-
-    cell = labels[inst.y]
-    frontier = ParetoSet(prune_pairs(cell.keys(), inst.s))
+        stats["unreachable"] = True  # and labels[inst.y] stays empty
 
     def witness_for(pair):
         path = []
@@ -86,7 +78,6 @@ def solve_shortest_path(inst: Instance) -> SolveReport:
             if ref is None:
                 break
             v, p = ref
-        return frozenset(path)
+        return path
 
-    stats["wall_time"] = time.perf_counter() - t0
-    return build_report(inst, frontier, witness_for, stats)
+    return build_report(inst, labels[inst.y], witness_for, stats)

@@ -108,6 +108,16 @@ class TestGuarantee:
         assert report.feasible
         assert verify_solution(inst, report.witness).ok
 
+    def test_shortest_path_heavy_vertex_off_every_path(self):
+        # h = 4 hangs off y and fits no budget; scaled over all vertices
+        # its value 1000 flattened both x-y paths to 0 and lost OPT 10
+        inst = make(Variant.SHORTEST_PATH, 5,
+                    ((0, 1), (1, 3), (0, 2), (2, 3), (3, 4)),
+                    (0, 1, 1, 0, 9), (0, 1, 10, 0, 1000), 2, x=0, y=3)
+        report = fptas_optimize(inst, Fraction(1, 2))
+        assert report.best_value == 10
+        assert report.witness == frozenset({0, 2, 3})
+
     def test_overweight_terminal_infeasible(self):
         inst = make(Variant.PATH, 2, ((0, 1),), (9, 0), (1, 1), 2,
                     x=0, y=1)

@@ -1,16 +1,21 @@
 """Core model: validation, Pareto operations, verification, JSON."""
+import itertools
 import json
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
-from graphsack import (Instance, ParetoSet, Variant, instance_from_json,
-                       instance_to_json, validate_instance, verify_solution)
-from graphsack import errors
+from graphsack import (Instance, ParetoSet, Variant, fptas_optimize,
+                       instance_from_json, instance_to_json,
+                       solve_path_color_coding, validate_instance,
+                       verify_solution)
+from graphsack import cli, decomposition, errors, model, paths, shortest
 from graphsack.decomposition import (FORGET_VERTEX, INTRODUCE_VERTEX, JOIN,
                                      LEAF, DecompNode, NiceDecomposition,
                                      run_dp)
 from graphsack.model import prune_pairs
+from conftest import instance_stream
 
 
 def make(variant=Variant.CONNECTED, n=3, edges=((0, 1), (1, 2)),
@@ -59,9 +64,9 @@ class TestValidateInstance:
         assert inst.edge_cost == (3, 5)
 
 
-def insert(front, pair, cap):
+def insert(front, pair):
     """Add one pair to a frontier: the step every DP cell repeats."""
-    return prune_pairs(front + (pair,), cap)
+    return prune_pairs(front + (pair,))
 
 
 class _SubsetRules:
@@ -122,16 +127,13 @@ def join_frontiers(weight, value, s, side1, side2, shared=()):
 
 class TestParetoOps:
     def test_insert_no_dominance(self):
-        assert insert(((1, 5), (3, 8)), (2, 6), 10) == ((1, 5), (2, 6), (3, 8))
+        assert insert(((1, 5), (3, 8)), (2, 6)) == ((1, 5), (2, 6), (3, 8))
 
     def test_insert_dominated(self):
-        assert insert(((1, 5),), (2, 4), 10) == ((1, 5),)
+        assert insert(((1, 5),), (2, 4)) == ((1, 5),)
 
     def test_insert_dominates_all(self):
-        assert insert(((1, 5), (3, 8)), (0, 9), 10) == ((0, 9),)
-
-    def test_insert_over_cap_discarded(self):
-        assert insert(((1, 5),), (11, 99), 10) == ((1, 5),)
+        assert insert(((1, 5), (3, 8)), (0, 9)) == ((0, 9),)
 
     def test_join_shared_bag(self):
         # vertex 0 is taken on both sides but counted once
@@ -148,20 +150,49 @@ class TestParetoOps:
         out = join_frontiers((1, 2, 1), (1, 5, 2), 2, (0, 1), (2,))
         assert out == {0: ((0, 0), (1, 2), (2, 5))}
 
+    def test_no_solver_prunes_a_pair_over_budget(self, monkeypatch):
+        # every solver drops a pair over s where it makes it, so
+        # prune_pairs never sees one
+        budget = []
+
+        def checked(pairs):
+            pairs = list(pairs)
+            assert all(w <= budget[0] for w, _ in pairs), (pairs, budget)
+            return prune_pairs(pairs)
+
+        for module in (model, decomposition, paths, shortest):
+            monkeypatch.setattr(module, "prune_pairs", checked)
+        engines = {Variant.CONNECTED: ("treewidth", "oracle"),
+                   Variant.PATH: ("treewidth", "color", "tree", "oracle"),
+                   Variant.SHORTEST_PATH: ("labels", "tree", "oracle")}
+        for (variant, names), decision in itertools.product(
+                engines.items(), (False, True)):
+            for inst in instance_stream(variant, 24, 31000, 8,
+                                        decision=decision):
+                budget[:] = [inst.s]
+                if variant is Variant.PATH:
+                    solve_path_color_coding(inst, inst.n, 64, seed=1)
+                for name in names:
+                    def solve(i):
+                        return cli._run_engine(i, name, 0, 64)
+                    try:
+                        solve(inst)
+                        fptas_optimize(inst, "1/3", solve)
+                    except (errors.NotATree, errors.Unreachable):
+                        pass
+
     def test_non_canonical_rejected(self):
         with pytest.raises(ValueError):
             ParetoSet(((1, 5), (2, 4)))
 
-    @given(st.lists(st.tuples(st.integers(0, 30), st.integers(0, 30))),
-           st.integers(0, 30))
-    def test_prune_is_canonical_and_undominated(self, pairs, cap):
-        out = prune_pairs(pairs, cap)
+    @given(st.lists(st.tuples(st.integers(0, 30), st.integers(0, 30))))
+    def test_prune_is_canonical_and_undominated(self, pairs):
+        out = prune_pairs(pairs)
         ps = ParetoSet(out)  # canonical-form check built into the type
         for w, a in ps:
-            assert w <= cap
+            assert (w, a) in pairs
             assert not any(w2 <= w and a2 >= a for w2, a2 in pairs
-                           if (w2, a2) != (w, a) and w2 <= cap
-                           and (w2 < w or a2 > a))
+                           if w2 < w or a2 > a)
 
     @given(st.lists(st.tuples(st.integers(0, 20), st.integers(0, 20)),
                     max_size=12),
@@ -173,16 +204,16 @@ class TestParetoOps:
         for order in (pairs, shuffled):
             front = ()
             for p in order:
-                front = insert(front, p, 20)
+                front = insert(front, p)
             fronts.append(front)
-        assert fronts[0] == fronts[1] == prune_pairs(shuffled, 20)
+        assert fronts[0] == fronts[1] == prune_pairs(shuffled)
 
     @given(st.lists(st.tuples(st.integers(0, 20), st.integers(0, 20)),
                     max_size=10))
     def test_insert_idempotent(self, pairs):
-        front = prune_pairs(pairs, 20)
+        front = prune_pairs(pairs)
         for p in front:
-            assert insert(front, p, 20) == front
+            assert insert(front, p) == front
 
 
 class TestVerifySolution:
@@ -216,6 +247,15 @@ class TestVerifySolution:
                     edge_cost=(2, 2, 1, 1), x=0, y=3, s=10)
         assert verify_solution(inst, {0, 2, 3}).ok
         assert verify_solution(inst, {0, 1, 3}).reason == "not_shortest"
+
+    @pytest.mark.parametrize("variant", [Variant.PATH, Variant.SHORTEST_PATH])
+    def test_path_longer_than_recursion_limit(self, variant):
+        n = sys.getrecursionlimit() + 200
+        inst = make(variant=variant, n=n,
+                    edges=[(v, v + 1) for v in range(n - 1)],
+                    x=0, y=n - 1, s=n)
+        assert verify_solution(inst, range(n)).ok
+        assert not verify_solution(inst, set(range(n)) - {n // 2}).ok
 
     def test_overweight_and_below_target(self):
         inst = make(s=1)

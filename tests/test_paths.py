@@ -8,7 +8,7 @@ from graphsack import (Instance, Variant, enumerate_paths_opt,
                        solve_path_color_coding, solve_path_color_sweep,
                        solve_path_tree, solve_path_treewidth,
                        validate_instance, verify_solution)
-from graphsack import errors, paths
+from graphsack import errors, model, paths
 from conftest import instance_stream
 from graphsack.generators import random_instance
 from graphsack.oracles import oracle_for
@@ -120,15 +120,17 @@ class TestColorCoding:
         assert report.stats["trials_run"] == default_trials(1)
 
     def test_no_empty_cell_is_pruned(self, monkeypatch):
+        # the trial cells are pruned in paths, the final frontier in model
         sizes = []
         prune_pairs = paths.prune_pairs
 
-        def counting(pairs, cap_s=None):
+        def counting(pairs):
             pairs = list(pairs)
             sizes.append(len(pairs))
-            return prune_pairs(pairs, cap_s)
+            return prune_pairs(pairs)
 
         monkeypatch.setattr(paths, "prune_pairs", counting)
+        monkeypatch.setattr(model, "prune_pairs", counting)
         for seed in (0, 2, 4, 6, 7):  # feasible instances
             inst = random_instance(Variant.PATH, "gnp", 8, 4000 + seed,
                                    p=0.5)
