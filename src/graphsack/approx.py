@@ -18,8 +18,6 @@ from .model import (Instance, ParetoSet, SolveReport, Variant,
 
 @dataclass(frozen=True)
 class ScaledInstance:
-    base: Instance
-    epsilon: Fraction
     scaled: Instance
     alpha_max: int
     zero_values: bool
@@ -40,18 +38,18 @@ def scale_values(inst: Instance, epsilon) -> ScaledInstance:
     """Apply the floor(n*alpha/(eps*alpha_max)) value scaling.
 
     n and alpha_max count only the vertices with w <= s; a heavier
-    vertex is in no feasible solution and is scaled to 0.
+    vertex is in no feasible solution and is scaled to 0, as is every
+    vertex when alpha_max is 0.  The scaled instance has no target d:
+    the FPTAS always optimizes.
     """
     eps = parse_epsilon(epsilon)
-    if not any(inst.value):
-        return ScaledInstance(inst, eps, inst, 0, True)
     light = [w <= inst.s for w in inst.weight]
     alpha_max = max((a for a, ok in zip(inst.value, light) if ok), default=0)
     factor = Fraction(sum(light)) / (eps * alpha_max) if alpha_max else 0
     scaled_values = tuple(int(a * factor) if ok else 0
                           for a, ok in zip(inst.value, light))
     scaled = replace(inst, value=scaled_values, d=None)
-    return ScaledInstance(inst, eps, scaled, alpha_max, False)
+    return ScaledInstance(scaled, alpha_max, alpha_max == 0)
 
 
 def prune_overweight(inst: Instance) -> tuple[Instance, Optional[tuple[int, ...]]]:

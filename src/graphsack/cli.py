@@ -90,8 +90,11 @@ def _run_engine(inst: Instance, engine: str, seed: int,
     if engine == "tree":
         return solve_path_tree(inst)
     if engine == "oracle":
-        found = oracle_witnesses(inst)
-        return build_report(inst, found, found.__getitem__, {})
+        try:
+            found, stats = oracle_witnesses(inst), {}
+        except errors.Unreachable:
+            found, stats = {}, {"unreachable": True}
+        return build_report(inst, found, found.__getitem__, stats)
     raise AssertionError(engine)
 
 

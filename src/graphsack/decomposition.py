@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from . import errors
 from .model import Instance, prune_pairs
@@ -90,9 +90,17 @@ def union_blocks(blocks1: tuple, blocks2: Iterable[int]) -> tuple:
     return tuple(sorted(merged))
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """The vertices whose bits are set in ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def vertex_set(mask: int) -> frozenset[int]:
     """The vertices whose bits are set in ``mask``."""
-    return frozenset(v for v in range(mask.bit_length()) if mask >> v & 1)
+    return frozenset(_bits(mask))
 
 
 def _copy(out: dict, dst_state, cell: dict) -> None:
@@ -204,43 +212,52 @@ def run_dp(inst: Instance, nd: NiceDecomposition, rules, stats: dict) -> dict:
     return tables[nd.root]
 
 
+def _adjacency_masks(inst: Instance) -> list[int]:
+    return [sum(1 << a for a in nbrs) for nbrs in inst.adjacency()]
+
+
+def _eliminate(adj: list[int], v: int) -> int:
+    """Make v's remaining neighbours a clique, detach v from them and
+    return them as a bitmask.  ``adj[u]`` is u's neighbour bitmask."""
+    nbrs = adj[v]
+    adj[v] = 0
+    for a in _bits(nbrs):
+        adj[a] = (adj[a] | nbrs) & ~(1 << a | 1 << v)
+    return nbrs
+
+
 def elimination_order_minfill(inst: Instance, seed: int = 0) -> tuple[int, ...]:
     """Greedy min-fill elimination order.
 
     Ties break on lowest vertex id.  A nonzero seed shuffles the scan
     order among exact ties instead, which is still deterministic for a
-    fixed seed.
+    fixed seed.  Each remaining vertex keeps its fill score.  Eliminating
+    v changes the neighbourhoods of N(v) only, but its clique edges lie
+    inside N(v) and so also change the fill of their neighbours: the
+    scores of N(v) and N(N(v)) are recomputed, no others.
     """
-    adj: list[set[int]] = [set() for _ in range(inst.n)]
-    for u, v in inst.edges:
-        adj[u].add(v)
-        adj[v].add(u)
+    adj = _adjacency_masks(inst)
+
+    def fill(u: int) -> int:
+        nbrs = adj[u]
+        linked = sum((adj[a] & nbrs).bit_count() for a in _bits(nbrs))
+        degree = nbrs.bit_count()
+        return (degree * (degree - 1) - linked) // 2
+
     rng = random.Random(seed) if seed else None
+    score = [fill(u) for u in range(inst.n)]
     remaining = set(range(inst.n))
     order: list[int] = []
     while remaining:
         scan = sorted(remaining)
         if rng is not None:
             rng.shuffle(scan)
-        best_v = None
-        best_fill = None
-        for v in scan:
-            nbrs = adj[v]
-            fill = 0
-            nl = sorted(nbrs)
-            for i, a in enumerate(nl):
-                fill += sum(1 for b in nl[i + 1:] if b not in adj[a])
-            if best_fill is None or fill < best_fill:
-                best_fill, best_v = fill, v
-        v = best_v
-        nbrs = sorted(adj[v])
-        for i, a in enumerate(nbrs):
-            for b in nbrs[i + 1:]:
-                adj[a].add(b)
-                adj[b].add(a)
-        for a in nbrs:
-            adj[a].discard(v)
-        adj[v].clear()
+        v = min(scan, key=score.__getitem__)
+        touched = nbrs = _eliminate(adj, v)
+        for a in _bits(nbrs):
+            touched |= adj[a]
+        for u in _bits(touched):
+            score[u] = fill(u)
         remaining.remove(v)
         order.append(v)
     return tuple(order)
@@ -253,32 +270,17 @@ def _raw_bag_tree(inst: Instance, order: tuple[int, ...]):
     """
     n = inst.n
     pos = {v: i for i, v in enumerate(order)}
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for u, v in inst.edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    bags: list[set[int]] = [set() for _ in range(n)]
-    parent: list[Optional[int]] = [None] * n
-    for i, v in enumerate(order):
-        higher = sorted(adj[v], key=pos.get)
-        bags[i] = {v, *higher}
-        if higher:
-            parent[i] = pos[higher[0]]
-        elif i + 1 < n:
-            parent[i] = i + 1  # isolated remainder: chain onto the next bag
-        for idx, a in enumerate(higher):
-            for b in higher[idx + 1:]:
-                adj[a].add(b)
-                adj[b].add(a)
-        for a in higher:
-            adj[a].discard(v)
-        adj[v].clear()
+    adj = _adjacency_masks(inst)
+    bags: list[set[int]] = []
     children: list[list[int]] = [[] for _ in range(n)]
-    root = n - 1
-    for i, p in enumerate(parent):
-        if p is not None:
-            children[p].append(i)
-    return bags, children, root
+    for i, v in enumerate(order):
+        higher = [*_bits(_eliminate(adj, v))]
+        bags.append({v, *higher})
+        if higher:
+            children[min(pos[a] for a in higher)].append(i)
+        elif i + 1 < n:  # isolated remainder: chain onto the next bag
+            children[i + 1].append(i)
+    return bags, children, n - 1
 
 
 def build_nice_decomposition(inst: Instance, order: tuple[int, ...],
@@ -356,7 +358,6 @@ def validate_nice_decomposition(inst: Instance,
     if not (0 <= nd.root < len(nodes)):
         raise errors.BadNodeArity("root id out of range")
 
-    parent: dict[int, int] = {}
     seen = set()
     stack = [nd.root]
     while stack:
@@ -367,7 +368,6 @@ def validate_nice_decomposition(inst: Instance,
         for c in nodes[nid].children:
             if not (0 <= c < len(nodes)):
                 raise errors.BadNodeArity(f"child id {c} out of range")
-            parent[c] = nid
             stack.append(c)
 
     for nid in seen:
@@ -428,29 +428,17 @@ def validate_nice_decomposition(inst: Instance,
         if c > 1:
             raise errors.EdgeIntroducedTwice(f"edge {e} introduced {c} times")
 
-    holders: dict[int, list[int]] = {}
+    # Given the node rules above, each maximal run of bags holding an
+    # unpinned vertex has a forget node right above its top, as the root
+    # bag is the pinned set: one forget node means one connected run.
+    forgets = {v: 0 for v in range(inst.n) if v not in nd.pinned}
     for nid in seen:
-        for v in nodes[nid].bag:
-            holders.setdefault(v, []).append(nid)
-    for v in range(inst.n):
-        if v not in holders:
-            raise errors.BrokenSubtreeConnectivity(f"vertex {v} in no bag")
-        members = set(holders[v])
-        start = holders[v][0]
-        reach = {start}
-        frontier = [start]
-        while frontier:
-            nid = frontier.pop()
-            nbrs = list(nodes[nid].children)
-            if nid in parent:
-                nbrs.append(parent[nid])
-            for nb in nbrs:
-                if nb in members and nb not in reach:
-                    reach.add(nb)
-                    frontier.append(nb)
-        if reach != members:
+        if nodes[nid].kind == FORGET_VERTEX and nodes[nid].vertex in forgets:
+            forgets[nodes[nid].vertex] += 1
+    for v, c in forgets.items():
+        if c != 1:
             raise errors.BrokenSubtreeConnectivity(
-                f"bags containing vertex {v} are not connected")
+                f"bags containing vertex {v} form {c} subtrees")
 
     actual_width = max(len(nodes[nid].bag) for nid in seen) - 1
     if nd.width != actual_width:

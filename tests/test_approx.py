@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from graphsack import (Instance, Variant, fptas_optimize, oracle_for,
-                       scale_values, validate_instance, verify_solution)
+                       scale_values, solve_connected, validate_instance,
+                       verify_solution)
 from graphsack import errors
 from graphsack.approx import parse_epsilon, prune_overweight
 from conftest import instance_stream
@@ -32,9 +33,10 @@ class TestScaleValues:
         assert scaled.scaled.value == (n,) * n
 
     def test_alpha_max_zero_flagged(self):
-        inst = make(Variant.CONNECTED, 2, ((0, 1),), (1, 1), (0, 0), 2)
+        inst = make(Variant.CONNECTED, 2, ((0, 1),), (1, 1), (0, 0), 2, d=1)
         scaled = scale_values(inst, Fraction(1, 2))
-        assert scaled.zero_values and scaled.scaled is inst
+        assert scaled.zero_values and scaled.alpha_max == 0
+        assert scaled.scaled.value == (0, 0) and scaled.scaled.d is None
 
     def test_scaled_sum_bound(self):
         for i, inst in enumerate(instance_stream(Variant.CONNECTED, 30,
@@ -117,6 +119,16 @@ class TestGuarantee:
         report = fptas_optimize(inst, Fraction(1, 2))
         assert report.best_value == 10
         assert report.witness == frozenset({0, 2, 3})
+
+    @pytest.mark.parametrize("weight, value", [((1, 1), (0, 0)),
+                                               ((1, 9), (0, 5))])
+    def test_zero_values_decision_reports_value(self, weight, value):
+        # alpha_max = 0 over the light vertices: the scaled run still
+        # optimizes, so the report carries value 0 as the exact one does
+        inst = make(Variant.CONNECTED, 2, ((0, 1),), weight, value, 2, d=1)
+        report = fptas_optimize(inst, Fraction(1, 2))
+        assert not report.feasible
+        assert report.best_value == solve_connected(inst).best_value == 0
 
     def test_overweight_terminal_infeasible(self):
         inst = make(Variant.PATH, 2, ((0, 1),), (9, 0), (1, 1), 2,

@@ -87,6 +87,22 @@ class TestSolve:
         assert code == 1 and doc["feasible"] is False
         assert doc["frontier"] == [] and doc["witness"] is None
 
+    @pytest.mark.parametrize("epsilon", [None, "1/2"])
+    @pytest.mark.parametrize("engine", ["labels", "tree", "oracle"])
+    def test_unreachable_y_exit_one(self, capsys, tmp_path, engine, epsilon):
+        from graphsack.model import Instance, validate_instance
+        inst = validate_instance(Instance(
+            variant=Variant.SHORTEST_PATH, n=3, edges=((0, 1),),
+            weight=(1,) * 3, value=(1,) * 3, s=3, x=0, y=2))
+        path = write_instance(tmp_path, inst)
+        argv = ["solve", "--input", path, "--engine", engine]
+        if epsilon is not None:
+            argv += ["--epsilon", epsilon]
+        code, out = run(capsys, *argv)
+        doc = json.loads(out)
+        assert code == 1 and doc["feasible"] is False
+        assert doc["witness"] is None
+
     def test_epsilon_flag(self, capsys, tmp_path):
         inst = random_instance(Variant.CONNECTED, "gnp", 6, 5, p=0.5)
         path = write_instance(tmp_path, inst)

@@ -11,7 +11,8 @@ from graphsack import (Instance, Variant, build_nice_decomposition, decompose,
                        validate_nice_decomposition, verify_solution)
 from graphsack import errors
 from graphsack.connected import _ConnectedRules
-from graphsack.decomposition import (INTRODUCE_EDGE, DecompNode,
+from graphsack.decomposition import (FORGET_VERTEX, INTRODUCE_EDGE,
+                                     INTRODUCE_VERTEX, JOIN, LEAF, DecompNode,
                                      NiceDecomposition, run_dp, union_blocks,
                                      vertex_set)
 from graphsack.paths import _PathRules
@@ -24,7 +25,48 @@ def graph(n, edges):
         weight=(0,) * n, value=(0,) * n, s=0))
 
 
+def minfill_full_rescan(inst, seed=0):
+    """Reference min-fill: recompute every remaining vertex's fill at
+    every step, first minimum over the sorted (or, for a nonzero seed,
+    shuffled) scan."""
+    adj = [set() for _ in range(inst.n)]
+    for u, v in inst.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    rng = random.Random(seed) if seed else None
+    remaining = set(range(inst.n))
+    order = []
+    while remaining:
+        scan = sorted(remaining)
+        if rng is not None:
+            rng.shuffle(scan)
+        best_v = best_fill = None
+        for v in scan:
+            nl = sorted(adj[v])
+            fill = sum(1 for i, a in enumerate(nl) for b in nl[i + 1:]
+                       if b not in adj[a])
+            if best_fill is None or fill < best_fill:
+                best_fill, best_v = fill, v
+        nbrs = adj[best_v]
+        for a in nbrs:
+            adj[a] |= nbrs - {a}
+            adj[a].discard(best_v)
+        adj[best_v] = set()
+        remaining.remove(best_v)
+        order.append(best_v)
+    return tuple(order)
+
+
 class TestEliminationOrder:
+    @pytest.mark.parametrize("seed", [0, 1, 3, 9])
+    def test_matches_full_rescan(self, seed):
+        for i in range(90):
+            kind = ("tree", "gnp", "grid")[i % 3]
+            inst = random_instance(Variant.CONNECTED, kind, 2 + i % 30, i,
+                                   p=(0.1, 0.2, 0.4)[i // 3 % 3])
+            assert (elimination_order_minfill(inst, seed=seed)
+                    == minfill_full_rescan(inst, seed)), (kind, i)
+
     def test_empty_graph_identity_order(self):
         inst = graph(4, ())
         assert elimination_order_minfill(inst) == (0, 1, 2, 3)
@@ -167,6 +209,30 @@ class TestValidate:
         mutated = self._mutate(nd, duplicate=target)
         with pytest.raises(errors.EdgeIntroducedTwice):
             validate_nice_decomposition(inst, mutated)
+
+    def test_vertex_in_two_join_branches_caught(self):
+        # 0 is introduced and forgotten on both sides of the join
+        inst = graph(1, ())
+        nodes = []
+        for _ in range(2):
+            nodes += [DecompNode(LEAF, frozenset(), ()),
+                      DecompNode(INTRODUCE_VERTEX, frozenset({0}),
+                                 (len(nodes),), vertex=0),
+                      DecompNode(FORGET_VERTEX, frozenset(),
+                                 (len(nodes) + 1,), vertex=0)]
+        nodes.append(DecompNode(JOIN, frozenset(), (2, 5)))
+        nd = NiceDecomposition(tuple(nodes), 6, frozenset(), 0)
+        with pytest.raises(errors.BrokenSubtreeConnectivity):
+            validate_nice_decomposition(inst, nd)
+
+    def test_vertex_in_no_bag_caught(self):
+        inst = graph(2, ())
+        nodes = (DecompNode(LEAF, frozenset(), ()),
+                 DecompNode(INTRODUCE_VERTEX, frozenset({0}), (0,), vertex=0),
+                 DecompNode(FORGET_VERTEX, frozenset(), (1,), vertex=0))
+        nd = NiceDecomposition(nodes, 2, frozenset(), 0)
+        with pytest.raises(errors.BrokenSubtreeConnectivity):
+            validate_nice_decomposition(inst, nd)
 
     def test_wrong_root_bag_caught(self):
         inst = graph(3, ((0, 1), (1, 2)))
