@@ -12,8 +12,8 @@ from .model import (Instance, ParetoSet, SolveReport, Variant, VerifyResult,
                     verify_solution)
 from .oracles import (enumerate_connected_subsets_opt, enumerate_paths_opt,
                       enumerate_shortest_paths_opt, oracle_for)
-from .paths import (solve_path_color_coding, solve_path_color_sweep,
-                    solve_path_tree, solve_path_treewidth)
+from .paths import (solve_path_color_sweep, solve_path_tree,
+                    solve_path_treewidth)
 from .reductions import (KnapsackItems, ReductionOutput, SourceGraph,
                          reduce_hamiltonian_to_path,
                          reduce_knapsack_to_path_gadget,
@@ -33,8 +33,8 @@ __all__ = [
     "elimination_order_minfill", "build_nice_decomposition",
     "validate_nice_decomposition", "decompose",
     "solve_connected",
-    "solve_path_tree", "solve_path_color_coding", "solve_path_color_sweep",
-    "solve_path_treewidth", "solve_shortest_path",
+    "solve_path_tree", "solve_path_color_sweep", "solve_path_treewidth",
+    "solve_shortest_path",
     "scale_values", "fptas_optimize",
     "enumerate_connected_subsets_opt", "enumerate_paths_opt",
     "enumerate_shortest_paths_opt", "oracle_for",

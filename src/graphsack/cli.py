@@ -205,7 +205,7 @@ def cmd_verify(args) -> int:
     with open(args.witness, "r", encoding="utf-8") as fh:
         witness = json.load(fh)
     if (not isinstance(witness, list)
-            or any(not isinstance(v, int) for v in witness)):
+            or any(type(v) is not int for v in witness)):
         raise errors.BadInstanceJson("witness must be a JSON list of ints")
     result = verify_solution(inst, witness)
     _emit({"w": result.w, "alpha": result.alpha, "ok": result.ok,
@@ -246,8 +246,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="approximate mode, e.g. 1/4 or 0.25")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=None,
-                   help="total trial budget of the one color-coding run "
-                        "(default: ceil(3e^k) for k colors)")
+                   help="total trial budget of the one color-coding run, "
+                        "which must be positive (default: ceil(3e^k) for k "
+                        "colors)")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("generate", help="emit a random or gadget instance")

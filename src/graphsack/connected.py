@@ -26,7 +26,7 @@ class _ConnectedRules:
     @staticmethod
     def leaf():
         # leaf bags of an unpinned decomposition are empty
-        return {((), False): (0, 0)}
+        return [((), False)]
 
     @staticmethod
     def introduce(state, u):

@@ -114,7 +114,7 @@ def run_dp(inst: Instance, nd: NiceDecomposition, rules, stats: dict) -> dict:
 
     ``rules`` holds the states of one problem:
 
-    - ``leaf() -> {state: pair}``, where the pair counts the leaf's bag;
+    - ``leaf() -> states``: the states of a leaf;
     - ``introduce(state, u) -> (skip, take)``: the states with u left
       out of and put into the partial solution; take is None when u may
       not join it;
@@ -126,15 +126,16 @@ def run_dp(inst: Instance, nd: NiceDecomposition, rules, stats: dict) -> dict:
       are paired;
     - ``join(state1, state2)``: the merged state, or None.
 
-    The driver owns the pairs: taking u adds its weight and value, a join
-    subtracts its key's vertices counted on both sides, pairs over the
-    budget are dropped where they are made, and every cell of two or
-    more pairs is pruned to its frontier.  Each pair maps to the vertex
-    bitmask of the first partial solution that reached it: a leaf's
-    bag, plus u when u is taken, or the union of the two sides at a
-    join.  Child tables are dropped once their parent is filled.  It
-    counts ``nodes_expanded`` and ``states_touched`` (pairs kept) in
-    ``stats`` and returns the root's ``{state: {pair: mask}}``.
+    The driver owns the pairs: the whole leaf bag is in the partial
+    solution, taking u adds its weight and value, a join subtracts its
+    key's vertices counted on both sides, pairs over the budget are
+    dropped where they are made, and every cell of two or more pairs is
+    pruned to its frontier.  Each pair maps to the vertex bitmask of the
+    first partial solution that reached it: a leaf's bag, plus u when u
+    is taken, or the union of the two sides at a join.  Child tables are
+    dropped once their parent is filled.  It counts ``nodes_expanded``
+    and ``states_touched`` (pairs kept) in ``stats`` and returns the
+    root's ``{state: {pair: mask}}``.
     """
     s = inst.s
     weight, value = inst.weight, inst.value
@@ -145,10 +146,10 @@ def run_dp(inst: Instance, nd: NiceDecomposition, rules, stats: dict) -> dict:
         stats["nodes_expanded"] += 1
         out: dict = {}
         if node.kind == LEAF:
-            bag = sum(1 << v for v in node.bag)
-            for state, pair in rules.leaf().items():
-                if pair[0] <= s:
-                    out[state] = {pair: bag}
+            pair = (inst.total_weight(node.bag), inst.total_value(node.bag))
+            if pair[0] <= s:
+                bag = sum(1 << v for v in node.bag)
+                out = {state: {pair: bag} for state in rules.leaf()}
 
         elif node.kind == INTRODUCE_VERTEX:
             u = node.vertex

@@ -364,6 +364,15 @@ def instance_from_json(text: str) -> Instance:
     except ValueError as exc:
         raise errors.BadInstanceJson(str(exc)) from exc
 
+    def ints(seq) -> bool:  # bools are not ints here
+        return type(seq) is list and all(type(v) is int for v in seq)
+
+    scalars = [doc["n"], doc["s"]] + [doc[key] for key in _OPTIONAL_FIELDS
+                                      if doc.get(key) is not None]
+    if not (ints(scalars) and ints(doc["weights"]) and ints(doc["values"])
+            and type(doc["edges"]) is list and all(map(ints, doc["edges"]))):
+        raise errors.BadInstanceJson("n, s, d, x, y, weights, values and "
+                                     "edge entries must be integers")
     edges = []
     costs = []
     for e in doc["edges"]:

@@ -78,25 +78,25 @@ def _colorful_trial(inst: Instance, adj: list[list[int]], k: int,
                     coloring: list[int], stats: dict) -> dict:
     """One DP run for a fixed coloring with k colors.
 
-    Returns ``table[(mask, v)] = {pair: predecessor (mask', v', pair')
-    or None}``, the undominated colorful x-v paths whose colors are
-    ``mask``.  A cell is stored only once a pair fits the budget, and
-    in ascending weight.  Cells at y are never expanded: a colorful
-    path cannot leave y and come back to it.
+    Returns ``{pair: path}`` over the colorful x-y paths, where ``path``
+    is the vertex tuple from x to y of the first such path that reached
+    the pair: levels in order, and within a level in insertion order.
+    Level j maps ``(mask, v)`` to the undominated colorful x-v paths on
+    j vertices whose colors are ``mask``, each pair to its path; only
+    the current level is kept.  A cell is stored only once a pair fits
+    the budget, and in ascending weight.  Cells at y are never expanded:
+    a colorful path cannot leave y and come back to it.
     """
-    s, y = inst.s, inst.y
+    s, x, y = inst.s, inst.x, inst.y
     weight, value = inst.weight, inst.value
-    table: dict[tuple[int, int], dict] = {}
-    if weight[inst.x] <= s:
-        table[(1 << coloring[inst.x], inst.x)] = {
-            (weight[inst.x], value[inst.x]): None}
-    level = list(table)
+    start = {(weight[x], value[x]): (x,)} if weight[x] <= s else {}
+    level = {(1 << coloring[x], x): start} if start else {}
+    found = dict(start) if x == y else {}
     for _ in range(1, k):
         nxt: dict[tuple[int, int], dict] = {}
-        for (mask, v) in level:
+        for (mask, v), cell in level.items():
             if v == y:
                 continue
-            cell = table[(mask, v)]
             lightest = next(iter(cell))[0]
             for u in adj[v]:
                 bit = 1 << coloring[u]
@@ -104,61 +104,20 @@ def _colorful_trial(inst: Instance, adj: list[list[int]], k: int,
                 if mask & bit or lightest + wu > s:
                     continue
                 dst = nxt.setdefault((mask | bit, u), {})
-                for (w, a) in cell:
+                for (w, a), path in cell.items():
                     if w + wu > s:
                         break  # every later pair is heavier
-                    dst.setdefault((w + wu, a + au), (mask, v, (w, a)))
+                    dst.setdefault((w + wu, a + au), path + (u,))
         for key, cell in nxt.items():
             # a single pair is already its own frontier
-            table[key] = cell if len(cell) == 1 else {
-                p: cell[p] for p in prune_pairs(cell.keys())}
-        level = list(nxt)
-        stats["states_touched"] += sum(len(table[key]) for key in nxt)
-    return table
-
-
-def _color_search(inst: Instance, k: int, trials: int, seed: int,
-                  masks) -> SolveReport:
-    """Run ``trials`` random k-colorings and read the x-y cells whose
-    color mask is in ``masks``; each pair keeps the first path seen."""
-    stats = {"nodes_expanded": 0, "states_touched": 0, "trials_run": 0}
-    rng = random.Random(seed)
-    adj = inst.adjacency()
-    pool: dict[tuple[int, int], frozenset[int]] = {}
-    for _ in range(trials):
-        coloring = [rng.randrange(k) for _ in range(inst.n)]
-        stats["trials_run"] += 1
-        stats["nodes_expanded"] += 1
-        table = _colorful_trial(inst, adj, k, coloring, stats)
-        for (mask, v), cell in table.items():
-            if v != inst.y or mask not in masks:
-                continue
-            for pair in cell.keys() - pool.keys():
-                path, cur = [], (mask, v, pair)
-                while cur is not None:
-                    path.append(cur[1])
-                    cur = table[cur[:2]][cur[2]]
-                pool[pair] = frozenset(path)
-        if inst.d is not None and any(a >= inst.d for _, a in pool):
-            break
-    return build_report(inst, pool, pool.__getitem__, stats)
-
-
-def solve_path_color_coding(inst: Instance, k: int, trials: int,
-                            seed: int = 0) -> SolveReport:
-    """Randomized search for x-y paths on exactly k vertices.
-
-    One-sided: a feasible report carries a verified witness; an
-    infeasible report only means no colorful hit within the trial
-    budget.  Decision instances stop at the first trial that reaches
-    the target value.
-    """
-    _require_path_variant(inst)
-    if not 1 <= k <= inst.n:
-        raise errors.GraphsackError(f"k={k} out of range 1..{inst.n}")
-    if trials < 1:
-        raise errors.GraphsackError("trials must be positive")
-    return _color_search(inst, k, trials, seed, ((1 << k) - 1,))
+            if len(cell) > 1:
+                nxt[key] = cell = {p: cell[p] for p in prune_pairs(cell)}
+            stats["states_touched"] += len(cell)
+            if key[1] == y:
+                for pair, path in cell.items():
+                    found.setdefault(pair, path)
+        level = nxt
+    return found
 
 
 def default_trials(k: int) -> int:
@@ -178,14 +137,33 @@ def solve_path_color_sweep(inst: Instance, seed: int = 0,
     finds colorful paths of every length j <= k.  A fixed j-vertex path
     is colorful with probability k!/((k-j)! k^j) >= k!/k^k >= e^-k, so
     the default budget ``default_trials(k)`` still finds each path with
-    probability >= 95%.  ``trials`` overrides that total budget.
-    One-sided, like solve_path_color_coding.
+    probability >= 95%.  ``trials`` overrides that total budget and must
+    be positive.  Each pair keeps the first path found for it.
+
+    One-sided: a feasible report carries a verified witness; an
+    infeasible report only means no colorful hit within the trial
+    budget.  Decision instances stop after the first trial that reaches
+    the target value.
     """
     _require_path_variant(inst)
+    if trials is not None and trials < 1:
+        raise errors.GraphsackError("trials must be positive")
     k = 1 if inst.x == inst.y else max(1, sum(
         total <= inst.s for total in accumulate(sorted(inst.weight))))
-    budget = trials if trials is not None else default_trials(k)
-    return _color_search(inst, k, budget, seed, range(1 << k))
+    stats = {"nodes_expanded": 0, "states_touched": 0, "trials_run": 0}
+    rng = random.Random(seed)
+    adj = inst.adjacency()
+    pool: dict[tuple[int, int], tuple[int, ...]] = {}
+    for _ in range(trials or default_trials(k)):
+        coloring = [rng.randrange(k) for _ in range(inst.n)]
+        stats["trials_run"] += 1
+        stats["nodes_expanded"] += 1
+        for pair, path in _colorful_trial(inst, adj, k, coloring,
+                                          stats).items():
+            pool.setdefault(pair, path)
+        if inst.d is not None and any(a >= inst.d for _, a in pool):
+            break
+    return build_report(inst, pool, pool.__getitem__, stats)
 
 
 # ---------------------------------------------------------------------
@@ -205,12 +183,10 @@ class _PathRules:
         # terminals whose degree limit is 1 (x != y) or 0 (x == y)
         self.lim1 = ends if len(self.ends) == 2 else 0
         self.lim0 = ends ^ self.lim1
-        self.leaf_pair = (inst.total_weight(self.ends),
-                          inst.total_value(self.ends))
 
     def leaf(self):
         # every bag of the decomposition is pinned at both terminals
-        return {(tuple(1 << v for v in self.ends), 0, 0): self.leaf_pair}
+        return [(tuple(1 << v for v in self.ends), 0, 0)]
 
     def accept(self):
         """The root state of one x-y path."""

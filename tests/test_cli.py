@@ -69,6 +69,30 @@ class TestSolve:
         code, _ = run(capsys, "solve", "--input", str(bad))
         assert code == 2
 
+    @pytest.mark.parametrize("field, bad", [
+        ("n", "3"), ("edges", [5]), ("weights", None),
+        ("weights", [1.5, 1]), ("y", True)],
+        ids=["n-string", "edge-int", "weights-null", "weight-float",
+             "y-bool"])
+    def test_malformed_field_type_exit_two(self, capsys, tmp_path, field,
+                                           bad):
+        doc = {"version": 1, "variant": "path", "n": 2, "edges": [[0, 1]],
+               "weights": [1, 1], "values": [1, 1], "s": 2, "x": 0, "y": 1}
+        doc[field] = bad
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out = run(capsys, "solve", "--input", str(path))
+        assert code == 2 and out == ""
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_color_trials_not_positive_exit_two(self, capsys, tmp_path,
+                                                trials):
+        inst = random_instance(Variant.PATH, "gnp", 7, 6, p=0.5)
+        path = write_instance(tmp_path, inst)
+        code, out = run(capsys, "solve", "--input", path,
+                        "--engine", "color", "--trials", trials)
+        assert code == 2 and out == ""
+
     def test_auto_uses_tree_solver_on_trees(self, capsys, tmp_path):
         inst = random_instance(Variant.PATH, "tree", 6, 4)
         path = write_instance(tmp_path, inst)
@@ -215,6 +239,14 @@ class TestVerify:
         wit = tmp_path / "w.json"
         wit.write_text("[99]")
         code, _ = run(capsys, "verify", "--input", path,
+                      "--witness", str(wit))
+        assert code == 2
+
+
+    def test_bool_witness_exit_two(self, capsys, tmp_path, diamond_sp):
+        wit = tmp_path / "w.json"
+        wit.write_text("[0, true, 3]")
+        code, _ = run(capsys, "verify", "--input", diamond_sp,
                       "--witness", str(wit))
         assert code == 2
 

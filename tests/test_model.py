@@ -8,8 +8,7 @@ from hypothesis import given, strategies as st
 
 from graphsack import (Instance, ParetoSet, Variant, fptas_optimize,
                        instance_from_json, instance_to_json,
-                       solve_path_color_coding, validate_instance,
-                       verify_solution)
+                       validate_instance, verify_solution)
 from graphsack import cli, decomposition, errors, model, paths, shortest
 from graphsack.decomposition import (FORGET_VERTEX, INTRODUCE_VERTEX, JOIN,
                                      LEAF, DecompNode, NiceDecomposition,
@@ -74,7 +73,7 @@ class _SubsetRules:
 
     @staticmethod
     def leaf():
-        return {0: (0, 0)}
+        return [0]
 
     @staticmethod
     def introduce(state, u):
@@ -170,8 +169,6 @@ class TestParetoOps:
             for inst in instance_stream(variant, 24, 31000, 8,
                                         decision=decision):
                 budget[:] = [inst.s]
-                if variant is Variant.PATH:
-                    solve_path_color_coding(inst, inst.n, 64, seed=1)
                 for name in names:
                     def solve(i):
                         return cli._run_engine(i, name, 0, 64)

@@ -1,13 +1,12 @@
 """Path Knapsack solvers: tree walk, color coding, treewidth DP."""
 import dataclasses
-import math
 
 import pytest
 
 from graphsack import (Instance, Variant, enumerate_paths_opt,
-                       solve_path_color_coding, solve_path_color_sweep,
-                       solve_path_tree, solve_path_treewidth,
-                       validate_instance, verify_solution)
+                       solve_path_color_sweep, solve_path_tree,
+                       solve_path_treewidth, validate_instance,
+                       verify_solution)
 from graphsack import errors, model, paths
 from conftest import instance_stream
 from graphsack.generators import random_instance
@@ -59,27 +58,22 @@ class TestTreeSolver:
 class TestColorCoding:
     def test_ground_case_single_color(self):
         # at k=1 a colorful path exists iff x == y (PATH(S,x') at |S|=1)
-        inst = make(**P3, s=3, x=1, y=1)
-        assert solve_path_color_coding(inst, 1, 5, seed=0).feasible
-        inst = make(**P3, s=3, x=0, y=2)
-        assert not solve_path_color_coding(inst, 1, 5, seed=0).feasible
+        report = solve_path_color_sweep(make(**P3, s=3, x=1, y=1), seed=0)
+        assert report.feasible and report.witness == frozenset({1})
+        # only one vertex fits s = 1, so k = 1 and no x-y path is found
+        report = solve_path_color_sweep(make(**P3, s=1, x=0, y=2), seed=0)
+        assert not report.feasible
+        assert report.stats["trials_run"] == default_trials(1)
 
     def test_rainbow_path_found(self):
         inst = make(**P3, s=3, x=0, y=2, d=3)
-        report = solve_path_color_coding(inst, 3, 200, seed=1)
+        report = solve_path_color_sweep(inst, seed=1)
         assert report.feasible and report.witness == frozenset({0, 1, 2})
-
-    def test_wrong_k_misses_only_path(self):
-        # x-y edge with no usable intermediate vertex: no 3-vertex path
-        inst = make(3, ((0, 1),), (0, 0, 0), (1, 1, 1), 0, x=0, y=1)
-        assert not solve_path_color_coding(inst, 3, 50, seed=0).feasible
-        assert solve_path_color_coding(inst, 2, 50, seed=0).feasible
 
     def test_diamond_prefers_valuable_branch(self):
         inst = make(4, ((0, 1), (1, 3), (0, 2), (2, 3)),
                     (0, 0, 0, 0), (0, 5, 1, 0), 0, x=0, y=3, d=5)
-        trials = math.ceil(3 * math.e ** 3)
-        report = solve_path_color_coding(inst, 3, trials, seed=4)
+        report = solve_path_color_sweep(inst, seed=4)
         assert report.feasible and report.witness == frozenset({0, 1, 3})
 
     def test_witness_always_verifies(self):
@@ -134,17 +128,14 @@ class TestColorCoding:
         for seed in (0, 2, 4, 6, 7):  # feasible instances
             inst = random_instance(Variant.PATH, "gnp", 8, 4000 + seed,
                                    p=0.5)
-            k = len(solve_path_color_sweep(inst, seed=seed).witness)
-            assert solve_path_color_coding(inst, k, default_trials(k),
-                                           seed=seed).feasible
+            assert solve_path_color_sweep(inst, seed=seed).feasible
         assert sizes and min(sizes) > 0
 
     def test_invalid_parameters(self):
         inst = make(**P3, s=3, x=0, y=2)
-        with pytest.raises(errors.GraphsackError):
-            solve_path_color_coding(inst, 0, 5)
-        with pytest.raises(errors.GraphsackError):
-            solve_path_color_coding(inst, 2, 0)
+        for trials in (0, -3):
+            with pytest.raises(errors.GraphsackError):
+                solve_path_color_sweep(inst, trials=trials)
 
 
 class TestTreewidthDP:
