@@ -19,7 +19,8 @@ from .approx import fptas_optimize
 from .connected import solve_connected
 from .decomposition import decompose
 from .model import (Instance, SolveReport, Variant, build_report,
-                    instance_from_json, instance_to_json, verify_solution)
+                    instance_from_json, instance_to_json, is_int_list,
+                    json_object, verify_solution)
 from .oracles import oracle_witnesses
 from .paths import (solve_path_color_sweep, solve_path_tree,
                     solve_path_treewidth)
@@ -164,16 +165,28 @@ def cmd_generate(args) -> int:
 
 def _load_source_graph(path: str) -> reductions.SourceGraph:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return reductions.SourceGraph(doc["n"],
-                                  tuple(tuple(e) for e in doc["edges"]))
+        doc = json_object(fh.read(), {"n", "edges"})
+    n, edges = doc["n"], doc["edges"]
+    if not (type(n) is int and type(edges) is list and all(
+            is_int_list(e) and len(e) == 2 and 0 <= min(e) <= max(e) < n
+            for e in edges)):
+        raise errors.BadInstanceJson(
+            "n must be an integer and each edge a pair of ids below n")
+    return reductions.SourceGraph(n, tuple(map(tuple, edges)))
 
 
 def _load_items(path: str) -> reductions.KnapsackItems:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return reductions.KnapsackItems(tuple(doc["sizes"]),
-                                    tuple(doc["profits"]),
+        doc = json_object(fh.read(), {"sizes", "profits", "capacity",
+                                      "target"})
+    sizes, profits = doc["sizes"], doc["profits"]
+    if not (is_int_list(sizes) and is_int_list(profits)
+            and len(sizes) == len(profits)
+            and is_int_list([doc["capacity"], doc["target"]])):
+        raise errors.BadInstanceJson(
+            "sizes and profits must be integer lists of one length, and "
+            "capacity and target integers")
+    return reductions.KnapsackItems(tuple(sizes), tuple(profits),
                                     doc["capacity"], doc["target"])
 
 
@@ -204,8 +217,7 @@ def cmd_verify(args) -> int:
     inst = _read_instance(args.input)
     with open(args.witness, "r", encoding="utf-8") as fh:
         witness = json.load(fh)
-    if (not isinstance(witness, list)
-            or any(type(v) is not int for v in witness)):
+    if not is_int_list(witness):
         raise errors.BadInstanceJson("witness must be a JSON list of ints")
     result = verify_solution(inst, witness)
     _emit({"w": result.w, "alpha": result.alpha, "ok": result.ok,

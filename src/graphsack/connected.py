@@ -9,10 +9,15 @@ last bag vertex of the only block closes the state; a closed state
 admits no more solution vertices.  So the root (empty bag) holds the
 empty solution in its open state and every non-empty connected subset
 in its closed state.  ``decomposition.run_dp`` carries the (weight,
-value) frontiers and their witness masks; this module only supplies
-the state rules.
+value) frontiers and their witness masks, and derives each state's key
+from its blocks; this module only supplies the rules for solution
+vertices: an edge joins the blocks of its ends, and forgetting a
+vertex shrinks its block, closes the state, or drops a component cut
+off from the rest.
 """
 from __future__ import annotations
+
+from collections import ChainMap
 
 from .decomposition import (build_nice_decomposition,
                             elimination_order_minfill, run_dp, union_blocks,
@@ -26,22 +31,20 @@ class _ConnectedRules:
     @staticmethod
     def leaf():
         # leaf bags of an unpinned decomposition are empty
-        return [((), False)]
+        return (), False
 
     @staticmethod
     def introduce(state, u):
         blocks, closed = state
         if closed:
-            return state, None
-        return state, (tuple(sorted(blocks + (1 << u,))), False)
+            return None
+        return tuple(sorted(blocks + (1 << u,))), False
 
     @staticmethod
     def forget(state, u):
         blocks, closed = state
         bit = 1 << u
-        block = next((b for b in blocks if b & bit), 0)
-        if not block:
-            return state
+        block = next(b for b in blocks if b & bit)
         if block != bit:
             return tuple(sorted(b & ~bit for b in blocks)), False
         if len(blocks) == 1:
@@ -53,12 +56,7 @@ class _ConnectedRules:
     @staticmethod
     def edge(state, u, v):
         blocks, closed = state
-        # an edge between two solution vertices joins their blocks
         return [(union_blocks(blocks, (1 << u | 1 << v,)), closed)]
-
-    @staticmethod
-    def join_key(state):
-        return sum(state[0])  # the blocks are disjoint: sum is union
 
     @staticmethod
     def join(state1, state2):
@@ -79,13 +77,7 @@ def solve_connected(inst: Instance, early_stop: bool = False) -> SolveReport:
     stats = {"nodes_expanded": 0, "states_touched": 0}
     nd = build_nice_decomposition(inst, elimination_order_minfill(inst), ())
     # the root bag is empty: its open state holds the empty solution and
-    # its closed state every non-empty connected subset
-    root = run_dp(inst, nd, _ConnectedRules(), stats)
-
-    def witness_for(pair):
-        # the first root state that holds the pair gives its witness
-        return vertex_set(next(cell[pair] for cell in root.values()
-                               if pair in cell))
-
-    return build_report(inst, [p for cell in root.values() for p in cell],
-                        witness_for, stats)
+    # its closed state every non-empty connected subset; a lookup reads
+    # the first root state that holds the pair
+    root = ChainMap(*run_dp(inst, nd, _ConnectedRules(), stats).values())
+    return build_report(inst, root, lambda p: vertex_set(root[p]), stats)

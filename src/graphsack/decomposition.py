@@ -8,10 +8,12 @@ positions.  Each edge is introduced exactly once, right above the first
 introduce-vertex node that adds one of its ends to a bag already holding
 the other, or above the first leaf when both ends are pinned.
 ``run_dp`` is the Pareto DP over these decompositions that both exact
-solvers share: each supplies only its state rules.  Every stored pair
-carries the vertex bitmask of the first partial solution that reached
-it, so the root cell holds its own witnesses and no child table
-outlives its parent.  A state keeps each block of bag vertices as an
+solvers share: it walks the nodes in id order, owns the pairs and each
+state's key (the union of its blocks), and each solver supplies only
+the rules for its solution vertices.  Every stored pair carries the
+vertex bitmask of the first partial solution that reached it, so the
+root cell holds its own witnesses and no child table outlives its
+parent.  A state keeps each block of bag vertices as an
 int bitmask (bit v = vertex v), and ``union_blocks`` merges two
 partitions of them.
 """
@@ -42,24 +44,12 @@ class DecompNode:
 
 @dataclass(frozen=True)
 class NiceDecomposition:
+    """A rooted nice decomposition.  ``nodes`` lists every child before
+    its parent and the root last, so a walk in id order is bottom-up."""
     nodes: tuple[DecompNode, ...]
     root: int
     pinned: frozenset[int]
     width: int
-
-    def postorder(self) -> list[int]:
-        """Node ids with every child before its parent."""
-        out: list[int] = []
-        stack: list[tuple[int, bool]] = [(self.root, False)]
-        while stack:
-            nid, expanded = stack.pop()
-            if expanded:
-                out.append(nid)
-            else:
-                stack.append((nid, True))
-                for c in self.nodes[nid].children:
-                    stack.append((c, False))
-        return out
 
     def to_doc(self) -> dict:
         nodes = []
@@ -109,56 +99,66 @@ def _copy(out: dict, dst_state, cell: dict) -> None:
         dst.setdefault(p, mask)
 
 
+def _key(state) -> int:
+    """The bitmask of the bag vertices in a state's partial solution: a
+    state's first entry is its sorted tuple of block masks, and the
+    blocks are disjoint, so their sum is their union."""
+    return sum(state[0])
+
+
 def run_dp(inst: Instance, nd: NiceDecomposition, rules, stats: dict) -> dict:
     """Fill a (weight, value) Pareto DP over ``nd`` bottom-up.
 
-    ``rules`` holds the states of one problem:
+    A state's first entry is its sorted tuple of block masks (bit v =
+    vertex v); their union, the state's key, is the set of bag vertices
+    in the partial solution.  ``rules`` holds the rest of one problem's
+    states:
 
-    - ``leaf() -> states``: the states of a leaf;
-    - ``introduce(state, u) -> (skip, take)``: the states with u left
-      out of and put into the partial solution; take is None when u may
-      not join it;
-    - ``forget(state, u) -> state | None``: the state once u leaves the
-      bag, or None to drop it;
-    - ``edge(state, u, v) -> states``: the states once edge uv is in;
-    - ``join_key(state)``: the bitmask (bit v = vertex v) of the bag
-      vertices in the partial solution, on which the children of a join
-      are paired;
-    - ``join(state1, state2)``: the merged state, or None.
+    - ``leaf() -> state``: the state of a leaf;
+    - ``introduce(state, u) -> state | None``: the state with u put into
+      the partial solution, or None when u may not join it; ``state``
+      itself stands for u left out;
+    - ``forget(state, u) -> state | None``: the state once u, a solution
+      vertex, leaves the bag, or None to drop it;
+    - ``edge(state, u, v) -> states``: the states once edge uv between
+      two solution vertices is in;
+    - ``join(state1, state2)``: the merged state of two states with the
+      same key, or None.
 
-    The driver owns the pairs: the whole leaf bag is in the partial
-    solution, taking u adds its weight and value, a join subtracts its
-    key's vertices counted on both sides, pairs over the budget are
-    dropped where they are made, and every cell of two or more pairs is
-    pruned to its frontier.  Each pair maps to the vertex bitmask of the
-    first partial solution that reached it: a leaf's bag, plus u when u
-    is taken, or the union of the two sides at a join.  Child tables are
-    dropped once their parent is filled.  It counts ``nodes_expanded``
-    and ``states_touched`` (pairs kept) in ``stats`` and returns the
-    root's ``{state: {pair: mask}}``.
+    The driver calls ``forget`` and ``edge`` only on vertices in the
+    key; a vertex or edge outside it leaves the state as it is.  The
+    driver owns the pairs: the whole leaf bag is in the partial
+    solution, taking u adds its weight and value, a join pairs the
+    states of its children on their keys and subtracts the key's
+    vertices counted on both sides, pairs over the budget are dropped
+    where they are made, and every cell of two or more pairs is pruned
+    to its frontier.  Each pair maps to the vertex bitmask of the first
+    partial solution that reached it: a leaf's bag, plus u when u is
+    taken, or the union of the two sides at a join.  Nodes are filled in
+    id order, and child tables are dropped once their parent is filled.
+    It counts ``nodes_expanded`` and ``states_touched`` (pairs kept) in
+    ``stats`` and returns the root's ``{state: {pair: mask}}``.
     """
     s = inst.s
     weight, value = inst.weight, inst.value
     tables: dict[int, dict] = {}
 
-    for nid in nd.postorder():
-        node = nd.nodes[nid]
+    for nid, node in enumerate(nd.nodes):
         stats["nodes_expanded"] += 1
         out: dict = {}
         if node.kind == LEAF:
             pair = (inst.total_weight(node.bag), inst.total_value(node.bag))
             if pair[0] <= s:
-                bag = sum(1 << v for v in node.bag)
-                out = {state: {pair: bag} for state in rules.leaf()}
+                out = {rules.leaf(): {pair: sum(1 << v for v in node.bag)}}
 
         elif node.kind == INTRODUCE_VERTEX:
             u = node.vertex
             wu, au, bit = weight[u], value[u], 1 << u
             for state, cell in tables.pop(node.children[0]).items():
-                skip, take = rules.introduce(state, u)
                 # skip before take: the order of the states in a table
                 # decides which of two equal pairs keeps its witness
-                _copy(out, skip, cell)
+                _copy(out, state, cell)
+                take = rules.introduce(state, u)
                 if take is None:
                     continue
                 shifted = {(w + wu, a + au): mask | bit
@@ -168,24 +168,26 @@ def run_dp(inst: Instance, nd: NiceDecomposition, rules, stats: dict) -> dict:
 
         elif node.kind == FORGET_VERTEX:
             for state, cell in tables.pop(node.children[0]).items():
-                new_state = rules.forget(state, node.vertex)
-                if new_state is not None:
-                    _copy(out, new_state, cell)
+                if _key(state) >> node.vertex & 1:
+                    state = rules.forget(state, node.vertex)
+                if state is not None:
+                    _copy(out, state, cell)
 
         elif node.kind == INTRODUCE_EDGE:
             u, v = node.edge
+            uv = 1 << u | 1 << v
             for state, cell in tables.pop(node.children[0]).items():
-                for new_state in rules.edge(state, u, v):
+                for new_state in (rules.edge(state, u, v)
+                                  if _key(state) & uv == uv else (state,)):
                     _copy(out, new_state, cell)
 
         elif node.kind == JOIN:
             c1, c2 = node.children
             by_key: dict[int, list] = {}
             for state, cell in tables.pop(c2).items():
-                by_key.setdefault(rules.join_key(state), []).append(
-                    (state, cell))
+                by_key.setdefault(_key(state), []).append((state, cell))
             for state1, cell1 in tables.pop(c1).items():
-                key = rules.join_key(state1)
+                key = _key(state1)
                 partners = by_key.get(key)
                 if not partners:
                     continue
@@ -264,44 +266,23 @@ def elimination_order_minfill(inst: Instance, seed: int = 0) -> tuple[int, ...]:
     return tuple(order)
 
 
-def _raw_bag_tree(inst: Instance, order: tuple[int, ...]):
-    """Bags from the elimination order, linked into a single rooted tree.
-
-    Returns (bags, children, root) indexed by elimination position.
-    """
-    n = inst.n
-    pos = {v: i for i, v in enumerate(order)}
-    adj = _adjacency_masks(inst)
-    bags: list[set[int]] = []
-    children: list[list[int]] = [[] for _ in range(n)]
-    for i, v in enumerate(order):
-        higher = [*_bits(_eliminate(adj, v))]
-        bags.append({v, *higher})
-        if higher:
-            children[min(pos[a] for a in higher)].append(i)
-        elif i + 1 < n:  # isolated remainder: chain onto the next bag
-            children[i + 1].append(i)
-    return bags, children, n - 1
-
-
 def build_nice_decomposition(inst: Instance, order: tuple[int, ...],
                              pinned: Iterable[int]) -> NiceDecomposition:
     """Turn an elimination order into a rooted nice edge decomposition
     whose root and leaf bags equal the pinned set.
 
-    A raw bag's parent comes later in the elimination order, so one pass
-    over the positions builds every child chain before its parent joins
-    them.  Each edge is introduced once, right above the first
-    introduce-vertex node that adds one of its ends to a bag already
-    holding the other; an edge between two pinned vertices goes right
-    above the first leaf."""
+    One pass over the positions: position i eliminates its vertex,
+    takes it and its remaining neighbours as its raw bag, joins the
+    chains up from its raw children, which all came earlier, and hangs
+    itself under its parent, the earliest later neighbour or else
+    position i + 1.  So ``nodes`` lists every child before its parent
+    and the root last.  Each edge is introduced once, right above the
+    first introduce-vertex node that adds one of its ends to a bag
+    already holding the other; an edge between two pinned vertices goes
+    right above the first leaf."""
     pinned = frozenset(pinned)
     if len(pinned) > 2:
         raise errors.PinnedTooLarge(f"pinned set {sorted(pinned)} too large")
-
-    if inst.n == 0:
-        node = DecompNode(LEAF, pinned, ())
-        return NiceDecomposition((node,), 0, pinned, len(pinned) - 1)
 
     nodes: list[DecompNode] = []
     todo = set(inst.edges)  # normalized edges not yet introduced
@@ -328,23 +309,33 @@ def build_nice_decomposition(inst: Instance, order: tuple[int, ...],
             nid = add_edges(nid, bag, v)
         return nid
 
-    raw_bags, raw_children, raw_root = _raw_bag_tree(inst, order)
-    bags = [frozenset(bag | pinned) for bag in raw_bags]
-    tops: list[int] = []
-    for i, bag in enumerate(bags):
-        if raw_children[i]:
-            kid_tops = [chain(tops[k], bags[k], bag) for k in raw_children[i]]
+    pos = {v: i for i, v in enumerate(order)}
+    adj = _adjacency_masks(inst)
+    children: list[list[int]] = [[] for _ in order]
+    tops: list[tuple[int, frozenset[int]]] = []  # (top node, bag)
+    for i, v in enumerate(order):
+        higher = [*_bits(_eliminate(adj, v))]
+        bag = frozenset({v, *higher} | pinned)
+        if children[i]:
+            kid_tops = [chain(*tops[k], bag) for k in children[i]]
         else:
             nid = add(DecompNode(LEAF, pinned, ()))
-            for v in sorted(pinned):
-                nid = add_edges(nid, pinned, v)
+            for u in sorted(pinned):
+                nid = add_edges(nid, pinned, u)
             kid_tops = [chain(nid, pinned, bag)]
         nid = kid_tops[0]
         for other in kid_tops[1:]:
             nid = add(DecompNode(JOIN, bag, (nid, other)))
-        tops.append(nid)
+        tops.append((nid, bag))
+        if higher:
+            children[min(pos[a] for a in higher)].append(i)
+        elif i + 1 < len(order):
+            # isolated remainder: chain onto the next bag
+            children[i + 1].append(i)
 
-    root = chain(tops[raw_root], bags[raw_root], pinned)
+    # a graph with no vertices is one leaf
+    root = (chain(*tops[-1], pinned) if tops
+            else add(DecompNode(LEAF, pinned, ())))
     width = max(len(node.bag) for node in nodes) - 1
     return NiceDecomposition(tuple(nodes), root, pinned, width)
 
@@ -445,6 +436,12 @@ def validate_nice_decomposition(inst: Instance,
     if nd.width != actual_width:
         raise errors.BadNodeArity(
             f"recorded width {nd.width} != actual {actual_width}")
+
+    # run_dp fills the nodes in id order
+    if (nd.root != len(nodes) - 1 or len(seen) != len(nodes)
+            or any(c >= nid for nid in seen for c in nodes[nid].children)):
+        raise errors.BadNodeArity(
+            "nodes are not listed children first and root last")
     return True
 
 

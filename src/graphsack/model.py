@@ -344,51 +344,59 @@ _REQUIRED_FIELDS = {"version", "variant", "n", "weights", "values", "edges", "s"
 _OPTIONAL_FIELDS = {"d", "x", "y"}
 
 
-def instance_from_json(text: str) -> Instance:
+def is_int_list(seq) -> bool:
+    """Whether ``seq`` is a JSON list of integers; bools are not
+    integers here."""
+    return type(seq) is list and all(type(v) is int for v in seq)
+
+
+def json_object(text: str, required: set[str],
+                optional: set[str] = frozenset()) -> dict:
+    """``text`` parsed as a JSON object with every ``required`` field and
+    no field outside ``required`` and ``optional``; BadInstanceJson
+    otherwise."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise errors.BadInstanceJson(str(exc)) from exc
     if not isinstance(doc, dict):
-        raise errors.BadInstanceJson("instance document must be an object")
-    unknown = set(doc) - _REQUIRED_FIELDS - _OPTIONAL_FIELDS
+        raise errors.BadInstanceJson("document must be a JSON object")
+    unknown = set(doc) - required - optional
     if unknown:
         raise errors.BadInstanceJson(f"unknown fields: {sorted(unknown)}")
-    missing = _REQUIRED_FIELDS - set(doc)
+    missing = required - set(doc)
     if missing:
         raise errors.BadInstanceJson(f"missing fields: {sorted(missing)}")
-    if doc["version"] != 1:
-        raise errors.BadInstanceJson(f"unsupported version {doc['version']}")
+    return doc
+
+
+def instance_from_json(text: str) -> Instance:
+    doc = json_object(text, _REQUIRED_FIELDS, _OPTIONAL_FIELDS)
     try:
         variant = Variant(doc["variant"])
     except ValueError as exc:
         raise errors.BadInstanceJson(str(exc)) from exc
-
-    def ints(seq) -> bool:  # bools are not ints here
-        return type(seq) is list and all(type(v) is int for v in seq)
-
-    scalars = [doc["n"], doc["s"]] + [doc[key] for key in _OPTIONAL_FIELDS
-                                      if doc.get(key) is not None]
-    if not (ints(scalars) and ints(doc["weights"]) and ints(doc["values"])
-            and type(doc["edges"]) is list and all(map(ints, doc["edges"]))):
-        raise errors.BadInstanceJson("n, s, d, x, y, weights, values and "
-                                     "edge entries must be integers")
-    edges = []
-    costs = []
-    for e in doc["edges"]:
-        if len(e) == 2:
-            edges.append((e[0], e[1]))
-            costs.append(1)
-        elif len(e) == 3:
-            edges.append((e[0], e[1]))
-            costs.append(e[2])
-        else:
-            raise errors.BadInstanceJson(f"bad edge entry {e}")
+    edges = doc["edges"]
+    scalars = [doc["version"], doc["n"], doc["s"]] + [
+        doc[key] for key in _OPTIONAL_FIELDS if doc.get(key) is not None]
+    if not (is_int_list(scalars) and is_int_list(doc["weights"])
+            and is_int_list(doc["values"]) and type(edges) is list
+            and all(is_int_list(e) and len(e) in (2, 3) for e in edges)):
+        raise errors.BadInstanceJson(
+            "version, n, s, d, x, y, weights and values must be integers, "
+            "and each edge [u, v] or [u, v, cost] in integers")
+    if doc["version"] != 1:
+        raise errors.BadInstanceJson(f"unsupported version {doc['version']}")
+    # a cost on any edge goes through, for validate_instance to refuse
+    # on a variant without edge costs
+    costed = variant is Variant.SHORTEST_PATH or any(
+        len(e) == 3 for e in edges)
     inst = Instance(
-        variant=variant, n=doc["n"], edges=tuple(edges),
+        variant=variant, n=doc["n"], edges=tuple((e[0], e[1]) for e in edges),
         weight=tuple(doc["weights"]), value=tuple(doc["values"]),
         s=doc["s"], d=doc.get("d"), x=doc.get("x"), y=doc.get("y"),
-        edge_cost=tuple(costs) if variant is Variant.SHORTEST_PATH else None)
+        edge_cost=tuple(e[2] if len(e) == 3 else 1 for e in edges)
+        if costed else None)
     return validate_instance(inst)
 
 

@@ -5,7 +5,9 @@ trees, a randomized color-coding search whose one run with k colors
 finds x-y paths of every length up to k, and an exact segment-state
 DP over a nice edge tree decomposition pinned at both terminals.  The
 segment states are vertex bitmasks: the path blocks of the bag and
-the bag vertices at solution degree 1 and 2.
+the bag vertices at solution degree 1 and 2.  ``decomposition.run_dp``
+derives each state's key from its blocks and calls the segment rules
+only for solution vertices and edges between them.
 """
 from __future__ import annotations
 
@@ -186,7 +188,7 @@ class _PathRules:
 
     def leaf(self):
         # every bag of the decomposition is pinned at both terminals
-        return [(tuple(1 << v for v in self.ends), 0, 0)]
+        return tuple(1 << v for v in self.ends), 0, 0
 
     def accept(self):
         """The root state of one x-y path."""
@@ -195,19 +197,15 @@ class _PathRules:
     @staticmethod
     def introduce(state, u):
         blocks, one, two = state
-        return state, (tuple(sorted(blocks + (1 << u,))), one, two)
+        return tuple(sorted(blocks + (1 << u,))), one, two
 
     @staticmethod
     def forget(state, u):
         blocks, one, two = state
         bit = 1 << u
-        block = next((b for b in blocks if b & bit), 0)
-        if not block:
-            return state
         if not two & bit:
             return None  # an open segment end left the bag
-        if block == bit:
-            return None  # component lost its last bag vertex
+        # u lies inside its segment, whose two ends are still in the bag
         return tuple(sorted(b & ~bit for b in blocks)), one, two & ~bit
 
     def edge(self, state, u, v):
@@ -217,12 +215,8 @@ class _PathRules:
             return [state]  # an endpoint is at its degree limit
         merged = union_blocks(blocks, (uv,))
         if len(merged) == len(blocks):
-            return [state]  # an endpoint is out, or closing a cycle
+            return [state]  # closing a cycle
         return [state, (merged, one ^ uv, two | one & uv)]
-
-    @staticmethod
-    def join_key(state):
-        return sum(state[0])  # the blocks are disjoint: sum is union
 
     def join(self, state1, state2):
         (blocks1, one1, two1), (blocks2, one2, two2) = state1, state2

@@ -71,9 +71,10 @@ class TestSolve:
 
     @pytest.mark.parametrize("field, bad", [
         ("n", "3"), ("edges", [5]), ("weights", None),
-        ("weights", [1.5, 1]), ("y", True)],
+        ("weights", [1.5, 1]), ("y", True), ("version", True),
+        ("version", 1.0), ("edges", [[0, 1, 5]])],
         ids=["n-string", "edge-int", "weights-null", "weight-float",
-             "y-bool"])
+             "y-bool", "version-bool", "version-float", "edge-cost-path"])
     def test_malformed_field_type_exit_two(self, capsys, tmp_path, field,
                                            bad):
         doc = {"version": 1, "variant": "path", "n": 2, "edges": [[0, 1]],
@@ -202,6 +203,31 @@ class TestGenerate:
         side = json.loads((tmp_path / "gadget.json.provenance.json")
                           .read_text())
         assert side["reduction"] == "knapsack_to_path_gadget"
+
+    @pytest.mark.parametrize("reduction, flag, doc", [
+        ("vc", "--source-graph", {}),
+        ("vc", "--source-graph", [1]),
+        ("vc", "--source-graph", {"n": 3, "edges": [[0, 1, 2]]}),
+        ("vc", "--source-graph", {"n": 3, "edges": [[0, 5]]}),
+        ("star", "--items", {}),
+        ("star", "--items", {"sizes": ["a"], "profits": [1],
+                             "capacity": 2, "target": 1}),
+        ("ladder", "--items", {"sizes": [1.5], "profits": [1],
+                               "capacity": 2, "target": 1}),
+        ("star", "--items", {"sizes": [1], "profits": [1],
+                             "capacity": True, "target": 1}),
+        ("ladder", "--items", {"sizes": [1, 2], "profits": [1],
+                               "capacity": 2, "target": 1})],
+        ids=["graph-empty", "graph-list", "edge-triple", "edge-range",
+             "items-empty", "size-string", "size-float", "capacity-bool",
+             "length-mismatch"])
+    def test_bad_reduction_input_exit_two(self, capsys, tmp_path,
+                                          reduction, flag, doc):
+        src = tmp_path / "src.json"
+        src.write_text(json.dumps(doc))
+        code, out = run(capsys, "generate", "--reduction", reduction, flag,
+                        str(src), "--k", "1")
+        assert code == 2 and out == ""
 
     def test_vc_reduction(self, capsys, tmp_path):
         src = tmp_path / "g.json"

@@ -165,6 +165,10 @@ class TestValidate:
             pinned = rng.sample(range(inst.n), seed // 3 % 3)
             nd = build_nice_decomposition(inst, tuple(order), pinned)
             assert validate_nice_decomposition(inst, nd)
+            # run_dp fills the nodes in id order
+            assert nd.root == len(nd.nodes) - 1
+            assert all(c < nid for nid, node in enumerate(nd.nodes)
+                       for c in node.children)
 
     def _mutate(self, nd, drop=None, duplicate=None):
         nodes = list(nd.nodes)
@@ -232,6 +236,16 @@ class TestValidate:
                  DecompNode(FORGET_VERTEX, frozenset(), (1,), vertex=0))
         nd = NiceDecomposition(nodes, 2, frozenset(), 0)
         with pytest.raises(errors.BrokenSubtreeConnectivity):
+            validate_nice_decomposition(inst, nd)
+
+    def test_child_after_parent_caught(self):
+        # valid but for the introduce node 0, whose child is node 1
+        inst = graph(1, ())
+        nodes = (DecompNode(INTRODUCE_VERTEX, frozenset({0}), (1,), vertex=0),
+                 DecompNode(LEAF, frozenset(), ()),
+                 DecompNode(FORGET_VERTEX, frozenset(), (0,), vertex=0))
+        nd = NiceDecomposition(nodes, 2, frozenset(), 0)
+        with pytest.raises(errors.BadNodeArity):
             validate_nice_decomposition(inst, nd)
 
     def test_wrong_root_bag_caught(self):

@@ -69,31 +69,28 @@ def insert(front, pair):
 
 
 class _SubsetRules:
-    """``run_dp`` states: the bitmask of bag vertices taken; any set goes."""
+    """``run_dp`` states ``((mask,),)``: one block, the bitmask of the bag
+    vertices taken; any set goes."""
 
     @staticmethod
     def leaf():
-        return [0]
+        return ((0,),)
 
     @staticmethod
     def introduce(state, u):
-        return state, state | 1 << u
+        return ((state[0][0] | 1 << u,),)
 
     @staticmethod
     def forget(state, u):
-        return state & ~(1 << u)
+        return ((state[0][0] & ~(1 << u),),)
 
     @staticmethod
     def edge(state, u, v):
         return (state,)
 
     @staticmethod
-    def join_key(state):
-        return state
-
-    @staticmethod
     def join(state1, state2):
-        return state1 | state2
+        return ((state1[0][0] | state2[0][0],),)
 
 
 def join_frontiers(weight, value, s, side1, side2, shared=()):
@@ -137,17 +134,17 @@ class TestParetoOps:
     def test_join_shared_bag(self):
         # vertex 0 is taken on both sides but counted once
         out = join_frontiers((2,), (3,), 10, (), (), shared=(0,))
-        assert out == {0: ((0, 0),), 1: ((2, 3),)}
+        assert out == {((0,),): ((0, 0),), ((1,),): ((2, 3),)}
 
     def test_join_neutral(self):
         # the empty side holds only (0, 0): the join is the other side
         out = join_frontiers((4,), (7,), 10, (), (0,))
-        assert out == {0: ((0, 0), (4, 7))}
+        assert out == {((0,),): ((0, 0), (4, 7))}
 
     def test_join_cap(self):
         # sides ((0,0),(1,1),(2,5)) and ((0,0),(1,2)); (3,7) is over s=2
         out = join_frontiers((1, 2, 1), (1, 5, 2), 2, (0, 1), (2,))
-        assert out == {0: ((0, 0), (1, 2), (2, 5))}
+        assert out == {((0,),): ((0, 0), (1, 2), (2, 5))}
 
     def test_no_solver_prunes_a_pair_over_budget(self, monkeypatch):
         # every solver drops a pair over s where it makes it, so
