@@ -1,8 +1,9 @@
 """Command-line front end: solve, generate, verify, decompose.
 
-stdout carries machine-readable JSON only; diagnostics go to stderr
-via logging (level picked by the GK_LOG environment variable).  Exit
-codes: 0 solved/feasible, 1 infeasible, 2 usage or validation error.
+stdout carries machine-readable JSON only.  An error is one ``error:``
+line on stderr; progress goes to stderr via logging (level picked by
+the GK_LOG environment variable).  Exit codes: 0 solved/feasible, 1
+infeasible, 2 usage or validation error.
 """
 from __future__ import annotations
 
@@ -311,9 +312,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (errors.GraphsackError, OSError, json.JSONDecodeError,
-            ValueError) as exc:
-        log.error("%s", exc)
+    except (errors.GraphsackError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

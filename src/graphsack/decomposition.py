@@ -31,6 +31,8 @@ INTRODUCE_VERTEX = "introduce_vertex"
 INTRODUCE_EDGE = "introduce_edge"
 FORGET_VERTEX = "forget_vertex"
 JOIN = "join"
+_ARITY = {LEAF: 0, INTRODUCE_VERTEX: 1, FORGET_VERTEX: 1,
+          INTRODUCE_EDGE: 1, JOIN: 2}
 
 
 @dataclass(frozen=True)
@@ -344,104 +346,74 @@ def validate_nice_decomposition(inst: Instance,
                                 nd: NiceDecomposition) -> bool:
     """Check every structural invariant against the instance.
 
-    Raises a ValidationError subclass on the first violation.
+    One pass in id order checks each node against ``_ARITY`` and against
+    the bag of the node below it (a leaf's is the pinned set), requires
+    every child id to come before its parent's, and counts parents, edge
+    introductions and forgets.  Then the root must be the last node and
+    every other node must have exactly one parent: parent links only
+    climb in id order, so the nodes form one tree under the last.  The
+    root bag, edge counts, forget counts and width follow.  Raises a
+    ValidationError subclass on the first violation.
     """
-    nodes = nd.nodes
-    if not (0 <= nd.root < len(nodes)):
-        raise errors.BadNodeArity("root id out of range")
-
-    seen = set()
-    stack = [nd.root]
-    while stack:
-        nid = stack.pop()
-        if nid in seen:
-            raise errors.BadNodeArity(f"node {nid} reached twice")
-        seen.add(nid)
-        for c in nodes[nid].children:
-            if not (0 <= c < len(nodes)):
-                raise errors.BadNodeArity(f"child id {c} out of range")
-            stack.append(c)
-
-    for nid in seen:
-        node = nodes[nid]
-        kids = node.children
-        if node.kind == LEAF:
-            if kids:
-                raise errors.BadNodeArity(f"leaf {nid} has children")
-            if node.bag != nd.pinned:
-                raise errors.BadNodeArity(f"leaf {nid} bag is not the pinned set")
-        elif node.kind == JOIN:
-            if len(kids) != 2:
-                raise errors.BadNodeArity(f"join {nid} needs two children")
-            if any(nodes[c].bag != node.bag for c in kids):
-                raise errors.BadNodeArity(f"join {nid} children bags differ")
-        elif node.kind == INTRODUCE_VERTEX:
-            if len(kids) != 1 or node.vertex is None:
-                raise errors.BadNodeArity(f"bad introduce node {nid}")
-            child = nodes[kids[0]]
-            if node.bag != child.bag | {node.vertex} or node.vertex in child.bag:
-                raise errors.BadNodeArity(f"introduce {nid} bag mismatch")
-        elif node.kind == FORGET_VERTEX:
-            if len(kids) != 1 or node.vertex is None:
-                raise errors.BadNodeArity(f"bad forget node {nid}")
-            child = nodes[kids[0]]
-            if node.bag != child.bag - {node.vertex} or node.vertex not in child.bag:
-                raise errors.BadNodeArity(f"forget {nid} bag mismatch")
-        elif node.kind == INTRODUCE_EDGE:
-            if len(kids) != 1 or node.edge is None:
-                raise errors.BadNodeArity(f"bad introduce-edge node {nid}")
-            child = nodes[kids[0]]
-            if node.bag != child.bag:
-                raise errors.BadNodeArity(f"introduce-edge {nid} bag mismatch")
-            u, v = node.edge
-            if u not in node.bag or v not in node.bag:
+    nodes, pinned = nd.nodes, nd.pinned
+    parents = [0] * len(nodes)
+    edges = dict.fromkeys(inst.edges, 0)
+    forgets = {v: 0 for v in range(inst.n) if v not in pinned}
+    for nid, node in enumerate(nodes):
+        kind, kids, bag, v = node.kind, node.children, node.bag, node.vertex
+        if _ARITY.get(kind) != len(kids):
+            raise errors.BadNodeArity(
+                f"node {nid} of kind {kind!r} has {len(kids)} children")
+        for c in kids:
+            if not 0 <= c < nid:
                 raise errors.BadNodeArity(
-                    f"introduce-edge {nid} endpoints missing from bag")
+                    f"child {c} of node {nid} is not listed before it")
+            parents[c] += 1
+        below = nodes[kids[-1]].bag if kids else pinned
+        if kind == INTRODUCE_VERTEX:
+            ok = v is not None and v not in below and bag == below | {v}
+        elif kind == FORGET_VERTEX:
+            ok = v in below and bag == below - {v}
+            if v in forgets:
+                forgets[v] += 1
         else:
-            raise errors.BadNodeArity(f"unknown kind {node.kind!r}")
-        if not nd.pinned <= node.bag:
+            ok = bag == below and (kind != JOIN or nodes[kids[0]].bag == bag)
+        if not ok:
+            raise errors.BadNodeArity(f"{kind} node {nid} bag mismatch")
+        if kind == INTRODUCE_EDGE:
+            e = node.edge
+            key = (min(e), max(e)) if e else None
+            if key not in edges or not bag.issuperset(e):
+                raise errors.BadNodeArity(
+                    f"introduce-edge {nid}: {e} is not a graph edge in its bag")
+            edges[key] += 1
+        if not pinned <= bag:
             raise errors.RootNotPinnedBag(
                 f"pinned vertices missing from bag of node {nid}")
 
-    if nodes[nd.root].bag != nd.pinned:
+    # children come first, so the last node is nobody's child
+    if (not nodes or nd.root != len(nodes) - 1
+            or parents.count(1) != len(nodes) - 1):
+        raise errors.BadNodeArity(
+            "nodes are not one tree listed children first and root last")
+    if nodes[-1].bag != pinned:
         raise errors.RootNotPinnedBag("root bag is not the pinned set")
-
-    counts: dict[tuple[int, int], int] = {e: 0 for e in inst.edges}
-    for nid in seen:
-        node = nodes[nid]
-        if node.kind == INTRODUCE_EDGE:
-            key = (min(node.edge), max(node.edge))
-            if key not in counts:
-                raise errors.BadNodeArity(f"edge {key} is not a graph edge")
-            counts[key] += 1
-    for e, c in counts.items():
+    for e, c in edges.items():
         if c == 0:
             raise errors.EdgeNeverIntroduced(f"edge {e} never introduced")
         if c > 1:
             raise errors.EdgeIntroducedTwice(f"edge {e} introduced {c} times")
-
     # Given the node rules above, each maximal run of bags holding an
     # unpinned vertex has a forget node right above its top, as the root
     # bag is the pinned set: one forget node means one connected run.
-    forgets = {v: 0 for v in range(inst.n) if v not in nd.pinned}
-    for nid in seen:
-        if nodes[nid].kind == FORGET_VERTEX and nodes[nid].vertex in forgets:
-            forgets[nodes[nid].vertex] += 1
     for v, c in forgets.items():
         if c != 1:
             raise errors.BrokenSubtreeConnectivity(
                 f"bags containing vertex {v} form {c} subtrees")
-
-    actual_width = max(len(nodes[nid].bag) for nid in seen) - 1
+    actual_width = max(len(node.bag) for node in nodes) - 1
     if nd.width != actual_width:
         raise errors.BadNodeArity(
             f"recorded width {nd.width} != actual {actual_width}")
-
-    # run_dp fills the nodes in id order
-    if (nd.root != len(nodes) - 1 or len(seen) != len(nodes)
-            or any(c >= nid for nid in seen for c in nodes[nid].children)):
-        raise errors.BadNodeArity(
-            "nodes are not listed children first and root last")
     return True
 
 

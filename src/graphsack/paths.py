@@ -36,7 +36,7 @@ def solve_path_tree(inst: Instance) -> SolveReport:
     _require_path_variant(inst)
     adj = inst.adjacency()
     parent: dict[int, Optional[int]] = {}
-    for start in range(inst.n):
+    for start in (inst.x, *range(inst.n)):
         if start in parent:
             continue
         parent[start] = None
@@ -51,21 +51,12 @@ def solve_path_tree(inst: Instance) -> SolveReport:
                 parent[v] = u
                 stack.append((v, u))
 
-    # climb to the root from both terminals and splice at the meeting point
-    def root_chain(v):
-        chain = [v]
-        while parent[chain[-1]] is not None:
-            chain.append(parent[chain[-1]])
-        return chain
-
-    cx = root_chain(inst.x)
-    cy = root_chain(inst.y)
-    if cx[-1] != cy[-1]:
-        path = []  # x and y lie in different trees: there is no x-y path
-    else:
-        sy = set(cy)
-        meet = next(v for v in cx if v in sy)
-        path = cx[:cx.index(meet) + 1] + list(reversed(cy[:cy.index(meet)]))
+    # the walk starts at x, so y's parents lead back to x unless y lies
+    # in another tree, where there is no x-y path
+    path = [inst.y]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    path = path[::-1] if path[-1] == inst.x else []
 
     w = inst.total_weight(path)
     stats = {"nodes_expanded": len(path), "states_touched": 1 if path else 0}

@@ -1,5 +1,6 @@
-"""Shared helpers: seeded instance streams and brute-force solvers for
-the reduction source problems (kept independent of the library)."""
+"""Shared helpers: seeded instance streams, a decomposition mutation,
+and brute-force solvers for the reduction source problems (kept
+independent of the library)."""
 from __future__ import annotations
 
 import itertools
@@ -8,6 +9,7 @@ import random
 import pytest
 
 from graphsack import Variant
+from graphsack.decomposition import DecompNode, NiceDecomposition
 from graphsack.generators import random_instance
 from graphsack.reductions import KnapsackItems, SourceGraph
 
@@ -34,6 +36,32 @@ def random_items(rng: random.Random, n: int) -> KnapsackItems:
     return KnapsackItems(tuple(rng.randint(0, 6) for _ in range(n)),
                          tuple(rng.randint(0, 6) for _ in range(n)),
                          rng.randint(0, 12), rng.randint(0, 15))
+
+
+def reroute(nd: NiceDecomposition, drop: int | None = None,
+            duplicate: int | None = None) -> NiceDecomposition:
+    """Delete introduce-edge node ``drop``, its parent adopting its child,
+    or insert a copy of node ``duplicate`` right above it, and renumber.
+    The nodes stay one tree listed children first, so the result breaks
+    only the edge invariant."""
+    nodes = list(nd.nodes)
+    if drop is not None:
+        below = nodes.pop(drop).children[0]
+
+        def new_id(c):
+            return below if c == drop else c - (c > drop)
+    else:
+        def new_id(c):
+            return c + (c >= duplicate)  # the parent now holds the copy
+    nodes = [DecompNode(node.kind, node.bag, tuple(map(new_id, node.children)),
+                        node.vertex, node.edge) for node in nodes]
+    if drop is None:
+        node = nd.nodes[duplicate]
+        nodes.insert(duplicate + 1, DecompNode(node.kind, node.bag,
+                                               (duplicate,), node.vertex,
+                                               node.edge))
+    return NiceDecomposition(tuple(nodes), new_id(nd.root), nd.pinned,
+                             nd.width)
 
 
 # ---------------------------------------------------------------------

@@ -26,7 +26,7 @@ from graphsack import (Instance, Variant, build_nice_decomposition,
                        validate_nice_decomposition, verify_solution)
 from graphsack.paths import default_trials
 from graphsack import errors
-from graphsack.decomposition import INTRODUCE_EDGE, DecompNode, NiceDecomposition
+from graphsack.decomposition import INTRODUCE_EDGE
 from graphsack.generators import random_instance
 from graphsack.model import _reference_distances, instance_to_json
 from graphsack.reductions import (reduce_hamiltonian_to_path,
@@ -36,7 +36,8 @@ from graphsack.reductions import (reduce_hamiltonian_to_path,
                                   reduce_vertex_cover_to_connected)
 from conftest import (hamiltonian_path_exists, instance_stream,
                       knapsack_exists, partial_vertex_cover_exists,
-                      random_items, random_source_graph, vertex_cover_exists)
+                      random_items, random_source_graph, reroute,
+                      vertex_cover_exists)
 
 
 def test_connected_oracle_equivalence_300():
@@ -211,33 +212,6 @@ def test_color_coding_success_rate():
         assert hits >= 95, (k, idx, hits)
 
 
-def _reroute(nd, drop=None, duplicate=None):
-    nodes = list(nd.nodes)
-    if drop is not None:
-        child = nodes[drop].children[0]
-        for i, node in enumerate(nodes):
-            if drop in node.children:
-                nodes[i] = DecompNode(node.kind, node.bag,
-                                      tuple(child if c == drop else c
-                                            for c in node.children),
-                                      node.vertex, node.edge)
-        root = child if nd.root == drop else nd.root
-    else:
-        node = nodes[duplicate]
-        nodes.append(DecompNode(node.kind, node.bag, (duplicate,),
-                                node.vertex, node.edge))
-        extra = len(nodes) - 1
-        for i, parent in enumerate(nodes[:-1]):
-            if duplicate in parent.children and i != extra:
-                nodes[i] = DecompNode(parent.kind, parent.bag,
-                                      tuple(extra if c == duplicate else c
-                                            for c in parent.children),
-                                      parent.vertex, parent.edge)
-                break
-        root = nd.root
-    return NiceDecomposition(tuple(nodes), root, nd.pinned, nd.width)
-
-
 def test_decomposition_validity_500_and_mutations():
     kinds = ("tree", "gnp", "grid", "gnp")
     mutation_checked = 0
@@ -255,11 +229,11 @@ def test_decomposition_validity_500_and_mutations():
         target = edge_nodes[seed % len(edge_nodes)]
         caught = 0
         try:
-            validate_nice_decomposition(inst, _reroute(nd, drop=target))
+            validate_nice_decomposition(inst, reroute(nd, drop=target))
         except errors.GraphsackError:
             caught += 1
         try:
-            validate_nice_decomposition(inst, _reroute(nd, duplicate=target))
+            validate_nice_decomposition(inst, reroute(nd, duplicate=target))
         except errors.GraphsackError:
             caught += 1
         assert caught == 2, (inst, target)

@@ -1,9 +1,13 @@
 """CLI: exit-code contract, determinism, engine dispatch."""
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import graphsack
 from graphsack.cli import main
 from graphsack.model import instance_to_json
 from graphsack.generators import random_instance
@@ -68,6 +72,19 @@ class TestSolve:
         bad.write_text("{not json")
         code, _ = run(capsys, "solve", "--input", str(bad))
         assert code == 2
+
+    def test_error_printed_once(self, tmp_path):
+        # a child process, so its logging writes to the stderr captured here
+        empty = tmp_path / "empty.json"
+        empty.write_text("{}")
+        src_dir = str(Path(graphsack.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src_dir)
+        proc = subprocess.run([sys.executable, "-m", "graphsack.cli", "solve",
+                               "--input", str(empty)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error: missing fields")
+        assert proc.stderr.count("\n") == 1, proc.stderr
 
     @pytest.mark.parametrize("field, bad", [
         ("n", "3"), ("edges", [5]), ("weights", None),

@@ -18,6 +18,8 @@ from graphsack.decomposition import (FORGET_VERTEX, INTRODUCE_EDGE,
 from graphsack.paths import _PathRules
 from graphsack.generators import random_instance
 
+from conftest import reroute
+
 
 def graph(n, edges):
     return validate_instance(Instance(
@@ -170,38 +172,12 @@ class TestValidate:
             assert all(c < nid for nid, node in enumerate(nd.nodes)
                        for c in node.children)
 
-    def _mutate(self, nd, drop=None, duplicate=None):
-        nodes = list(nd.nodes)
-        if drop is not None:
-            child = nodes[drop].children[0]
-            for i, node in enumerate(nodes):
-                if drop in node.children:
-                    nodes[i] = DecompNode(node.kind, node.bag,
-                                          tuple(child if c == drop else c
-                                                for c in node.children),
-                                          node.vertex, node.edge)
-            root = child if nd.root == drop else nd.root
-        else:
-            node = nodes[duplicate]
-            nodes.append(DecompNode(node.kind, node.bag, (duplicate,),
-                                    node.vertex, node.edge))
-            extra = len(nodes) - 1
-            for i, parent in enumerate(nodes[:-1]):
-                if duplicate in parent.children and i != extra:
-                    nodes[i] = DecompNode(parent.kind, parent.bag,
-                                          tuple(extra if c == duplicate else c
-                                                for c in parent.children),
-                                          parent.vertex, parent.edge)
-                    break
-            root = nd.root
-        return NiceDecomposition(tuple(nodes), root, nd.pinned, nd.width)
-
     def test_dropped_introduce_edge_caught(self):
         inst = random_instance(Variant.CONNECTED, "gnp", 8, 21, p=0.5)
         nd = decompose(inst)
         target = next(i for i, node in enumerate(nd.nodes)
                       if node.kind == INTRODUCE_EDGE)
-        mutated = self._mutate(nd, drop=target)
+        mutated = reroute(nd, drop=target)
         with pytest.raises(errors.EdgeNeverIntroduced):
             validate_nice_decomposition(inst, mutated)
 
@@ -210,7 +186,7 @@ class TestValidate:
         nd = decompose(inst)
         target = next(i for i, node in enumerate(nd.nodes)
                       if node.kind == INTRODUCE_EDGE)
-        mutated = self._mutate(nd, duplicate=target)
+        mutated = reroute(nd, duplicate=target)
         with pytest.raises(errors.EdgeIntroducedTwice):
             validate_nice_decomposition(inst, mutated)
 
@@ -247,6 +223,25 @@ class TestValidate:
         nd = NiceDecomposition(nodes, 2, frozenset(), 0)
         with pytest.raises(errors.BadNodeArity):
             validate_nice_decomposition(inst, nd)
+
+    @pytest.mark.parametrize("shape", [
+        [(LEAF, (), ()), (LEAF, (), ()), (INTRODUCE_VERTEX, {0}, (1,)),
+         (FORGET_VERTEX, (), (2,))],
+        [(LEAF, (), ()), (INTRODUCE_VERTEX, {0}, (0,)), (JOIN, {0}, (1, 1)),
+         (FORGET_VERTEX, (), (2,))],
+        [],
+        [(LEAF, (), ()), ("bogus", {0}, (0,)), (FORGET_VERTEX, (), (1,))],
+        [(LEAF, (), ()), (JOIN, (), (0,)), (INTRODUCE_VERTEX, {0}, (1,)),
+         (FORGET_VERTEX, (), (2,))]],
+        ids=["orphan", "two-parents", "empty", "unknown-kind",
+             "join-one-child"])
+    def test_bad_shape_caught(self, shape):
+        # valid on the one-vertex graph but for the named fault
+        nodes = tuple(DecompNode(kind, frozenset(bag), kids, vertex=0)
+                      for kind, bag, kids in shape)
+        nd = NiceDecomposition(nodes, len(nodes) - 1, frozenset(), 0)
+        with pytest.raises(errors.BadNodeArity):
+            validate_nice_decomposition(graph(1, ()), nd)
 
     def test_wrong_root_bag_caught(self):
         inst = graph(3, ((0, 1), (1, 2)))

@@ -42,6 +42,12 @@ class TestTreeSolver:
         with pytest.raises(errors.NotATree):
             solve_path_tree(inst)
 
+    def test_cycle_away_from_terminals_detected(self):
+        inst = make(5, ((0, 1), (2, 3), (3, 4), (2, 4)), (0,) * 5, (0,) * 5,
+                    0, x=0, y=1)
+        with pytest.raises(errors.NotATree):
+            solve_path_tree(inst)
+
     def test_disconnected_terminals(self):
         inst = make(4, ((0, 1), (2, 3)), (0,) * 4, (0,) * 4, 0, x=0, y=3)
         report = solve_path_tree(inst)
