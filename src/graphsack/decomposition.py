@@ -1,12 +1,13 @@
 """Rooted nice edge tree decompositions with a pinned vertex set.
 
 The width heuristic is greedy min-fill; DP correctness downstream is
-width-agnostic, so no attempt is made at exact treewidth.  Pinning is
-implemented by adding the pinned vertices to every bag, which inflates
-the width by at most |pinned|.  The build is one loop over elimination
-positions.  Each edge is introduced exactly once, right above the first
-introduce-vertex node that adds one of its ends to a bag already holding
-the other, or above the first leaf when both ends are pinned.
+width-agnostic, so no attempt is made at exact treewidth.  The pinned
+vertices sit in every bag, so the order is min-fill on G - pinned with
+the pins last, and the width is at most that order's width plus
+|pinned|.  The build is one loop over elimination positions.  Each edge
+is introduced exactly once, right above the first introduce-vertex node
+that adds one of its ends to a bag already holding the other, or above
+the first leaf when both ends are pinned.
 ``run_dp`` is the Pareto DP over these decompositions that both exact
 solvers share: it walks the nodes in id order, owns the pairs and each
 state's key (the union of its blocks), and each solver supplies only
@@ -231,17 +232,24 @@ def _eliminate(adj: list[int], v: int) -> int:
     return nbrs
 
 
-def elimination_order_minfill(inst: Instance, seed: int = 0) -> tuple[int, ...]:
-    """Greedy min-fill elimination order.
+def elimination_order_minfill(inst: Instance, seed: int = 0,
+                              pinned: Iterable[int] = ()) -> tuple[int, ...]:
+    """Greedy min-fill elimination order of G - pinned, followed by the
+    sorted pinned vertices.
 
-    Ties break on lowest vertex id.  A nonzero seed shuffles the scan
-    order among exact ties instead, which is still deterministic for a
-    fixed seed.  Each remaining vertex keeps its fill score.  Eliminating
-    v changes the neighbourhoods of N(v) only, but its clique edges lie
-    inside N(v) and so also change the fill of their neighbours: the
-    scores of N(v) and N(N(v)) are recomputed, no others.
+    The pinned vertices sit in every bag anyway, so the order ignores
+    their edges and eliminates them last: no fill passes through them.
+    With no pins this is plain min-fill on G.  Ties break on lowest
+    vertex id.  A nonzero seed shuffles the scan order among exact ties
+    instead, which is still deterministic for a fixed seed.  Each
+    remaining vertex keeps its fill score.  Eliminating v changes the
+    neighbourhoods of N(v) only, but its clique edges lie inside N(v)
+    and so also change the fill of their neighbours: the scores of N(v)
+    and N(N(v)) are recomputed, no others.
     """
-    adj = _adjacency_masks(inst)
+    pinned = sorted(set(pinned))
+    pins = sum(1 << v for v in pinned)
+    adj = [nbrs & ~pins for nbrs in _adjacency_masks(inst)]
 
     def fill(u: int) -> int:
         nbrs = adj[u]
@@ -251,7 +259,7 @@ def elimination_order_minfill(inst: Instance, seed: int = 0) -> tuple[int, ...]:
 
     rng = random.Random(seed) if seed else None
     score = [fill(u) for u in range(inst.n)]
-    remaining = set(range(inst.n))
+    remaining = set(range(inst.n)).difference(pinned)
     order: list[int] = []
     while remaining:
         scan = sorted(remaining)
@@ -265,7 +273,7 @@ def elimination_order_minfill(inst: Instance, seed: int = 0) -> tuple[int, ...]:
             score[u] = fill(u)
         remaining.remove(v)
         order.append(v)
-    return tuple(order)
+    return (*order, *pinned)
 
 
 def build_nice_decomposition(inst: Instance, order: tuple[int, ...],
@@ -285,6 +293,8 @@ def build_nice_decomposition(inst: Instance, order: tuple[int, ...],
     pinned = frozenset(pinned)
     if len(pinned) > 2:
         raise errors.PinnedTooLarge(f"pinned set {sorted(pinned)} too large")
+    if any(not 0 <= v < inst.n for v in pinned):
+        raise errors.IdOutOfRange(f"pinned set {sorted(pinned)} out of range")
 
     nodes: list[DecompNode] = []
     todo = set(inst.edges)  # normalized edges not yet introduced
@@ -346,19 +356,23 @@ def validate_nice_decomposition(inst: Instance,
                                 nd: NiceDecomposition) -> bool:
     """Check every structural invariant against the instance.
 
-    One pass in id order checks each node against ``_ARITY`` and against
-    the bag of the node below it (a leaf's is the pinned set), requires
-    every child id to come before its parent's, and counts parents, edge
-    introductions and forgets.  Then the root must be the last node and
-    every other node must have exactly one parent: parent links only
-    climb in id order, so the nodes form one tree under the last.  The
-    root bag, edge counts, forget counts and width follow.  Raises a
-    ValidationError subclass on the first violation.
+    The pinned vertices and every introduced vertex must be vertices of
+    the instance, which bounds every bag.  One pass in id order checks
+    each node against ``_ARITY`` and against the bag of the node below it
+    (a leaf's is the pinned set), requires every child id to come before
+    its parent's, and counts parents, edge introductions and forgets.
+    Then the root must be the last node and every other node must have
+    exactly one parent: parent links only climb in id order, so the
+    nodes form one tree under the last.  The root bag, edge counts,
+    forget counts and width follow.  Raises a ValidationError subclass
+    on the first violation.
     """
-    nodes, pinned = nd.nodes, nd.pinned
+    nodes, pinned, vertices = nd.nodes, nd.pinned, range(inst.n)
+    if not all(v in vertices for v in pinned):
+        raise errors.BadNodeArity(f"pinned set {sorted(pinned)} out of range")
     parents = [0] * len(nodes)
     edges = dict.fromkeys(inst.edges, 0)
-    forgets = {v: 0 for v in range(inst.n) if v not in pinned}
+    forgets = {v: 0 for v in vertices if v not in pinned}
     for nid, node in enumerate(nodes):
         kind, kids, bag, v = node.kind, node.children, node.bag, node.vertex
         if _ARITY.get(kind) != len(kids):
@@ -371,7 +385,7 @@ def validate_nice_decomposition(inst: Instance,
             parents[c] += 1
         below = nodes[kids[-1]].bag if kids else pinned
         if kind == INTRODUCE_VERTEX:
-            ok = v is not None and v not in below and bag == below | {v}
+            ok = v in vertices and v not in below and bag == below | {v}
         elif kind == FORGET_VERTEX:
             ok = v in below and bag == below - {v}
             if v in forgets:
@@ -420,7 +434,8 @@ def validate_nice_decomposition(inst: Instance,
 def decompose(inst: Instance, pinned: Iterable[int] = (),
               seed: int = 0) -> NiceDecomposition:
     """Convenience wrapper: min-fill order, build, validate."""
-    order = elimination_order_minfill(inst, seed=seed)
+    pinned = frozenset(pinned)
+    order = elimination_order_minfill(inst, seed=seed, pinned=pinned)
     nd = build_nice_decomposition(inst, order, pinned)
     validate_nice_decomposition(inst, nd)
     return nd

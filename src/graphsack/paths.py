@@ -23,17 +23,21 @@ from .decomposition import (NiceDecomposition, build_nice_decomposition,
 from .model import Instance, SolveReport, Variant, build_report, prune_pairs
 
 
-def _require_path_variant(inst: Instance):
-    if inst.variant not in (Variant.PATH, Variant.SHORTEST_PATH):
-        raise ValueError("solver requires a path variant instance")
+def _require_variant(inst: Instance, *variants: Variant):
+    if inst.variant not in variants:
+        names = " or ".join(v.value for v in variants)
+        raise ValueError(f"solver requires a {names} instance, "
+                         f"not {inst.variant.value}")
 
 
 # ---------------------------------------------------------------------
 # Trees: there is exactly one x-y path to check.
 
 def solve_path_tree(inst: Instance) -> SolveReport:
-    """Unique-path solver for forests; NotATree on any cycle."""
-    _require_path_variant(inst)
+    """Unique-path solver for forests; NotATree on any cycle.  It also
+    takes Shortest-Path instances: a forest's one x-y path is the
+    shortest."""
+    _require_variant(inst, Variant.PATH, Variant.SHORTEST_PATH)
     adj = inst.adjacency()
     parent: dict[int, Optional[int]] = {}
     for start in (inst.x, *range(inst.n)):
@@ -136,9 +140,10 @@ def solve_path_color_sweep(inst: Instance, seed: int = 0,
     One-sided: a feasible report carries a verified witness; an
     infeasible report only means no colorful hit within the trial
     budget.  Decision instances stop after the first trial that reaches
-    the target value.
+    the target value.  Shortest-Path instances are refused: the search
+    ignores dist(x, y).
     """
-    _require_path_variant(inst)
+    _require_variant(inst, Variant.PATH)
     if trials is not None and trials < 1:
         raise errors.GraphsackError("trials must be positive")
     k = 1 if inst.x == inst.y else max(1, sum(
@@ -225,11 +230,16 @@ class _PathRules:
 
 def solve_path_treewidth(inst: Instance,
                          nd: Optional[NiceDecomposition] = None) -> SolveReport:
-    """Exact frontier over all simple x-y paths within the budget."""
-    _require_path_variant(inst)
+    """Exact frontier over all simple x-y paths within the budget.
+
+    The default decomposition eliminates G - {x, y} by min-fill and the
+    terminals last, as they sit in every bag.  Shortest-Path instances
+    are refused: the DP ignores dist(x, y)."""
+    _require_variant(inst, Variant.PATH)
     if nd is None:
-        order = elimination_order_minfill(inst)
-        nd = build_nice_decomposition(inst, order, {inst.x, inst.y})
+        pinned = {inst.x, inst.y}
+        order = elimination_order_minfill(inst, pinned=pinned)
+        nd = build_nice_decomposition(inst, order, pinned)
     stats = {"nodes_expanded": 0, "states_touched": 0}
     rules = _PathRules(inst)
     cell = run_dp(inst, nd, rules, stats).get(rules.accept(), {})

@@ -27,16 +27,25 @@ def graph(n, edges):
         weight=(0,) * n, value=(0,) * n, s=0))
 
 
-def minfill_full_rescan(inst, seed=0):
+def grid_graph(k):
+    """The plain k x k grid; vertex r * k + c is at row r, column c."""
+    edges = [(v, v + 1) for v in range(k * k) if v % k < k - 1]
+    edges += [(v, v + k) for v in range(k * k - k)]
+    return graph(k * k, edges)
+
+
+def minfill_full_rescan(inst, seed=0, pinned=()):
     """Reference min-fill: recompute every remaining vertex's fill at
     every step, first minimum over the sorted (or, for a nonzero seed,
-    shuffled) scan."""
+    shuffled) scan.  Pinned vertices and their edges are left out, and
+    the sorted pins come last."""
     adj = [set() for _ in range(inst.n)]
     for u, v in inst.edges:
-        adj[u].add(v)
-        adj[v].add(u)
+        if u not in pinned and v not in pinned:
+            adj[u].add(v)
+            adj[v].add(u)
     rng = random.Random(seed) if seed else None
-    remaining = set(range(inst.n))
+    remaining = set(range(inst.n)) - set(pinned)
     order = []
     while remaining:
         scan = sorted(remaining)
@@ -56,7 +65,7 @@ def minfill_full_rescan(inst, seed=0):
         adj[best_v] = set()
         remaining.remove(best_v)
         order.append(best_v)
-    return tuple(order)
+    return tuple(order) + tuple(sorted(pinned))
 
 
 class TestEliminationOrder:
@@ -68,6 +77,32 @@ class TestEliminationOrder:
                                    p=(0.1, 0.2, 0.4)[i // 3 % 3])
             assert (elimination_order_minfill(inst, seed=seed)
                     == minfill_full_rescan(inst, seed)), (kind, i)
+
+    @pytest.mark.parametrize("seed", [0, 1, 3, 9])
+    def test_pinned_matches_full_rescan(self, seed):
+        rng = random.Random(seed)
+        for i in range(90):
+            kind = ("tree", "gnp", "grid")[i % 3]
+            inst = random_instance(Variant.CONNECTED, kind, 2 + i % 30, i,
+                                   p=(0.1, 0.2, 0.4)[i // 3 % 3])
+            pinned = set(rng.sample(range(inst.n), 1 + i % 2))
+            assert (elimination_order_minfill(inst, seed=seed, pinned=pinned)
+                    == minfill_full_rescan(inst, seed, pinned)), (kind, i)
+
+    def test_pins_eliminated_last(self):
+        inst = graph(4, ((0, 1), (1, 2), (2, 3)))
+        assert elimination_order_minfill(inst, pinned={2, 0}) == (1, 3, 0, 2)
+
+    @pytest.mark.parametrize("k, whole_graph, pin_aware", [(4, 6, 5),
+                                                           (5, 7, 6)])
+    def test_pin_aware_order_narrows_corner_pinned_grid(self, k, whole_graph,
+                                                        pin_aware):
+        inst = grid_graph(k)
+        pinned = {0, k * k - 1}
+        nd = build_nice_decomposition(inst, elimination_order_minfill(inst),
+                                      pinned)
+        assert nd.width == whole_graph
+        assert decompose(inst, pinned).width == pin_aware
 
     def test_empty_graph_identity_order(self):
         inst = graph(4, ())
@@ -243,6 +278,26 @@ class TestValidate:
         with pytest.raises(errors.BadNodeArity):
             validate_nice_decomposition(graph(1, ()), nd)
 
+    @pytest.mark.parametrize("pinned, shape", [
+        ((), [(LEAF, (), (), None), (INTRODUCE_VERTEX, {0}, (0,), 0),
+              (FORGET_VERTEX, (), (1,), 0), (INTRODUCE_VERTEX, {99}, (2,), 99),
+              (FORGET_VERTEX, (), (3,), 99)]),
+        ((-1,), [(LEAF, {-1}, (), None), (INTRODUCE_VERTEX, {-1, 0}, (0,), 0),
+                 (FORGET_VERTEX, {-1}, (1,), 0)])],
+        ids=["introduced", "pinned"])
+    def test_vertex_outside_instance_caught(self, pinned, shape):
+        # valid on the one-vertex graph but for a vertex it does not have
+        nodes = tuple(DecompNode(kind, frozenset(bag), kids, vertex=v)
+                      for kind, bag, kids, v in shape)
+        nd = NiceDecomposition(nodes, len(nodes) - 1, frozenset(pinned),
+                               max(len(node.bag) for node in nodes) - 1)
+        with pytest.raises(errors.BadNodeArity):
+            validate_nice_decomposition(graph(1, ()), nd)
+
+    def test_pin_outside_instance_refused_by_build(self):
+        with pytest.raises(errors.IdOutOfRange):
+            decompose(graph(3, ((0, 1),)), {99})
+
     def test_wrong_root_bag_caught(self):
         inst = graph(3, ((0, 1), (1, 2)))
         nd = decompose(inst)
@@ -280,7 +335,9 @@ class TestUnionBlocks:
 class TestSharedDriver:
     """Pins what the CLI prints for the two solvers on ``run_dp`` and
     the frontier tests cannot see: which witness a tie yields, and how
-    many nodes and states the DP visits."""
+    many nodes and states the DP visits.  The Path rows run on the
+    min-fill order of the whole graph, x and y included, so that they
+    pin the driver and not the solver's pin-aware order."""
 
     @pytest.mark.parametrize("variant, kind, n, seed, witness, counts", [
         (Variant.CONNECTED, "tree", 12, 5, {2, 3, 5}, (56, 364)),
@@ -293,9 +350,12 @@ class TestSharedDriver:
                                          witness, counts):
         inst = random_instance(variant, kind, n, seed, max_weight=8,
                                max_value=8, p=0.3, decision=bool(seed % 2))
-        solve = (solve_connected if variant is Variant.CONNECTED
-                 else solve_path_treewidth)
-        report = solve(inst)
+        if variant is Variant.CONNECTED:
+            report = solve_connected(inst)
+        else:
+            nd = build_nice_decomposition(
+                inst, elimination_order_minfill(inst), {inst.x, inst.y})
+            report = solve_path_treewidth(inst, nd)
         assert report.witness == frozenset(witness)
         assert (report.stats["nodes_expanded"],
                 report.stats["states_touched"]) == counts

@@ -3,7 +3,8 @@ import dataclasses
 
 import pytest
 
-from graphsack import (Instance, Variant, enumerate_paths_opt,
+from graphsack import (Instance, Variant, build_nice_decomposition,
+                       elimination_order_minfill, enumerate_paths_opt,
                        solve_path_color_sweep, solve_path_tree,
                        solve_path_treewidth, validate_instance,
                        verify_solution)
@@ -59,6 +60,17 @@ class TestTreeSolver:
     def test_same_terminal(self):
         report = solve_path_tree(make(**P3, s=3, x=1, y=1))
         assert report.witness == frozenset({1})
+
+    def test_shortest_path_forest_accepted(self):
+        # a forest's one x-y path is also the shortest one
+        found = 0
+        for seed in range(10):
+            inst = random_instance(Variant.SHORTEST_PATH, "tree", 9, seed)
+            report = solve_path_tree(inst)
+            if report.witness is not None:
+                assert verify_solution(inst, report.witness).ok, inst
+                found += 1
+        assert found
 
 
 class TestColorCoding:
@@ -143,6 +155,12 @@ class TestColorCoding:
             with pytest.raises(errors.GraphsackError):
                 solve_path_color_sweep(inst, trials=trials)
 
+    def test_shortest_path_refused(self):
+        # the sweep ignores dist(x, y), so its witness may not be shortest
+        inst = random_instance(Variant.SHORTEST_PATH, "grid", 9, 0)
+        with pytest.raises(ValueError):
+            solve_path_color_sweep(inst, seed=0)
+
 
 class TestTreewidthDP:
     def test_matches_tree_solver_on_path(self):
@@ -153,6 +171,29 @@ class TestTreewidthDP:
     def test_nonadjacent_terminals_edgeless(self):
         inst = make(2, (), (0, 0), (0, 0), 0, x=0, y=1)
         assert not solve_path_treewidth(inst).feasible
+
+    def test_shortest_path_refused(self):
+        # the DP ignores dist(x, y), so its witness may not be shortest
+        inst = random_instance(Variant.SHORTEST_PATH, "grid", 9, 0)
+        with pytest.raises(ValueError):
+            solve_path_treewidth(inst)
+
+    def test_pin_aware_order_keeps_frontier(self):
+        # the default order eliminates G - {x, y} first; the min-fill
+        # order of the whole graph must give the same frontier
+        for i in range(60):
+            kind = ("tree", "gnp", "grid")[i % 3]
+            inst = random_instance(Variant.PATH, kind, (5, 9, 12)[i // 3 % 3],
+                                   i, p=0.4, decision=bool(i % 2))
+            whole = build_nice_decomposition(
+                inst, elimination_order_minfill(inst), {inst.x, inst.y})
+            reports = solve_path_treewidth(inst), solve_path_treewidth(
+                inst, whole)
+            assert reports[0].frontier == reports[1].frontier, inst
+            assert reports[0].feasible == reports[1].feasible, inst
+            for report in reports:
+                if report.witness is not None:
+                    assert verify_solution(inst, report.witness).ok, inst
 
     def test_single_edge(self):
         inst = make(2, ((0, 1),), (1, 2), (3, 4), 3, x=0, y=1)
