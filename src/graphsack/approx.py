@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from . import errors
-from .model import (Instance, ParetoSet, SolveReport, Variant,
+from .model import (Instance, SolveReport, Variant, build_report,
                     validate_instance)
 
 
@@ -105,7 +105,7 @@ def fptas_optimize(inst: Instance, epsilon,
     eps = parse_epsilon(epsilon)
     if inst.variant in (Variant.PATH, Variant.SHORTEST_PATH):
         if inst.weight[inst.x] > inst.s or inst.weight[inst.y] > inst.s:
-            return SolveReport(False, None, None, ParetoSet(), {})
+            return build_report(inst, (), None, {})
     if inst.variant is Variant.SHORTEST_PATH:
         work, keep_map = inst, None  # pruning would change dist(x, y)
     else:
@@ -120,13 +120,12 @@ def fptas_optimize(inst: Instance, epsilon,
     stats["alpha_max"] = scaling.alpha_max
     stats["scaled_value"] = report.best_value
     if report.witness is None:
-        return SolveReport(False, None, None, report.frontier, stats)
+        return build_report(inst, (), None, stats)
 
     witness = report.witness
     if keep_map is not None:
         witness = frozenset(keep_map[v] for v in witness)
     w = inst.total_weight(witness)
     a = inst.total_value(witness)
-    feasible = w <= inst.s and (inst.d is None or a >= inst.d)
-    return SolveReport(feasible, a, witness if feasible else None,
-                       ParetoSet(((w, a),)), stats)
+    return build_report(inst, [(w, a)] if w <= inst.s else [],
+                        lambda _: witness, stats)

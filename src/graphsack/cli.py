@@ -234,10 +234,7 @@ def cmd_decompose(args) -> int:
             pinned = [int(tok) for tok in args.pin.split(",")]
         except ValueError as exc:
             raise errors.BadInstanceJson(f"bad --pin value: {args.pin}") from exc
-        for v in pinned:
-            if not (0 <= v < inst.n):
-                raise errors.IdOutOfRange(f"pin {v} out of range")
-    _emit(decompose(inst, pinned, seed=args.seed).to_doc())
+    _emit(decompose(inst, pinned).to_doc())
     return 0
 
 
@@ -298,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="emit a nice edge tree decomposition")
     p.add_argument("--input", required=True)
     p.add_argument("--pin", default=None, help="comma-separated vertex ids")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_decompose)
     return parser
 

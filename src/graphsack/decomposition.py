@@ -20,7 +20,7 @@ partitions of them.
 """
 from __future__ import annotations
 
-import random
+import heapq
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
@@ -232,22 +232,24 @@ def _eliminate(adj: list[int], v: int) -> int:
     return nbrs
 
 
-def elimination_order_minfill(inst: Instance, seed: int = 0,
+def elimination_order_minfill(inst: Instance,
                               pinned: Iterable[int] = ()) -> tuple[int, ...]:
     """Greedy min-fill elimination order of G - pinned, followed by the
     sorted pinned vertices.
 
     The pinned vertices sit in every bag anyway, so the order ignores
     their edges and eliminates them last: no fill passes through them.
-    With no pins this is plain min-fill on G.  Ties break on lowest
-    vertex id.  A nonzero seed shuffles the scan order among exact ties
-    instead, which is still deterministic for a fixed seed.  Each
-    remaining vertex keeps its fill score.  Eliminating v changes the
+    Each step eliminates the vertex of least fill, ties broken on lowest
+    id, popped from a heap of (fill, vertex) entries; an entry whose
+    score has since changed is skipped.  Eliminating v changes the
     neighbourhoods of N(v) only, but its clique edges lie inside N(v)
     and so also change the fill of their neighbours: the scores of N(v)
-    and N(N(v)) are recomputed, no others.
+    and N(N(v)) are recomputed, no others.  Raises ``IdOutOfRange`` for
+    a pin that is not a vertex.
     """
     pinned = sorted(set(pinned))
+    if any(v not in range(inst.n) for v in pinned):
+        raise errors.IdOutOfRange(f"pinned set {pinned} out of range")
     pins = sum(1 << v for v in pinned)
     adj = [nbrs & ~pins for nbrs in _adjacency_masks(inst)]
 
@@ -257,21 +259,23 @@ def elimination_order_minfill(inst: Instance, seed: int = 0,
         degree = nbrs.bit_count()
         return (degree * (degree - 1) - linked) // 2
 
-    rng = random.Random(seed) if seed else None
     score = [fill(u) for u in range(inst.n)]
-    remaining = set(range(inst.n)).difference(pinned)
+    # a sorted list is a heap; a pin is never pushed
+    heap = sorted((score[u], u) for u in range(inst.n) if not pins >> u & 1)
     order: list[int] = []
-    while remaining:
-        scan = sorted(remaining)
-        if rng is not None:
-            rng.shuffle(scan)
-        v = min(scan, key=score.__getitem__)
+    while heap:
+        f, v = heapq.heappop(heap)
+        if score[v] != f:
+            continue  # stale entry, or v already eliminated
+        score[v] = None
         touched = nbrs = _eliminate(adj, v)
         for a in _bits(nbrs):
             touched |= adj[a]
         for u in _bits(touched):
-            score[u] = fill(u)
-        remaining.remove(v)
+            f = fill(u)
+            if score[u] != f:
+                score[u] = f
+                heapq.heappush(heap, (f, u))
         order.append(v)
     return (*order, *pinned)
 
@@ -431,11 +435,13 @@ def validate_nice_decomposition(inst: Instance,
     return True
 
 
-def decompose(inst: Instance, pinned: Iterable[int] = (),
-              seed: int = 0) -> NiceDecomposition:
-    """Convenience wrapper: min-fill order, build, validate."""
+def decompose(inst: Instance,
+              pinned: Iterable[int] = ()) -> NiceDecomposition:
+    """The min-fill order of G - pinned, built into a nice decomposition
+    pinned at ``pinned`` and validated: with no pins, the decomposition
+    the Connected solver uses; pinned at {x, y}, the Path solver's."""
     pinned = frozenset(pinned)
-    order = elimination_order_minfill(inst, seed=seed, pinned=pinned)
+    order = elimination_order_minfill(inst, pinned=pinned)
     nd = build_nice_decomposition(inst, order, pinned)
     validate_nice_decomposition(inst, nd)
     return nd

@@ -233,13 +233,16 @@ def solve_path_treewidth(inst: Instance,
     """Exact frontier over all simple x-y paths within the budget.
 
     The default decomposition eliminates G - {x, y} by min-fill and the
-    terminals last, as they sit in every bag.  Shortest-Path instances
-    are refused: the DP ignores dist(x, y)."""
+    terminals last, as they sit in every bag.  A caller's ``nd`` must be
+    pinned at exactly {x, y}, or ``ValueError`` is raised.  Shortest-Path
+    instances are refused: the DP ignores dist(x, y)."""
     _require_variant(inst, Variant.PATH)
+    pinned = {inst.x, inst.y}
     if nd is None:
-        pinned = {inst.x, inst.y}
-        order = elimination_order_minfill(inst, pinned=pinned)
-        nd = build_nice_decomposition(inst, order, pinned)
+        nd = build_nice_decomposition(
+            inst, elimination_order_minfill(inst, pinned=pinned), pinned)
+    elif nd.pinned != pinned:
+        raise ValueError(f"nd is not pinned at the terminals {pinned}")
     stats = {"nodes_expanded": 0, "states_touched": 0}
     rules = _PathRules(inst)
     cell = run_dp(inst, nd, rules, stats).get(rules.accept(), {})

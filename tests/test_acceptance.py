@@ -265,7 +265,7 @@ def test_cli_byte_determinism(tmp_path):
         ["solve", "--input", str(inst_path), "--epsilon", "1/4",
          "--seed", "5"],
         ["verify", "--input", str(inst_path), "--witness", str(wit_path)],
-        ["decompose", "--input", str(inst_path), "--seed", "5"],
+        ["decompose", "--input", str(inst_path)],
     ]
     # Run the CLI with this interpreter and the graphsack package this test
     # imported, so no console script or install is needed.  PYTHONHASHSEED

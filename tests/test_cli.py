@@ -325,3 +325,11 @@ class TestDecompose:
         path = write_instance(tmp_path, inst)
         code, _ = run(capsys, "decompose", "--input", path, "--pin", "9")
         assert code == 2
+
+    def test_negative_pin_exit_two(self, capsys, tmp_path):
+        inst = random_instance(Variant.CONNECTED, "tree", 4, 12)
+        path = write_instance(tmp_path, inst)
+        code = main(["decompose", "--input", path, "--pin", "-1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1

@@ -1,4 +1,7 @@
 """Connected Knapsack DP against the brute-force oracle."""
+import re
+from pathlib import Path
+
 import pytest
 
 from graphsack import (Instance, Variant, enumerate_connected_subsets_opt,
@@ -44,6 +47,24 @@ class TestFixedFrontiers:
         report = solve_connected(make(0, (), (), (), 0))
         assert report.frontier.pairs == ((0, 0),)
         assert report.witness == frozenset()
+
+    def test_readme_library_example(self):
+        # run the README's python block, then check each `expr  # value`
+        # line against the value before " — "
+        readme = (Path(__file__).parents[1] / "README.md").read_text(
+            encoding="utf-8")
+        block = readme.split("```python\n")[1].split("\n```")[0]
+        scope: dict = {}
+        exec(block, scope)
+        checked = []
+        for line in block.splitlines():
+            match = re.fullmatch(r"(\S.*?)\s+# (.*)", line)
+            if match:
+                expr, expected = match[1], match[2].split(" — ")[0]
+                assert eval(expr, scope) == eval(expected), line
+                checked.append(expr)
+        assert checked == ["report.frontier.pairs", "report.best_value",
+                           "report.witness"]
 
 
 class TestFull:

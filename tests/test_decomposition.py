@@ -34,25 +34,20 @@ def grid_graph(k):
     return graph(k * k, edges)
 
 
-def minfill_full_rescan(inst, seed=0, pinned=()):
+def minfill_full_rescan(inst, pinned=()):
     """Reference min-fill: recompute every remaining vertex's fill at
-    every step, first minimum over the sorted (or, for a nonzero seed,
-    shuffled) scan.  Pinned vertices and their edges are left out, and
-    the sorted pins come last."""
+    every step, first minimum over the sorted scan.  Pinned vertices and
+    their edges are left out, and the sorted pins come last."""
     adj = [set() for _ in range(inst.n)]
     for u, v in inst.edges:
         if u not in pinned and v not in pinned:
             adj[u].add(v)
             adj[v].add(u)
-    rng = random.Random(seed) if seed else None
     remaining = set(range(inst.n)) - set(pinned)
     order = []
     while remaining:
-        scan = sorted(remaining)
-        if rng is not None:
-            rng.shuffle(scan)
         best_v = best_fill = None
-        for v in scan:
+        for v in sorted(remaining):
             nl = sorted(adj[v])
             fill = sum(1 for i, a in enumerate(nl) for b in nl[i + 1:]
                        if b not in adj[a])
@@ -68,26 +63,30 @@ def minfill_full_rescan(inst, seed=0, pinned=()):
     return tuple(order) + tuple(sorted(pinned))
 
 
-class TestEliminationOrder:
-    @pytest.mark.parametrize("seed", [0, 1, 3, 9])
-    def test_matches_full_rescan(self, seed):
-        for i in range(90):
-            kind = ("tree", "gnp", "grid")[i % 3]
-            inst = random_instance(Variant.CONNECTED, kind, 2 + i % 30, i,
-                                   p=(0.1, 0.2, 0.4)[i // 3 % 3])
-            assert (elimination_order_minfill(inst, seed=seed)
-                    == minfill_full_rescan(inst, seed)), (kind, i)
+def rescan_stream(stream):
+    """90 seeded tree/gnp/grid graphs, n 2..61; the four streams used
+    below give 360 graphs in all."""
+    for i in range(90):
+        kind = ("tree", "gnp", "grid")[i % 3]
+        yield kind, i, random_instance(
+            Variant.CONNECTED, kind, 2 + (i + 30 * stream) % 60,
+            1000 * stream + i, p=(0.1, 0.2, 0.4)[i // 3 % 3])
 
-    @pytest.mark.parametrize("seed", [0, 1, 3, 9])
-    def test_pinned_matches_full_rescan(self, seed):
-        rng = random.Random(seed)
-        for i in range(90):
-            kind = ("tree", "gnp", "grid")[i % 3]
-            inst = random_instance(Variant.CONNECTED, kind, 2 + i % 30, i,
-                                   p=(0.1, 0.2, 0.4)[i // 3 % 3])
+
+class TestEliminationOrder:
+    @pytest.mark.parametrize("stream", [0, 1, 3, 9])
+    def test_matches_full_rescan(self, stream):
+        for kind, i, inst in rescan_stream(stream):
+            assert (elimination_order_minfill(inst)
+                    == minfill_full_rescan(inst)), (kind, i)
+
+    @pytest.mark.parametrize("stream", [0, 1, 3, 9])
+    def test_pinned_matches_full_rescan(self, stream):
+        rng = random.Random(stream)
+        for kind, i, inst in rescan_stream(stream):
             pinned = set(rng.sample(range(inst.n), 1 + i % 2))
-            assert (elimination_order_minfill(inst, seed=seed, pinned=pinned)
-                    == minfill_full_rescan(inst, seed, pinned)), (kind, i)
+            assert (elimination_order_minfill(inst, pinned=pinned)
+                    == minfill_full_rescan(inst, pinned)), (kind, i)
 
     def test_pins_eliminated_last(self):
         inst = graph(4, ((0, 1), (1, 2), (2, 3)))
@@ -117,11 +116,6 @@ class TestEliminationOrder:
         inst = graph(3, ((0, 1), (1, 2), (0, 2)))
         nd = decompose(inst)
         assert nd.width == 2
-
-    def test_seeded_order_is_reproducible(self):
-        inst = random_instance(Variant.CONNECTED, "gnp", 10, 3, p=0.5)
-        assert (elimination_order_minfill(inst, seed=7)
-                == elimination_order_minfill(inst, seed=7))
 
 
 class TestBuild:
@@ -157,7 +151,7 @@ class TestBuild:
 
     def test_rebuild_same_seed_identical(self):
         inst = random_instance(Variant.CONNECTED, "gnp", 9, 11, p=0.5)
-        order = elimination_order_minfill(inst, seed=2)
+        order = elimination_order_minfill(inst)
         a = build_nice_decomposition(inst, order, {0})
         b = build_nice_decomposition(inst, order, {0})
         assert a == b
@@ -297,6 +291,8 @@ class TestValidate:
     def test_pin_outside_instance_refused_by_build(self):
         with pytest.raises(errors.IdOutOfRange):
             decompose(graph(3, ((0, 1),)), {99})
+        with pytest.raises(errors.IdOutOfRange):
+            decompose(graph(3, ((0, 1),)), {-1})
 
     def test_wrong_root_bag_caught(self):
         inst = graph(3, ((0, 1), (1, 2)))

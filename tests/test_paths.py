@@ -3,7 +3,7 @@ import dataclasses
 
 import pytest
 
-from graphsack import (Instance, Variant, build_nice_decomposition,
+from graphsack import (Instance, Variant, build_nice_decomposition, decompose,
                        elimination_order_minfill, enumerate_paths_opt,
                        solve_path_color_sweep, solve_path_tree,
                        solve_path_treewidth, validate_instance,
@@ -194,6 +194,14 @@ class TestTreewidthDP:
             for report in reports:
                 if report.witness is not None:
                     assert verify_solution(inst, report.witness).ok, inst
+
+    @pytest.mark.parametrize("pins", ["none", "x only"])
+    def test_decomposition_not_pinned_at_terminals_refused(self, pins):
+        # the leaf rule assumes both terminals are in every bag
+        inst = random_instance(Variant.PATH, "gnp", 7, 0)
+        nd = decompose(inst, () if pins == "none" else {inst.x})
+        with pytest.raises(ValueError):
+            solve_path_treewidth(inst, nd)
 
     def test_single_edge(self):
         inst = make(2, ((0, 1),), (1, 2), (3, 4), 3, x=0, y=1)
