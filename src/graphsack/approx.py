@@ -20,7 +20,6 @@ from .model import (Instance, SolveReport, Variant, build_report,
 class ScaledInstance:
     scaled: Instance
     alpha_max: int
-    zero_values: bool
 
 
 def parse_epsilon(value) -> Fraction:
@@ -49,7 +48,7 @@ def scale_values(inst: Instance, epsilon) -> ScaledInstance:
     scaled_values = tuple(int(a * factor) if ok else 0
                           for a, ok in zip(inst.value, light))
     scaled = replace(inst, value=scaled_values, d=None)
-    return ScaledInstance(scaled, alpha_max, alpha_max == 0)
+    return ScaledInstance(scaled, alpha_max)
 
 
 def prune_overweight(inst: Instance) -> tuple[Instance, Optional[tuple[int, ...]]]:

@@ -1,9 +1,21 @@
-"""Pareto-label Dijkstra for Shortest-Path Knapsack.
+"""Pareto labels on the shortest x-y path DAG for Shortest-Path Knapsack.
 
-A plain Dijkstra sweep where each vertex additionally carries the
-undominated (weight, value) frontier over the shortest x-v paths found
-so far.  A strict distance improvement resets the frontier; an equal
-distance merges it.
+Only minimum-cost x-y paths count, so only the vertices on one carry
+labels.  The solver makes three passes:
+
+1. A plain Dijkstra from x records the settle order and stops once y
+   settles.
+2. A walk back from y along tight edges (dist[z] + c == dist[u]) marks
+   every vertex on some shortest x-y path.
+3. A replay of the settle order over the marked vertices prunes each
+   vertex's (weight, value) cell once, then pushes its pairs along its
+   tight edges.  A pair keeps the first back-reference that reaches it,
+   from the predecessor settled earliest.
+
+Stats: ``nodes_expanded`` counts the vertices settled up to y,
+``states_touched`` the pairs kept on the marked vertices, and
+``distance`` is dist(x, y); an unreachable y sets
+``unreachable = True`` in its place.
 """
 from __future__ import annotations
 
@@ -21,57 +33,64 @@ def solve_shortest_path(inst: Instance) -> SolveReport:
     """
     if inst.variant is not Variant.SHORTEST_PATH:
         raise ValueError("solve_shortest_path requires the shortest_path variant")
-    n = inst.n
-    cmap = inst.cost_map()
+    n, x, y, s = inst.n, inst.x, inst.y, inst.s
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for (u, v), c in cmap.items():
+    for (u, v), c in inst.cost_map().items():
         adj[u].append((v, c))
         adj[v].append((u, c))
 
-    INF = float("inf")
-    settled = [False] * n
-    delta = [INF] * n
-    # labels[v]: {pair: (pred_vertex, pred_pair) or None}
-    labels: list[dict] = [{} for _ in range(n)]
-
-    delta[inst.x] = 0
-    if inst.weight[inst.x] <= inst.s:
-        labels[inst.x] = {(inst.weight[inst.x], inst.value[inst.x]): None}
-    heap: list[tuple[int, int]] = [(0, inst.x)]
-    stats = {"nodes_expanded": 0, "states_touched": 0}
-
+    dist = [float("inf")] * n
+    dist[x] = 0
+    order = []
+    heap = [(0, x)]
     while heap:
         dz, z = heapq.heappop(heap)
-        if settled[z] or dz > delta[z]:
+        if dz > dist[z]:
             continue  # stale heap entry (lazy decrease-key)
-        settled[z] = True
-        stats["nodes_expanded"] += 1
+        order.append(z)
+        if z == y:
+            break
         for u, c in adj[z]:
-            if settled[u]:
-                continue
             du = dz + c
-            if du > delta[u]:
-                continue
-            if du < delta[u]:
-                delta[u] = du
-                labels[u] = {}
+            if du < dist[u]:
+                dist[u] = du
                 heapq.heappush(heap, (du, u))
-            wu, au = inst.weight[u], inst.value[u]
-            cell = labels[u]
-            for (w, a) in labels[z]:
-                if w + wu <= inst.s:
-                    cell.setdefault((w + wu, a + au), (z, (w, a)))
-            keep = prune_pairs(cell.keys())
-            labels[u] = {p: cell[p] for p in keep}
-            stats["states_touched"] += len(keep)
+    stats = {"nodes_expanded": len(order), "states_touched": 0}
+    if order[-1] != y:
+        stats["unreachable"] = True
+        return build_report(inst, (), None, stats)
+    stats["distance"] = dist[y]
 
-    stats["distances"] = [None if d == INF else d for d in delta]
-    if delta[inst.y] == INF:
-        stats["unreachable"] = True  # and labels[inst.y] stays empty
+    # Every tight edge into a settled vertex starts at a settled one: a
+    # vertex still unsettled when y settled has dist >= dist[y].
+    on_dag = {y}
+    stack = [y]
+    while stack:
+        u = stack.pop()
+        for z, c in adj[u]:
+            if dist[z] + c == dist[u] and z not in on_dag:
+                on_dag.add(z)
+                stack.append(z)
+
+    # labels[v]: {pair: (pred_vertex, pred_pair) or None}
+    labels: dict[int, dict] = {v: {} for v in order if v in on_dag}
+    if inst.weight[x] <= s:
+        labels[x][(inst.weight[x], inst.value[x])] = None
+    for z, cell in labels.items():
+        cell = labels[z] = {p: cell[p] for p in prune_pairs(cell)}
+        stats["states_touched"] += len(cell)
+        for u, c in adj[z]:
+            if u not in labels or dist[z] + c != dist[u]:
+                continue
+            wu, au = inst.weight[u], inst.value[u]
+            target = labels[u]
+            for (w, a) in cell:
+                if w + wu <= s:
+                    target.setdefault((w + wu, a + au), (z, (w, a)))
 
     def witness_for(pair):
         path = []
-        v, p = inst.y, pair
+        v, p = y, pair
         while True:
             path.append(v)
             ref = labels[v][p]
@@ -80,4 +99,4 @@ def solve_shortest_path(inst: Instance) -> SolveReport:
             v, p = ref
         return path
 
-    return build_report(inst, labels[inst.y], witness_for, stats)
+    return build_report(inst, labels[y], witness_for, stats)

@@ -35,7 +35,7 @@ class TestScaleValues:
     def test_alpha_max_zero_flagged(self):
         inst = make(Variant.CONNECTED, 2, ((0, 1),), (1, 1), (0, 0), 2, d=1)
         scaled = scale_values(inst, Fraction(1, 2))
-        assert scaled.zero_values and scaled.alpha_max == 0
+        assert scaled.alpha_max == 0
         assert scaled.scaled.value == (0, 0) and scaled.scaled.d is None
 
     def test_scaled_sum_bound(self):

@@ -1,10 +1,11 @@
-"""Pareto-label Dijkstra for Shortest-Path Knapsack."""
+"""Pareto labels on the shortest x-y path DAG."""
 import pytest
 
 from graphsack import (Instance, Variant, enumerate_shortest_paths_opt,
                        solve_shortest_path, validate_instance,
                        verify_solution)
 from graphsack import errors
+from graphsack.generators import random_instance
 from graphsack.model import _reference_distances
 from conftest import instance_stream
 
@@ -43,7 +44,23 @@ class TestSolve:
     def test_same_terminal(self):
         inst = make(**DIAMOND, s=5)
         inst = make(4, inst.edges, inst.weight, inst.value, 5, 1, 1)
-        assert solve_shortest_path(inst).frontier.pairs == ((2, 5),)
+        report = solve_shortest_path(inst)
+        assert report.frontier.pairs == ((2, 5),)
+        assert report.stats["distance"] == 0
+
+    def test_terminal_heavier_than_budget(self):
+        inst = make(4, DIAMOND["edges"], (3, 0, 0, 0), (1,) * 4, 2, 0, 3)
+        report = solve_shortest_path(inst)
+        assert not report.feasible and not report.frontier
+        assert "unreachable" not in report.stats
+        assert report.stats["distance"] == 2
+
+    def test_stops_once_y_settles(self):
+        inst = make(10, [(i, i + 1) for i in range(9)], (1,) * 10,
+                    (1,) * 10, 10, 0, 1)
+        report = solve_shortest_path(inst)
+        assert report.stats["nodes_expanded"] == 2
+        assert report.frontier.pairs == ((2, 2),)
 
     def test_budget_prunes_heavy_branch(self):
         report = solve_shortest_path(make(**DIAMOND, s=1))
@@ -71,8 +88,25 @@ class TestAgainstReferences:
     def test_distances_match_plain_dijkstra(self):
         for inst in instance_stream(Variant.SHORTEST_PATH, 25, 7500, 12):
             report = solve_shortest_path(inst)
-            assert (report.stats["distances"]
-                    == _reference_distances(inst, inst.x))
+            assert (report.stats.get("distance")
+                    == _reference_distances(inst, inst.x)[inst.y])
+
+    def test_unit_costs_oracle_equivalence(self):
+        # with every cost 1 many shortest paths tie, so the DAG is wide
+        for i in range(80):
+            kind = ("gnp", "grid")[i % 2]
+            inst = random_instance(Variant.SHORTEST_PATH, kind, 2 + i % 11,
+                                   9100 + i, p=0.5, max_cost=1,
+                                   decision=i % 3 == 0)
+            report = solve_shortest_path(inst)
+            try:
+                want = enumerate_shortest_paths_opt(inst).pairs
+            except errors.Unreachable:
+                assert report.stats.get("unreachable") is True, inst
+                continue
+            assert report.frontier.pairs == want, inst
+            if report.feasible:
+                assert verify_solution(inst, report.witness).ok, inst
 
     def test_witnesses_verify(self):
         for inst in instance_stream(Variant.SHORTEST_PATH, 30, 7900, 10,
