@@ -10,8 +10,7 @@ from .decomposition import (NiceDecomposition, build_nice_decomposition,
 from .model import (Instance, ParetoSet, SolveReport, Variant, VerifyResult,
                     instance_from_json, instance_to_json, validate_instance,
                     verify_solution)
-from .oracles import (enumerate_connected_subsets_opt, enumerate_paths_opt,
-                      enumerate_shortest_paths_opt, oracle_for)
+from .oracles import oracle_for
 from .paths import (solve_path_color_sweep, solve_path_tree,
                     solve_path_treewidth)
 from .reductions import (KnapsackItems, ReductionOutput, SourceGraph,
@@ -36,8 +35,7 @@ __all__ = [
     "solve_path_tree", "solve_path_color_sweep", "solve_path_treewidth",
     "solve_shortest_path",
     "scale_values", "fptas_optimize",
-    "enumerate_connected_subsets_opt", "enumerate_paths_opt",
-    "enumerate_shortest_paths_opt", "oracle_for",
+    "oracle_for",
     "reduce_vertex_cover_to_connected", "reduce_knapsack_to_star_connected",
     "reduce_partial_vc_to_connected", "reduce_hamiltonian_to_path",
     "reduce_knapsack_to_path_gadget",

@@ -11,9 +11,9 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional
 
-from . import errors
+from . import connected, errors, paths, shortest
 from .model import (Instance, SolveReport, Variant, build_report,
-                    validate_instance)
+                    require_variant, validate_instance)
 
 
 @dataclass(frozen=True)
@@ -55,51 +55,35 @@ def prune_overweight(inst: Instance) -> tuple[Instance, Optional[tuple[int, ...]
     """Drop every vertex with w(u) > s; returns (instance, old-id map).
 
     Safe for connected and path instances: such a vertex cannot appear
-    in any feasible solution.  NOT safe for shortest_path, where
+    in any feasible solution.  Shortest-Path instances are refused:
     removing a vertex can raise dist(x, y) and so change which paths
     qualify at all.  Returns ``(inst, None)`` when nothing is dropped.
     For path variants an overweight terminal means no feasible solution
     exists; the caller must check terminals first.
     """
+    require_variant(inst, Variant.CONNECTED, Variant.PATH)
     keep = [v for v in range(inst.n) if inst.weight[v] <= inst.s]
     if len(keep) == inst.n:
         return inst, None
     remap = {v: i for i, v in enumerate(keep)}
-    kept = set(keep)
-    edges = []
-    costs = []
-    cmap = inst.cost_map()
-    for (u, v) in inst.edges:
-        if u in kept and v in kept:
-            edges.append((remap[u], remap[v]))
-            costs.append(cmap[(u, v)])
     pruned = replace(
-        inst, n=len(keep), edges=tuple(edges),
+        inst, n=len(keep),
+        edges=tuple((remap[u], remap[v]) for u, v in inst.edges
+                    if u in remap and v in remap),
         weight=tuple(inst.weight[v] for v in keep),
         value=tuple(inst.value[v] for v in keep),
-        x=remap.get(inst.x), y=remap.get(inst.y),
-        edge_cost=tuple(costs) if inst.variant is Variant.SHORTEST_PATH
-        else None)
+        x=remap.get(inst.x), y=remap.get(inst.y))
     return validate_instance(pruned), tuple(keep)
-
-
-def _default_solver(variant: Variant) -> Callable[[Instance], SolveReport]:
-    from .connected import solve_connected
-    from .paths import solve_path_treewidth
-    from .shortest import solve_shortest_path
-    if variant is Variant.CONNECTED:
-        return solve_connected
-    if variant is Variant.PATH:
-        return solve_path_treewidth
-    return solve_shortest_path
 
 
 def fptas_optimize(inst: Instance, epsilon,
                    exact_solver: Optional[Callable] = None) -> SolveReport:
     """(1 - eps)-approximate optimizer; witness feasible in ``inst``.
 
-    The report's frontier and values are in ORIGINAL units; the scaled
-    run's outcome is recorded under stats["scaled_value"].
+    ``exact_solver`` defaults to the variant's treewidth DP or, for
+    Shortest-Path, the label solver.  The report's frontier and values
+    are in ORIGINAL units; the scaled run's outcome is recorded under
+    stats["scaled_value"].
     """
     eps = parse_epsilon(epsilon)
     if inst.variant in (Variant.PATH, Variant.SHORTEST_PATH):
@@ -111,7 +95,10 @@ def fptas_optimize(inst: Instance, epsilon,
         work, keep_map = prune_overweight(inst)
 
     scaling = scale_values(work, eps)
-    solver = exact_solver or _default_solver(inst.variant)
+    solver = exact_solver or {
+        Variant.CONNECTED: connected.solve_connected,
+        Variant.PATH: paths.solve_path_treewidth,
+        Variant.SHORTEST_PATH: shortest.solve_shortest_path}[inst.variant]
     report = solver(scaling.scaled)
 
     stats = dict(report.stats)

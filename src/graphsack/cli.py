@@ -70,34 +70,27 @@ def _pick_engine(inst: Instance, engine: str) -> str:
     return "treewidth"
 
 
-_ENGINE_VARIANTS = {
-    "treewidth": {Variant.CONNECTED, Variant.PATH},
-    "color": {Variant.PATH},
-    "labels": {Variant.SHORTEST_PATH},
-    "tree": {Variant.PATH, Variant.SHORTEST_PATH},
-    "oracle": {Variant.CONNECTED, Variant.PATH, Variant.SHORTEST_PATH},
-}
+def _oracle(inst: Instance) -> SolveReport:
+    try:
+        found, stats = oracle_witnesses(inst), {}
+    except errors.Unreachable:
+        found, stats = {}, {"unreachable": True}
+    return build_report(inst, found, found.__getitem__, stats)
 
 
-def _run_engine(inst: Instance, engine: str, seed: int,
-                trials: Optional[int]) -> SolveReport:
-    if engine == "treewidth":
-        if inst.variant is Variant.CONNECTED:
-            return solve_connected(inst)
-        return solve_path_treewidth(inst)
-    if engine == "color":
-        return solve_path_color_sweep(inst, seed=seed, trials=trials)
-    if engine == "labels":
-        return solve_shortest_path(inst)
-    if engine == "tree":
-        return solve_path_tree(inst)
-    if engine == "oracle":
-        try:
-            found, stats = oracle_witnesses(inst), {}
-        except errors.Unreachable:
-            found, stats = {}, {"unreachable": True}
-        return build_report(inst, found, found.__getitem__, stats)
-    raise AssertionError(engine)
+def _engines(seed: int, trials: Optional[int]) -> dict:
+    """{engine: {variant: solver}}, built on each call so that a solver
+    name rebound in this module is the one that runs."""
+    return {
+        "treewidth": {Variant.CONNECTED: solve_connected,
+                      Variant.PATH: solve_path_treewidth},
+        "color": {Variant.PATH: lambda inst: solve_path_color_sweep(
+            inst, seed=seed, trials=trials)},
+        "labels": {Variant.SHORTEST_PATH: solve_shortest_path},
+        "tree": dict.fromkeys((Variant.PATH, Variant.SHORTEST_PATH),
+                              solve_path_tree),
+        "oracle": dict.fromkeys(Variant, _oracle),
+    }
 
 
 def _report_doc(report: SolveReport) -> dict:
@@ -123,16 +116,13 @@ def cmd_solve(args) -> int:
         log.info("optimize mode: ignoring target d=%s", inst.d)
         inst = replace(inst, d=None)
     engine = _pick_engine(inst, args.engine)
-    if inst.variant not in _ENGINE_VARIANTS[engine]:
+    solver = _engines(args.seed, args.trials)[engine].get(inst.variant)
+    if solver is None:
         raise errors.EngineMismatch(
             f"engine {engine} does not handle variant {inst.variant.value}")
     log.info("engine=%s variant=%s n=%d", engine, inst.variant.value, inst.n)
-
-    if args.epsilon is not None:
-        solver = lambda i: _run_engine(i, engine, args.seed, args.trials)
-        report = fptas_optimize(inst, args.epsilon, solver)
-    else:
-        report = _run_engine(inst, engine, args.seed, args.trials)
+    report = (solver(inst) if args.epsilon is None
+              else fptas_optimize(inst, args.epsilon, solver))
     _emit(_report_doc(report))
     return 0 if report.feasible else 1
 
@@ -248,8 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve an instance file")
     p.add_argument("--input", required=True)
     p.add_argument("--engine", default="auto",
-                   choices=["auto", "treewidth", "color", "labels", "tree",
-                            "oracle"])
+                   choices=["auto", *_engines(0, None)])
     p.add_argument("--mode", default="optimize",
                    choices=["decision", "optimize"])
     p.add_argument("--epsilon", default=None,

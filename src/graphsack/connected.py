@@ -22,7 +22,8 @@ from collections import ChainMap
 from .decomposition import (build_nice_decomposition,
                             elimination_order_minfill, run_dp, union_blocks,
                             vertex_set)
-from .model import Instance, SolveReport, Variant, build_report
+from .model import (Instance, SolveReport, Variant, build_report,
+                    require_variant)
 
 
 class _ConnectedRules:
@@ -72,8 +73,7 @@ def solve_connected(inst: Instance, early_stop: bool = False) -> SolveReport:
     ``early_stop`` is accepted for compatibility and ignored: the single
     pass always computes the full frontier.
     """
-    if inst.variant is not Variant.CONNECTED:
-        raise ValueError("solve_connected requires the connected variant")
+    require_variant(inst, Variant.CONNECTED)
     stats = {"nodes_expanded": 0, "states_touched": 0}
     nd = build_nice_decomposition(inst, elimination_order_minfill(inst), ())
     # the root bag is empty: its open state holds the empty solution and

@@ -125,6 +125,14 @@ def validate_instance(raw: Instance) -> Instance:
                     s=raw.s, d=raw.d, x=raw.x, y=raw.y, edge_cost=edge_cost)
 
 
+def require_variant(inst: Instance, *variants: Variant) -> None:
+    """ValueError unless ``inst`` is of one of ``variants``."""
+    if inst.variant not in variants:
+        names = " or ".join(v.value for v in variants)
+        raise ValueError(f"a {names} instance is required, "
+                         f"not {inst.variant.value}")
+
+
 # ---------------------------------------------------------------------
 # Pareto sets
 

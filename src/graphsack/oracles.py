@@ -111,23 +111,6 @@ def _shortest_paths_found(inst: Instance) -> dict:
     return found
 
 
-def enumerate_connected_subsets_opt(inst: Instance) -> ParetoSet:
-    """Exact frontier over all connected subsets (including the empty
-    set) within the budget, by subset enumeration."""
-    return ParetoSet(prune_pairs(_connected_found(inst)))
-
-
-def enumerate_paths_opt(inst: Instance) -> ParetoSet:
-    """Exact frontier over all simple x-y paths within the budget."""
-    return ParetoSet(prune_pairs(_paths_found(inst)))
-
-
-def enumerate_shortest_paths_opt(inst: Instance) -> ParetoSet:
-    """Exact frontier over minimum-cost simple x-y paths within the
-    budget.  Raises Unreachable when no x-y path exists at all."""
-    return ParetoSet(prune_pairs(_shortest_paths_found(inst)))
-
-
 def oracle_witnesses(inst: Instance) -> dict:
     """{pair: the first solution the enumeration met with it} over every
     solution of ``inst``'s variant within the budget."""
@@ -137,4 +120,7 @@ def oracle_witnesses(inst: Instance) -> dict:
 
 
 def oracle_for(inst: Instance) -> ParetoSet:
+    """Exact frontier over every solution of ``inst``'s variant within
+    the budget; Shortest-Path raises Unreachable when no x-y path
+    exists at all."""
     return ParetoSet(prune_pairs(oracle_witnesses(inst)))

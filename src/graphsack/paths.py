@@ -19,15 +19,9 @@ from typing import Optional
 from . import errors
 from .decomposition import (NiceDecomposition, build_nice_decomposition,
                             elimination_order_minfill, run_dp, union_blocks,
-                            vertex_set)
-from .model import Instance, SolveReport, Variant, build_report, prune_pairs
-
-
-def _require_variant(inst: Instance, *variants: Variant):
-    if inst.variant not in variants:
-        names = " or ".join(v.value for v in variants)
-        raise ValueError(f"solver requires a {names} instance, "
-                         f"not {inst.variant.value}")
+                            validate_nice_decomposition, vertex_set)
+from .model import (Instance, SolveReport, Variant, build_report, prune_pairs,
+                    require_variant)
 
 
 # ---------------------------------------------------------------------
@@ -37,7 +31,7 @@ def solve_path_tree(inst: Instance) -> SolveReport:
     """Unique-path solver for forests; NotATree on any cycle.  It also
     takes Shortest-Path instances: a forest's one x-y path is the
     shortest."""
-    _require_variant(inst, Variant.PATH, Variant.SHORTEST_PATH)
+    require_variant(inst, Variant.PATH, Variant.SHORTEST_PATH)
     adj = inst.adjacency()
     parent: dict[int, Optional[int]] = {}
     for start in (inst.x, *range(inst.n)):
@@ -143,7 +137,7 @@ def solve_path_color_sweep(inst: Instance, seed: int = 0,
     the target value.  Shortest-Path instances are refused: the search
     ignores dist(x, y).
     """
-    _require_variant(inst, Variant.PATH)
+    require_variant(inst, Variant.PATH)
     if trials is not None and trials < 1:
         raise errors.GraphsackError("trials must be positive")
     k = 1 if inst.x == inst.y else max(1, sum(
@@ -234,15 +228,18 @@ def solve_path_treewidth(inst: Instance,
 
     The default decomposition eliminates G - {x, y} by min-fill and the
     terminals last, as they sit in every bag.  A caller's ``nd`` must be
-    pinned at exactly {x, y}, or ``ValueError`` is raised.  Shortest-Path
+    pinned at exactly {x, y}, or ``ValueError`` is raised, and must pass
+    ``validate_nice_decomposition`` against ``inst``.  Shortest-Path
     instances are refused: the DP ignores dist(x, y)."""
-    _require_variant(inst, Variant.PATH)
+    require_variant(inst, Variant.PATH)
     pinned = {inst.x, inst.y}
     if nd is None:
         nd = build_nice_decomposition(
             inst, elimination_order_minfill(inst, pinned=pinned), pinned)
     elif nd.pinned != pinned:
         raise ValueError(f"nd is not pinned at the terminals {pinned}")
+    else:
+        validate_nice_decomposition(inst, nd)
     stats = {"nodes_expanded": 0, "states_touched": 0}
     rules = _PathRules(inst)
     cell = run_dp(inst, nd, rules, stats).get(rules.accept(), {})

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import heapq
 
-from .model import Instance, SolveReport, Variant, build_report, prune_pairs
+from .model import (Instance, SolveReport, Variant, build_report, prune_pairs,
+                    require_variant)
 
 
 def solve_shortest_path(inst: Instance) -> SolveReport:
@@ -31,8 +32,7 @@ def solve_shortest_path(inst: Instance) -> SolveReport:
     ``stats["unreachable"] = True`` rather than an exception, so the
     CLI can distinguish "no path" from "no path cheap enough".
     """
-    if inst.variant is not Variant.SHORTEST_PATH:
-        raise ValueError("solve_shortest_path requires the shortest_path variant")
+    require_variant(inst, Variant.SHORTEST_PATH)
     n, x, y, s = inst.n, inst.x, inst.y, inst.s
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for (u, v), c in inst.cost_map().items():

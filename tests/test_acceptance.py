@@ -17,9 +17,7 @@ from pathlib import Path
 
 import graphsack
 from graphsack import (Instance, Variant, build_nice_decomposition,
-                       elimination_order_minfill,
-                       enumerate_connected_subsets_opt, enumerate_paths_opt,
-                       enumerate_shortest_paths_opt, fptas_optimize,
+                       elimination_order_minfill, fptas_optimize,
                        oracle_for, scale_values, solve_connected,
                        solve_path_color_sweep, solve_path_treewidth,
                        solve_shortest_path, validate_instance,
@@ -45,7 +43,7 @@ def test_connected_oracle_equivalence_300():
     for inst in instance_stream(Variant.CONNECTED, 300, 20000, 10):
         inst = replace(inst, s=min(inst.s, 20))
         assert (solve_connected(inst).frontier.pairs
-                == enumerate_connected_subsets_opt(inst).pairs), inst
+                == oracle_for(inst).pairs), inst
     assert time.perf_counter() - start < 60
 
 
@@ -53,7 +51,7 @@ def test_path_oracle_equivalence_300():
     start = time.perf_counter()
     for inst in instance_stream(Variant.PATH, 300, 21000, 10):
         assert (solve_path_treewidth(inst).frontier.pairs
-                == enumerate_paths_opt(inst).pairs), inst
+                == oracle_for(inst).pairs), inst
     assert time.perf_counter() - start < 120
 
 
@@ -62,7 +60,7 @@ def test_shortest_path_oracle_and_distance_agreement_300():
     for inst in instance_stream(Variant.SHORTEST_PATH, 300, 22000, 12):
         report = solve_shortest_path(inst)
         try:
-            expect = enumerate_shortest_paths_opt(inst).pairs
+            expect = oracle_for(inst).pairs
         except errors.Unreachable:
             expect = None
             assert report.stats.get("unreachable"), inst

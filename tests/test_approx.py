@@ -69,6 +69,13 @@ class TestPruneOverweight:
         pruned, keep = prune_overweight(inst)
         assert pruned is inst and keep is None
 
+    def test_refuses_shortest_path(self):
+        # dropping a heavy vertex can raise dist(x, y)
+        inst = make(Variant.SHORTEST_PATH, 3, ((0, 1), (1, 2)), (1, 99, 1),
+                    (1, 1, 1), 5, x=0, y=2)
+        with pytest.raises(ValueError):
+            prune_overweight(inst)
+
 
 class TestGuarantee:
     def _check(self, variant, base_seed):

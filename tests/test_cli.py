@@ -60,6 +60,31 @@ class TestSolve:
                       "--engine", "labels")
         assert code == 2
 
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("engine", ["auto", "treewidth", "color",
+                                        "labels", "tree", "oracle"])
+    def test_engine_table(self, capsys, tmp_path, engine, variant):
+        # a tree, so that every engine of the variant runs
+        inst = random_instance(variant, "tree", 7, 3)
+        path = write_instance(tmp_path, inst)
+        handled = {"auto": list(Variant),
+                   "treewidth": [Variant.CONNECTED, Variant.PATH],
+                   "color": [Variant.PATH],
+                   "labels": [Variant.SHORTEST_PATH],
+                   "tree": [Variant.PATH, Variant.SHORTEST_PATH],
+                   "oracle": list(Variant)}[engine]
+        for extra in ([], ["--epsilon", "1/3"]):
+            code = main(["solve", "--input", path, "--engine", engine,
+                         *extra])
+            out, err = capsys.readouterr()
+            if variant in handled:
+                assert code in (0, 1) and err == ""
+                assert json.loads(out)["feasible"] is (code == 0)
+            else:
+                assert code == 2 and out == ""
+                assert err == (f"error: engine {engine} does not handle "
+                               f"variant {variant.value}\n")
+
     def test_decision_without_target_exit_two(self, capsys, tmp_path):
         inst = random_instance(Variant.CONNECTED, "tree", 4, 3)
         path = write_instance(tmp_path, inst)

@@ -4,8 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from graphsack import (Instance, Variant, enumerate_connected_subsets_opt,
-                       solve_connected, validate_instance, verify_solution)
+from graphsack import (Instance, Variant, oracle_for, solve_connected,
+                       validate_instance, verify_solution)
 from conftest import instance_stream
 
 
@@ -86,7 +86,7 @@ class TestFull:
     def test_oracle_equivalence_sample(self):
         for inst in instance_stream(Variant.CONNECTED, 60, 500, 10):
             got = solve_connected(inst).frontier.pairs
-            want = enumerate_connected_subsets_opt(inst).pairs
+            want = oracle_for(inst).pairs
             assert got == want, inst
 
     def test_witnesses_verify(self):

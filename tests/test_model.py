@@ -168,7 +168,7 @@ class TestParetoOps:
                 budget[:] = [inst.s]
                 for name in names:
                     def solve(i):
-                        return cli._run_engine(i, name, 0, 64)
+                        return cli._engines(0, 64)[name][i.variant](i)
                     try:
                         solve(inst)
                         fptas_optimize(inst, "1/3", solve)

@@ -1,9 +1,7 @@
 """Brute-force oracles: spec examples, guards, internal consistency."""
 import pytest
 
-from graphsack import (Instance, Variant, enumerate_connected_subsets_opt,
-                       enumerate_paths_opt, enumerate_shortest_paths_opt,
-                       validate_instance)
+from graphsack import Instance, Variant, oracle_for, validate_instance
 from graphsack import errors
 from graphsack.oracles import _all_simple_paths
 
@@ -18,17 +16,17 @@ class TestConnectedOracle:
     def test_triangle(self):
         inst = make(Variant.CONNECTED, 3, ((0, 1), (1, 2), (0, 2)),
                     (1, 1, 1), (1, 2, 3), 2)
-        assert enumerate_connected_subsets_opt(inst).pairs == (
+        assert oracle_for(inst).pairs == (
             (0, 0), (1, 3), (2, 5))
 
     def test_edgeless_pair_only_singletons(self):
         inst = make(Variant.CONNECTED, 2, (), (1, 1), (3, 4), 100)
-        assert enumerate_connected_subsets_opt(inst).pairs == ((0, 0), (1, 4))
+        assert oracle_for(inst).pairs == ((0, 0), (1, 4))
 
     def test_size_guard(self):
         inst = make(Variant.CONNECTED, 21, (), (0,) * 21, (0,) * 21, 0)
         with pytest.raises(errors.TooLarge):
-            enumerate_connected_subsets_opt(inst)
+            oracle_for(inst)
 
 
 class TestPathOracle:
@@ -37,7 +35,7 @@ class TestPathOracle:
                     (0, 1, 2, 0), (0, 5, 1, 0), 9, x=0, y=3)
         paths = list(_all_simple_paths(inst))
         assert len(paths) == 2
-        assert enumerate_paths_opt(inst).pairs == ((1, 5),)
+        assert oracle_for(inst).pairs == ((1, 5),)
 
     def test_tree_single_path(self):
         inst = make(Variant.PATH, 3, ((0, 1), (1, 2)), (1, 1, 1),
@@ -55,7 +53,7 @@ class TestPathOracle:
         inst = make(Variant.PATH, 13, (), (0,) * 13, (0,) * 13, 0,
                     x=0, y=1)
         with pytest.raises(errors.TooLarge):
-            enumerate_paths_opt(inst)
+            oracle_for(inst)
 
 
 class TestShortestPathOracle:
@@ -63,25 +61,25 @@ class TestShortestPathOracle:
         inst = make(Variant.SHORTEST_PATH, 3, ((0, 1), (1, 2), (0, 2)),
                     (1, 1, 1), (1, 1, 1), 9, x=0, y=2,
                     edge_cost=(1, 1, 5))
-        assert enumerate_shortest_paths_opt(inst).pairs == ((3, 3),)
+        assert oracle_for(inst).pairs == ((3, 3),)
 
     def test_unreachable(self):
         inst = make(Variant.SHORTEST_PATH, 2, (), (0, 0), (0, 0), 0,
                     x=0, y=1)
         with pytest.raises(errors.Unreachable):
-            enumerate_shortest_paths_opt(inst)
+            oracle_for(inst)
 
     def test_equal_cost_diamond(self):
         inst = make(Variant.SHORTEST_PATH, 4,
                     ((0, 1), (1, 3), (0, 2), (2, 3)),
                     (0, 2, 1, 0), (0, 5, 1, 0), 2, x=0, y=3)
-        assert enumerate_shortest_paths_opt(inst).pairs == ((1, 1), (2, 5))
+        assert oracle_for(inst).pairs == ((1, 1), (2, 5))
 
 
 class TestOracleOutputsAreCanonical:
     def test_frontier_strictly_increasing(self):
         inst = make(Variant.CONNECTED, 4, ((0, 1), (1, 2), (2, 3)),
                     (3, 1, 2, 4), (2, 5, 1, 9), 8)
-        pairs = enumerate_connected_subsets_opt(inst).pairs
+        pairs = oracle_for(inst).pairs
         assert all(w0 < w1 and a0 < a1
                    for (w0, a0), (w1, a1) in zip(pairs, pairs[1:]))

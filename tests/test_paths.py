@@ -4,14 +4,13 @@ import dataclasses
 import pytest
 
 from graphsack import (Instance, Variant, build_nice_decomposition, decompose,
-                       elimination_order_minfill, enumerate_paths_opt,
+                       elimination_order_minfill, oracle_for,
                        solve_path_color_sweep, solve_path_tree,
                        solve_path_treewidth, validate_instance,
                        verify_solution)
 from graphsack import errors, model, paths
 from conftest import instance_stream
 from graphsack.generators import random_instance
-from graphsack.oracles import oracle_for
 from graphsack.paths import default_trials
 
 
@@ -107,7 +106,7 @@ class TestColorCoding:
             inst = random_instance(Variant.PATH, "gnp", 7, 4400 + seed,
                                    p=0.5)
             got = solve_path_color_sweep(inst, seed=seed).frontier
-            exact = enumerate_paths_opt(inst)
+            exact = oracle_for(inst)
             for w, a in got:
                 assert any(w2 <= w and a2 >= a for w2, a2 in exact), inst
 
@@ -203,6 +202,20 @@ class TestTreewidthDP:
         with pytest.raises(ValueError):
             solve_path_treewidth(inst, nd)
 
+    @pytest.mark.parametrize("change", ["edge dropped", "edge added"])
+    def test_decomposition_of_another_graph_refused(self, change):
+        # pinned at the terminals, but its introduce-edge nodes name a
+        # non-edge of inst or miss one of its edges
+        for seed in range(17):
+            inst = random_instance(Variant.PATH, "gnp", 8, seed, p=0.5)
+            other = validate_instance(dataclasses.replace(
+                inst, edges=inst.edges[1:]))
+            if change == "edge added":
+                inst, other = other, inst
+            nd = decompose(other, {inst.x, inst.y})
+            with pytest.raises(errors.ValidationError):
+                solve_path_treewidth(inst, nd)
+
     def test_single_edge(self):
         inst = make(2, ((0, 1),), (1, 2), (3, 4), 3, x=0, y=1)
         assert solve_path_treewidth(inst).frontier.pairs == ((3, 7),)
@@ -223,7 +236,7 @@ class TestTreewidthDP:
     def test_oracle_equivalence_sample(self):
         for inst in instance_stream(Variant.PATH, 60, 5000, 10):
             got = solve_path_treewidth(inst).frontier.pairs
-            want = enumerate_paths_opt(inst).pairs
+            want = oracle_for(inst).pairs
             assert got == want, inst
 
     def test_witnesses_verify(self):

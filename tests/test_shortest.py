@@ -1,9 +1,8 @@
 """Pareto labels on the shortest x-y path DAG."""
 import pytest
 
-from graphsack import (Instance, Variant, enumerate_shortest_paths_opt,
-                       solve_shortest_path, validate_instance,
-                       verify_solution)
+from graphsack import (Instance, Variant, oracle_for, solve_shortest_path,
+                       validate_instance, verify_solution)
 from graphsack import errors
 from graphsack.generators import random_instance
 from graphsack.model import _reference_distances
@@ -79,7 +78,7 @@ class TestAgainstReferences:
         for inst in instance_stream(Variant.SHORTEST_PATH, 60, 7000, 12):
             report = solve_shortest_path(inst)
             try:
-                want = enumerate_shortest_paths_opt(inst).pairs
+                want = oracle_for(inst).pairs
             except errors.Unreachable:
                 assert not report.feasible and not report.frontier
                 continue
@@ -100,7 +99,7 @@ class TestAgainstReferences:
                                    decision=i % 3 == 0)
             report = solve_shortest_path(inst)
             try:
-                want = enumerate_shortest_paths_opt(inst).pairs
+                want = oracle_for(inst).pairs
             except errors.Unreachable:
                 assert report.stats.get("unreachable") is True, inst
                 continue
