@@ -7,6 +7,7 @@ gives alpha(witness) >= (1 - eps) * OPT.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional
@@ -23,10 +24,18 @@ class ScaledInstance:
 
 
 def parse_epsilon(value) -> Fraction:
-    """Accept a Fraction, an int, or a 'NUM/DEN' / decimal string."""
+    """Accept a Fraction, an int, or a 'NUM/DEN' / decimal string.
+
+    Python bounds NUM, DEN and the decimal digits at 4300 digits, but
+    not a decimal exponent, and Fraction('1e-10000000') takes seconds;
+    so an exponent beyond 4300 in magnitude is refused unparsed."""
     try:
+        exp = isinstance(value, str) and re.search(r"e([-+]?[\d_]+)\s*$",
+                                                   value, re.IGNORECASE)
+        if exp and abs(int(exp[1])) > 4300:
+            raise ValueError("epsilon exponent beyond 4300 in magnitude")
         eps = Fraction(value)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise errors.BadEpsilon(str(exc)) from exc
     if not 0 < eps <= 1:
         raise errors.BadEpsilon(f"epsilon {eps} outside (0, 1]")

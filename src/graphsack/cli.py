@@ -1,16 +1,14 @@
 """Command-line front end: solve, generate, verify, decompose.
 
-stdout carries machine-readable JSON only.  An error is one ``error:``
-line on stderr; progress goes to stderr via logging (level picked by
-the GK_LOG environment variable).  Exit codes: 0 solved/feasible, 1
-infeasible, 2 usage or validation error.
+stdout carries machine-readable JSON only; stderr carries nothing but
+an error, as one ``error:`` line.  ``solve`` looks its solver up in one
+``{engine: {variant: solver}}`` table, ``auto`` included.  Exit codes:
+0 solved/feasible, 1 infeasible, 2 usage or validation error.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import logging
-import os
 import sys
 from dataclasses import replace
 from typing import Optional
@@ -27,47 +25,18 @@ from .paths import (solve_path_color_sweep, solve_path_tree,
                     solve_path_treewidth)
 from .shortest import solve_shortest_path
 
-log = logging.getLogger("graphsack")
-
-
-def _setup_logging() -> None:
-    level = {"error": logging.ERROR, "info": logging.INFO,
-             "debug": logging.DEBUG}.get(os.environ.get("GK_LOG", "error"),
-                                         logging.ERROR)
-    logging.basicConfig(stream=sys.stderr, level=level,
-                        format="%(levelname)s %(name)s: %(message)s")
-
-
 def _read_instance(path: str) -> Instance:
     with open(path, "r", encoding="utf-8") as fh:
         return instance_from_json(fh.read())
 
 
-def _is_forest(inst: Instance) -> bool:
-    parent = list(range(inst.n))
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for u, v in inst.edges:
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
-    return True
-
-
-def _pick_engine(inst: Instance, engine: str) -> str:
-    if engine != "auto":
-        return engine
-    if inst.variant is Variant.SHORTEST_PATH:
-        return "labels"
-    if inst.variant is Variant.PATH and _is_forest(inst):
-        return "tree"
-    return "treewidth"
+def _path_auto(inst: Instance) -> SolveReport:
+    """The tree solver on a forest, else the treewidth DP; the tree
+    solver's own walk is the forest check."""
+    try:
+        return solve_path_tree(inst)
+    except errors.NotATree:
+        return solve_path_treewidth(inst)
 
 
 def _oracle(inst: Instance) -> SolveReport:
@@ -82,6 +51,9 @@ def _engines(seed: int, trials: Optional[int]) -> dict:
     """{engine: {variant: solver}}, built on each call so that a solver
     name rebound in this module is the one that runs."""
     return {
+        "auto": {Variant.CONNECTED: solve_connected,
+                 Variant.PATH: _path_auto,
+                 Variant.SHORTEST_PATH: solve_shortest_path},
         "treewidth": {Variant.CONNECTED: solve_connected,
                       Variant.PATH: solve_path_treewidth},
         "color": {Variant.PATH: lambda inst: solve_path_color_sweep(
@@ -113,14 +85,11 @@ def cmd_solve(args) -> int:
     if args.mode == "decision" and inst.d is None:
         raise errors.EngineMismatch("decision mode needs d in the instance")
     if args.mode == "optimize" and inst.d is not None:
-        log.info("optimize mode: ignoring target d=%s", inst.d)
         inst = replace(inst, d=None)
-    engine = _pick_engine(inst, args.engine)
-    solver = _engines(args.seed, args.trials)[engine].get(inst.variant)
+    solver = _engines(args.seed, args.trials)[args.engine].get(inst.variant)
     if solver is None:
-        raise errors.EngineMismatch(
-            f"engine {engine} does not handle variant {inst.variant.value}")
-    log.info("engine=%s variant=%s n=%d", engine, inst.variant.value, inst.n)
+        raise errors.EngineMismatch(f"engine {args.engine} does not handle "
+                                    f"variant {inst.variant.value}")
     report = (solver(inst) if args.epsilon is None
               else fptas_optimize(inst, args.epsilon, solver))
     _emit(_report_doc(report))
@@ -148,7 +117,6 @@ def cmd_generate(args) -> int:
             with open(side, "w", encoding="utf-8") as fh:
                 fh.write(json.dumps(provenance, indent=2, sort_keys=True)
                          + "\n")
-        log.info("wrote %s", args.output)
     else:
         sys.stdout.write(text)
     return 0
@@ -237,8 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve an instance file")
     p.add_argument("--input", required=True)
-    p.add_argument("--engine", default="auto",
-                   choices=["auto", *_engines(0, None)])
+    p.add_argument("--engine", default="auto", choices=list(_engines(0, None)))
     p.add_argument("--mode", default="optimize",
                    choices=["decision", "optimize"])
     p.add_argument("--epsilon", default=None,
@@ -289,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    _setup_logging()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

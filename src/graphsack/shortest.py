@@ -9,8 +9,9 @@ labels.  The solver makes three passes:
    every vertex on some shortest x-y path.
 3. A replay of the settle order over the marked vertices prunes each
    vertex's (weight, value) cell once, then pushes its pairs along its
-   tight edges.  A pair keeps the first back-reference that reaches it,
-   from the predecessor settled earliest.
+   tight edges.  Each pair carries its x-v path as a vertex tuple; a
+   pair keeps the first path that reaches it, through the predecessor
+   settled earliest.
 
 Stats: ``nodes_expanded`` counts the vertices settled up to y,
 ``states_touched`` the pairs kept on the marked vertices, and
@@ -72,10 +73,10 @@ def solve_shortest_path(inst: Instance) -> SolveReport:
                 on_dag.add(z)
                 stack.append(z)
 
-    # labels[v]: {pair: (pred_vertex, pred_pair) or None}
+    # labels[v]: {pair: the x-v path of its first push}
     labels: dict[int, dict] = {v: {} for v in order if v in on_dag}
     if inst.weight[x] <= s:
-        labels[x][(inst.weight[x], inst.value[x])] = None
+        labels[x][(inst.weight[x], inst.value[x])] = (x,)
     for z, cell in labels.items():
         cell = labels[z] = {p: cell[p] for p in prune_pairs(cell)}
         stats["states_touched"] += len(cell)
@@ -84,19 +85,7 @@ def solve_shortest_path(inst: Instance) -> SolveReport:
                 continue
             wu, au = inst.weight[u], inst.value[u]
             target = labels[u]
-            for (w, a) in cell:
+            for (w, a), path in cell.items():
                 if w + wu <= s:
-                    target.setdefault((w + wu, a + au), (z, (w, a)))
-
-    def witness_for(pair):
-        path = []
-        v, p = y, pair
-        while True:
-            path.append(v)
-            ref = labels[v][p]
-            if ref is None:
-                break
-            v, p = ref
-        return path
-
-    return build_report(inst, labels[y], witness_for, stats)
+                    target.setdefault((w + wu, a + au), path + (u,))
+    return build_report(inst, labels[y], labels[y].__getitem__, stats)

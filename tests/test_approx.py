@@ -54,6 +54,13 @@ class TestScaleValues:
     def test_parse_fraction_string(self):
         assert parse_epsilon("1/4") == Fraction(1, 4)
         assert parse_epsilon("0.25") == Fraction(1, 4)
+        assert parse_epsilon("1e-3") == Fraction(1, 1000)
+
+    @pytest.mark.parametrize("bad", ["1e-5000", "1e+5000", float("inf")])
+    def test_huge_exponent_and_infinity_refused(self, bad):
+        # Fraction("1e-10000000") alone takes seconds to build
+        with pytest.raises(errors.BadEpsilon):
+            parse_epsilon(bad)
 
 
 class TestPruneOverweight:

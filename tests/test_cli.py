@@ -3,13 +3,14 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import graphsack
 from graphsack.cli import main
-from graphsack.model import instance_to_json
+from graphsack.model import Instance, instance_to_json, validate_instance
 from graphsack.generators import random_instance
 from graphsack import Variant
 
@@ -99,7 +100,7 @@ class TestSolve:
         assert code == 2
 
     def test_error_printed_once(self, tmp_path):
-        # a child process, so its logging writes to the stderr captured here
+        # a child process, so all that it writes to stderr is captured here
         empty = tmp_path / "empty.json"
         empty.write_text("{}")
         src_dir = str(Path(graphsack.__file__).resolve().parents[1])
@@ -218,6 +219,63 @@ class TestSolve:
             encoding="utf-8")
         block = readme.split("$ graphsack solve --input demo.json\n")[1]
         assert json.loads(block.split("\n```")[0]) == doc
+
+
+def _auto_cases():
+    """(id, instance, the engine that auto must match); every instance
+    has a target d, and every cyclic Path instance keeps its cycles
+    when the FPTAS drops the vertices heavier than s."""
+    tree = random_instance(Variant.PATH, "tree", 8, 5, decision=True)
+    yield "path-tree", tree, "tree"
+    yield "path-x-is-y", replace(tree, y=tree.x), "tree"
+    yield "path-y-in-other-tree", validate_instance(Instance(
+        variant=Variant.PATH, n=6, edges=((0, 1), (1, 2), (3, 4), (4, 5)),
+        weight=(1, 2, 1, 1, 2, 1), value=(3, 1, 2, 4, 1, 2), s=5, x=0, y=4,
+        d=3)), "tree"
+    for kind, seed in (("gnp", 3), ("gnp", 4), ("grid", 3)):
+        inst = random_instance(Variant.PATH, kind, 8, seed, p=0.5,
+                               decision=True)
+        assert max(inst.weight) <= inst.s
+        yield f"path-{kind}{seed}", inst, "treewidth"
+    for kind in ("tree", "gnp", "grid"):
+        yield (f"connected-{kind}", random_instance(
+            Variant.CONNECTED, kind, 8, 3, p=0.5, decision=True), "treewidth")
+    for kind in ("tree", "gnp", "grid"):
+        yield (f"sp-{kind}", random_instance(
+            Variant.SHORTEST_PATH, kind, 9, 3, p=0.5, decision=True), "labels")
+
+
+class TestAutoRow:
+    @pytest.mark.parametrize("extra", [[], ["--epsilon", "1/3"],
+                                       ["--mode", "decision"]],
+                             ids=["optimize", "fptas", "decision"])
+    @pytest.mark.parametrize("inst, engine", [
+        pytest.param(inst, engine, id=name)
+        for name, inst, engine in _auto_cases()])
+    def test_auto_prints_its_engine_bytes(self, capsys, tmp_path, inst,
+                                          engine, extra):
+        path = write_instance(tmp_path, inst)
+        printed = []
+        for argv in ([], ["--engine", "auto"], ["--engine", engine]):
+            code = main(["solve", "--input", path, *argv, *extra])
+            printed.append((code, *capsys.readouterr()))
+        assert printed[0] == printed[1] == printed[2]
+        assert printed[0][0] in (0, 1) and printed[0][2] == ""
+
+    def test_fptas_picks_tree_solver_after_pruning(self, capsys, tmp_path):
+        # vertex 2 (weight 9 > s) is on the one cycle, and the FPTAS
+        # drops it before auto picks a solver: tree stats, not the DP's
+        inst = validate_instance(Instance(
+            variant=Variant.PATH, n=4, edges=((0, 1), (0, 2), (1, 2), (1, 3)),
+            weight=(1, 1, 9, 1), value=(2, 3, 5, 4), s=4, x=0, y=3))
+        path = write_instance(tmp_path, inst)
+        code, out = run(capsys, "solve", "--input", path, "--epsilon", "1/3")
+        assert code == 0
+        assert json.loads(out) == {
+            "best_value": 9, "feasible": True, "frontier": [[3, 9]],
+            "stats": {"alpha_max": 4, "epsilon": "1/3", "nodes_expanded": 3,
+                      "scaled_value": 19, "states_touched": 1},
+            "witness": [0, 1, 3]}
 
 
 class TestGenerate:
