@@ -23,18 +23,23 @@ class ScaledInstance:
     alpha_max: int
 
 
+_MAX_DIGITS = 1000
+
+
 def parse_epsilon(value) -> Fraction:
     """Accept a Fraction, an int, or a 'NUM/DEN' / decimal string.
 
-    Python bounds NUM, DEN and the decimal digits at 4300 digits, but
-    not a decimal exponent, and Fraction('1e-10000000') takes seconds;
-    so an exponent beyond 4300 in magnitude is refused unparsed."""
+    A numerator or denominator over 1000 digits is refused, so scaled
+    values print far under Python's 4300-digit bound; so is a decimal
+    exponent over 1000, unparsed: Fraction('1e-10000000') takes seconds."""
     try:
         exp = isinstance(value, str) and re.search(r"e([-+]?[\d_]+)\s*$",
                                                    value, re.IGNORECASE)
-        if exp and abs(int(exp[1])) > 4300:
-            raise ValueError("epsilon exponent beyond 4300 in magnitude")
+        if exp and abs(int(exp[1])) > _MAX_DIGITS:
+            raise ValueError(f"epsilon exponent beyond {_MAX_DIGITS}")
         eps = Fraction(value)
+        if max(abs(eps.numerator), eps.denominator) >= 10 ** _MAX_DIGITS:
+            raise ValueError(f"epsilon terms beyond {_MAX_DIGITS} digits")
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise errors.BadEpsilon(str(exc)) from exc
     if not 0 < eps <= 1:

@@ -9,14 +9,15 @@ is introduced exactly once, right above the first introduce-vertex node
 that adds one of its ends to a bag already holding the other, or above
 the first leaf when both ends are pinned.
 ``run_dp`` is the Pareto DP over these decompositions that both exact
-solvers share: it walks the nodes in id order, owns the pairs and each
-state's key (the union of its blocks), and each solver supplies only
-the rules for its solution vertices.  Every stored pair carries the
-vertex bitmask of the first partial solution that reached it, so the
-root cell holds its own witnesses and no child table outlives its
-parent.  A state keeps each block of bag vertices as an
-int bitmask (bit v = vertex v), and ``union_blocks`` merges two
-partitions of them.
+solvers share: it walks the nodes in id order, owns the pairs, the
+introduce step and each state's key (the union of its blocks), and
+each solver supplies only the rules for its solution vertices.  Every
+stored pair carries the vertex bitmask of the first partial solution
+that reached it, so the root table holds its own witnesses and no
+child table outlives its parent; a solution finished below the root
+leaves the walk for the root's one ``DONE`` cell.  A state keeps each
+block of bag vertices as an int bitmask (bit v = vertex v), and
+``union_blocks`` merges two partitions of them.
 """
 from __future__ import annotations
 
@@ -32,6 +33,7 @@ INTRODUCE_VERTEX = "introduce_vertex"
 INTRODUCE_EDGE = "introduce_edge"
 FORGET_VERTEX = "forget_vertex"
 JOIN = "join"
+DONE = "done"
 _ARITY = {LEAF: 0, INTRODUCE_VERTEX: 1, FORGET_VERTEX: 1,
           INTRODUCE_EDGE: 1, JOIN: 2}
 
@@ -118,11 +120,9 @@ def run_dp(inst: Instance, nd: NiceDecomposition, rules, stats: dict) -> dict:
     states:
 
     - ``leaf() -> state``: the state of a leaf;
-    - ``introduce(state, u) -> state | None``: the state with u put into
-      the partial solution, or None when u may not join it; ``state``
-      itself stands for u left out;
-    - ``forget(state, u) -> state | None``: the state once u, a solution
-      vertex, leaves the bag, or None to drop it;
+    - ``forget(state, u) -> state | DONE | None``: the state once u, a
+      solution vertex, leaves the bag; ``DONE`` when the partial
+      solution is finished and takes no more vertices; None to drop it;
     - ``edge(state, u, v) -> states``: the states once edge uv between
       two solution vertices is in;
     - ``join(state1, state2)``: the merged state of two states with the
@@ -130,21 +130,26 @@ def run_dp(inst: Instance, nd: NiceDecomposition, rules, stats: dict) -> dict:
 
     The driver calls ``forget`` and ``edge`` only on vertices in the
     key; a vertex or edge outside it leaves the state as it is.  The
-    driver owns the pairs: the whole leaf bag is in the partial
-    solution, taking u adds its weight and value, a join pairs the
-    states of its children on their keys and subtracts the key's
-    vertices counted on both sides, pairs over the budget are dropped
-    where they are made, and every cell of two or more pairs is pruned
-    to its frontier.  Each pair maps to the vertex bitmask of the first
+    driver owns introduce and the pairs: u left out keeps the state,
+    u taken adds the block ``1 << u`` and u's weight and value, the
+    whole leaf bag is in the partial solution, a join pairs the states
+    of its children on their keys and subtracts the key's vertices
+    counted on both sides, pairs over the budget are dropped where they
+    are made, and every cell of two or more pairs is pruned to its
+    frontier.  Each pair maps to the vertex bitmask of the first
     partial solution that reached it: a leaf's bag, plus u when u is
-    taken, or the union of the two sides at a join.  Nodes are filled in
-    id order, and child tables are dropped once their parent is filled.
-    It counts ``nodes_expanded`` and ``states_touched`` (pairs kept) in
-    ``stats`` and returns the root's ``{state: {pair: mask}}``.
+    taken, or the union of the two sides at a join.  ``DONE`` cells
+    leave the walk for one finished cell, first finished in node order
+    winning a tie, stored pruned in the root table under ``DONE``.
+    Nodes are filled in id order, and child tables are dropped once
+    their parent is filled.  It counts ``nodes_expanded`` and
+    ``states_touched`` (pairs kept in node tables, not the finished
+    cell) in ``stats`` and returns the root's ``{state: {pair: mask}}``.
     """
     s = inst.s
     weight, value = inst.weight, inst.value
     tables: dict[int, dict] = {}
+    finished: dict = {}  # {DONE: {pair: mask}}
 
     for nid, node in enumerate(nd.nodes):
         stats["nodes_expanded"] += 1
@@ -161,20 +166,18 @@ def run_dp(inst: Instance, nd: NiceDecomposition, rules, stats: dict) -> dict:
                 # skip before take: the order of the states in a table
                 # decides which of two equal pairs keeps its witness
                 _copy(out, state, cell)
-                take = rules.introduce(state, u)
-                if take is None:
-                    continue
                 shifted = {(w + wu, a + au): mask | bit
                            for (w, a), mask in cell.items() if w + wu <= s}
                 if shifted:
-                    _copy(out, take, shifted)
+                    take = (tuple(sorted(state[0] + (bit,))), *state[1:])
+                    out[take] = shifted
 
         elif node.kind == FORGET_VERTEX:
             for state, cell in tables.pop(node.children[0]).items():
                 if _key(state) >> node.vertex & 1:
                     state = rules.forget(state, node.vertex)
                 if state is not None:
-                    _copy(out, state, cell)
+                    _copy(finished if state == DONE else out, state, cell)
 
         elif node.kind == INTRODUCE_EDGE:
             u, v = node.edge
@@ -215,6 +218,8 @@ def run_dp(inst: Instance, nd: NiceDecomposition, rules, stats: dict) -> dict:
                for st, cell in out.items() if cell}
         stats["states_touched"] += sum(len(c) for c in out.values())
         tables[nid] = out
+    for cell in finished.values():  # the DONE cell, if any
+        tables[nd.root][DONE] = {p: cell[p] for p in prune_pairs(cell)}
     return tables[nd.root]
 
 

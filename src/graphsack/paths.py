@@ -185,11 +185,6 @@ class _PathRules:
         return ((self.lim1 | self.lim0,), self.lim1, 0)
 
     @staticmethod
-    def introduce(state, u):
-        blocks, one, two = state
-        return tuple(sorted(blocks + (1 << u,))), one, two
-
-    @staticmethod
     def forget(state, u):
         blocks, one, two = state
         bit = 1 << u

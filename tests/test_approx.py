@@ -55,10 +55,14 @@ class TestScaleValues:
         assert parse_epsilon("1/4") == Fraction(1, 4)
         assert parse_epsilon("0.25") == Fraction(1, 4)
         assert parse_epsilon("1e-3") == Fraction(1, 1000)
+        assert parse_epsilon("1e-300") == Fraction(1, 10 ** 300)
 
-    @pytest.mark.parametrize("bad", ["1e-5000", "1e+5000", float("inf")])
+    @pytest.mark.parametrize("bad", [
+        "1e-5000", "1e+5000", float("inf"), "1e4300", "1e-2000",
+        pytest.param("1/" + "9" * 4300, id="1/9x4300")])
     def test_huge_exponent_and_infinity_refused(self, bad):
-        # Fraction("1e-10000000") alone takes seconds to build
+        # Fraction("1e-10000000") alone takes seconds to build, and an
+        # epsilon of thousands of digits fails late, when printed
         with pytest.raises(errors.BadEpsilon):
             parse_epsilon(bad)
 

@@ -212,7 +212,7 @@ class TestSolve:
         assert code == 0
         assert doc == {"best_value": 6, "feasible": True,
                        "frontier": [[0, 3], [2, 6]],
-                       "stats": {"nodes_expanded": 17, "states_touched": 76},
+                       "stats": {"nodes_expanded": 17, "states_touched": 53},
                        "witness": [3, 4]}
         # the README prints the same document after `$ graphsack solve`
         readme = (Path(__file__).parents[1] / "README.md").read_text(

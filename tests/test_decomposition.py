@@ -6,19 +6,20 @@ import sys
 import pytest
 
 from graphsack import (Instance, Variant, build_nice_decomposition, decompose,
-                       elimination_order_minfill, solve_connected,
+                       elimination_order_minfill, oracle_for, solve_connected,
                        solve_path_treewidth, validate_instance,
                        validate_nice_decomposition, verify_solution)
 from graphsack import errors
 from graphsack.connected import _ConnectedRules
-from graphsack.decomposition import (FORGET_VERTEX, INTRODUCE_EDGE,
+from graphsack.decomposition import (DONE, FORGET_VERTEX, INTRODUCE_EDGE,
                                      INTRODUCE_VERTEX, JOIN, LEAF, DecompNode,
                                      NiceDecomposition, run_dp, union_blocks,
                                      vertex_set)
+from graphsack.model import prune_pairs
 from graphsack.paths import _PathRules
 from graphsack.generators import random_instance
 
-from conftest import reroute
+from conftest import instance_stream, reroute
 
 
 def graph(n, edges):
@@ -336,9 +337,9 @@ class TestSharedDriver:
     pin the driver and not the solver's pin-aware order."""
 
     @pytest.mark.parametrize("variant, kind, n, seed, witness, counts", [
-        (Variant.CONNECTED, "tree", 12, 5, {2, 3, 5}, (56, 364)),
+        (Variant.CONNECTED, "tree", 12, 5, {2, 3, 5}, (56, 247)),
         (Variant.CONNECTED, "gnp", 16, 0, {0, 4, 5, 6, 7, 11, 13, 14},
-         (82, 2298)),
+         (82, 2104)),
         (Variant.PATH, "grid", 9, 1, {0, 1, 2, 5}, (37, 729)),
         (Variant.PATH, "grid", 9, 4, {0, 1, 2, 3, 5, 6, 7, 8}, (38, 1195)),
     ])
@@ -390,4 +391,26 @@ class TestRootWitnesses:
                     assert result.ok, (seed, pair, result.reason)
                     assert (result.w, result.alpha) == pair
                     checked += 1
+        assert checked > 0
+
+
+class TestFinishedCell:
+    """The Connected DP moves each finished solution out of the walk
+    into the root's one ``DONE`` cell: every pair there is a non-empty
+    connected subset, and with the empty solution they are the whole
+    frontier."""
+
+    def test_done_cell_and_empty_set_make_the_oracle_frontier(self):
+        checked = 0
+        for inst in instance_stream(Variant.CONNECTED, 66, 1900, 12):
+            stats = {"nodes_expanded": 0, "states_touched": 0}
+            done = run_dp(inst, decompose(inst), _ConnectedRules(),
+                          stats).get(DONE, {})
+            for pair, mask in done.items():
+                assert mask, (inst, pair)
+                result = verify_solution(inst, vertex_set(mask))
+                assert result.ok, (inst, pair, result.reason)
+                assert (result.w, result.alpha) == pair, inst
+                checked += 1
+            assert prune_pairs([(0, 0), *done]) == oracle_for(inst).pairs, inst
         assert checked > 0

@@ -69,20 +69,16 @@ def insert(front, pair):
 
 
 class _SubsetRules:
-    """``run_dp`` states ``((mask,),)``: one block, the bitmask of the bag
-    vertices taken; any set goes."""
+    """``run_dp`` states ``(blocks,)``: one block per bag vertex taken;
+    any set goes."""
 
     @staticmethod
     def leaf():
-        return ((0,),)
-
-    @staticmethod
-    def introduce(state, u):
-        return ((state[0][0] | 1 << u,),)
+        return ((),)
 
     @staticmethod
     def forget(state, u):
-        return ((state[0][0] & ~(1 << u),),)
+        return (tuple(b for b in state[0] if b != 1 << u),)
 
     @staticmethod
     def edge(state, u, v):
@@ -90,7 +86,7 @@ class _SubsetRules:
 
     @staticmethod
     def join(state1, state2):
-        return ((state1[0][0] | state2[0][0],),)
+        return (tuple(sorted({*state1[0], *state2[0]})),)
 
 
 def join_frontiers(weight, value, s, side1, side2, shared=()):
@@ -134,17 +130,17 @@ class TestParetoOps:
     def test_join_shared_bag(self):
         # vertex 0 is taken on both sides but counted once
         out = join_frontiers((2,), (3,), 10, (), (), shared=(0,))
-        assert out == {((0,),): ((0, 0),), ((1,),): ((2, 3),)}
+        assert out == {((),): ((0, 0),), ((1,),): ((2, 3),)}
 
     def test_join_neutral(self):
         # the empty side holds only (0, 0): the join is the other side
         out = join_frontiers((4,), (7,), 10, (), (0,))
-        assert out == {((0,),): ((0, 0), (4, 7))}
+        assert out == {((),): ((0, 0), (4, 7))}
 
     def test_join_cap(self):
         # sides ((0,0),(1,1),(2,5)) and ((0,0),(1,2)); (3,7) is over s=2
         out = join_frontiers((1, 2, 1), (1, 5, 2), 2, (0, 1), (2,))
-        assert out == {((0,),): ((0, 0), (1, 2), (2, 5))}
+        assert out == {((),): ((0, 0), (1, 2), (2, 5))}
 
     def test_no_solver_prunes_a_pair_over_budget(self, monkeypatch):
         # every solver drops a pair over s where it makes it, so
