@@ -3,7 +3,9 @@
 Values are rescaled to alpha'(u) = floor(n * alpha(u) / (eps * alpha_max)),
 the exact solver runs on the scaled instance, and the returned witness
 is re-valued in the original instance.  The classic rounding argument
-gives alpha(witness) >= (1 - eps) * OPT.
+gives alpha(witness) >= (1 - eps) * OPT if alpha_max <= OPT, as for
+Connected; for Path and Shortest-Path a light vertex on no x-y path can
+set alpha_max above OPT and break it (ROADMAP item 2).
 """
 from __future__ import annotations
 
@@ -92,7 +94,7 @@ def prune_overweight(inst: Instance) -> tuple[Instance, Optional[tuple[int, ...]
 
 def fptas_optimize(inst: Instance, epsilon,
                    exact_solver: Optional[Callable] = None) -> SolveReport:
-    """(1 - eps)-approximate optimizer; witness feasible in ``inst``.
+    """(1 - eps)-optimal if alpha_max <= OPT; witness feasible in ``inst``.
 
     ``exact_solver`` defaults to the variant's treewidth DP or, for
     Shortest-Path, the label solver.  The report's frontier and values

@@ -175,7 +175,10 @@ def _make_reduction(args) -> reductions.ReductionOutput:
 def cmd_verify(args) -> int:
     inst = _read_instance(args.input)
     with open(args.witness, "r", encoding="utf-8") as fh:
-        witness = json.load(fh)
+        try:
+            witness = json.load(fh)
+        except RecursionError as exc:
+            raise errors.BadInstanceJson(str(exc)) from exc
     if not is_int_list(witness):
         raise errors.BadInstanceJson("witness must be a JSON list of ints")
     result = verify_solution(inst, witness)

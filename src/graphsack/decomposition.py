@@ -13,11 +13,11 @@ solvers share: it walks the nodes in id order, owns the pairs, the
 introduce step and each state's key (the union of its blocks), and
 each solver supplies only the rules for its solution vertices.  Every
 stored pair carries the vertex bitmask of the first partial solution
-that reached it, so the root table holds its own witnesses and no
-child table outlives its parent; a solution finished below the root
-leaves the walk for the root's one ``DONE`` cell.  A state keeps each
-block of bag vertices as an int bitmask (bit v = vertex v), and
-``union_blocks`` merges two partitions of them.
+that reached it, so no child table outlives its parent.  A rule marks
+a finished solution by returning ``DONE``; it leaves the walk for one
+finished cell, which ``run_dp`` returns with its witnesses.  A state
+keeps each block of bag vertices as an int bitmask (bit v = vertex v),
+and ``union_blocks`` merges two partitions of them.
 """
 from __future__ import annotations
 
@@ -112,17 +112,18 @@ def _key(state) -> int:
 
 
 def run_dp(inst: Instance, nd: NiceDecomposition, rules, stats: dict) -> dict:
-    """Fill a (weight, value) Pareto DP over ``nd`` bottom-up.
+    """Fill a (weight, value) Pareto DP over ``nd`` bottom-up and return
+    the ``{pair: mask}`` frontier of the finished solutions.
 
     A state's first entry is its sorted tuple of block masks (bit v =
     vertex v); their union, the state's key, is the set of bag vertices
     in the partial solution.  ``rules`` holds the rest of one problem's
-    states:
+    states, and any rule may return ``DONE`` for a finished solution,
+    which takes no more vertices:
 
     - ``leaf() -> state``: the state of a leaf;
-    - ``forget(state, u) -> state | DONE | None``: the state once u, a
-      solution vertex, leaves the bag; ``DONE`` when the partial
-      solution is finished and takes no more vertices; None to drop it;
+    - ``forget(state, u) -> state | None``: the state once u, a solution
+      vertex, leaves the bag, or None to drop it;
     - ``edge(state, u, v) -> states``: the states once edge uv between
       two solution vertices is in;
     - ``join(state1, state2)``: the merged state of two states with the
@@ -138,18 +139,17 @@ def run_dp(inst: Instance, nd: NiceDecomposition, rules, stats: dict) -> dict:
     are made, and every cell of two or more pairs is pruned to its
     frontier.  Each pair maps to the vertex bitmask of the first
     partial solution that reached it: a leaf's bag, plus u when u is
-    taken, or the union of the two sides at a join.  ``DONE`` cells
-    leave the walk for one finished cell, first finished in node order
-    winning a tie, stored pruned in the root table under ``DONE``.
-    Nodes are filled in id order, and child tables are dropped once
-    their parent is filled.  It counts ``nodes_expanded`` and
-    ``states_touched`` (pairs kept in node tables, not the finished
-    cell) in ``stats`` and returns the root's ``{state: {pair: mask}}``.
+    taken, or the union of the two sides at a join.  Once per node the
+    ``DONE`` cell leaves the walk for the finished cell, the first
+    finished in node order winning a tie.  Nodes are filled in id order,
+    and a child table is dropped once its parent is filled.  It counts
+    ``nodes_expanded`` and ``states_touched`` (pairs kept in node
+    tables) in ``stats``.
     """
     s = inst.s
     weight, value = inst.weight, inst.value
     tables: dict[int, dict] = {}
-    finished: dict = {}  # {DONE: {pair: mask}}
+    finished: dict = {}  # {pair: mask} of every finished solution
 
     for nid, node in enumerate(nd.nodes):
         stats["nodes_expanded"] += 1
@@ -177,7 +177,7 @@ def run_dp(inst: Instance, nd: NiceDecomposition, rules, stats: dict) -> dict:
                 if _key(state) >> node.vertex & 1:
                     state = rules.forget(state, node.vertex)
                 if state is not None:
-                    _copy(finished if state == DONE else out, state, cell)
+                    _copy(out, state, cell)
 
         elif node.kind == INTRODUCE_EDGE:
             u, v = node.edge
@@ -212,15 +212,15 @@ def run_dp(inst: Instance, nd: NiceDecomposition, rules, stats: dict) -> dict:
         else:
             raise AssertionError(node.kind)
 
+        for p, mask in out.pop(DONE, {}).items():
+            finished.setdefault(p, mask)
         # a join cell is empty when every pair in it overran the budget
         out = {st: cell if len(cell) == 1
                else {p: cell[p] for p in prune_pairs(cell.keys())}
                for st, cell in out.items() if cell}
         stats["states_touched"] += sum(len(c) for c in out.values())
         tables[nid] = out
-    for cell in finished.values():  # the DONE cell, if any
-        tables[nd.root][DONE] = {p: cell[p] for p in prune_pairs(cell)}
-    return tables[nd.root]
+    return {p: finished[p] for p in prune_pairs(finished)}
 
 
 def _adjacency_masks(inst: Instance) -> list[int]:

@@ -362,10 +362,10 @@ def json_object(text: str, required: set[str],
                 optional: set[str] = frozenset()) -> dict:
     """``text`` parsed as a JSON object with every ``required`` field and
     no field outside ``required`` and ``optional``; BadInstanceJson
-    otherwise."""
+    otherwise, nesting too deep for the parser included."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise errors.BadInstanceJson(str(exc)) from exc
     if not isinstance(doc, dict):
         raise errors.BadInstanceJson("document must be a JSON object")

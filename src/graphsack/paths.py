@@ -6,8 +6,8 @@ finds x-y paths of every length up to k, and an exact segment-state
 DP over a nice edge tree decomposition pinned at both terminals.  The
 segment states are vertex bitmasks: the path blocks of the bag and
 the bag vertices at solution degree 1 and 2.  ``decomposition.run_dp``
-derives each state's key from its blocks and calls the segment rules
-only for solution vertices and edges between them.
+derives each state's key from its blocks, calls the segment rules only
+for solution vertices and edges, and returns the paths they finish.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from itertools import accumulate
 from typing import Optional
 
 from . import errors
-from .decomposition import (NiceDecomposition, build_nice_decomposition,
+from .decomposition import (DONE, NiceDecomposition, build_nice_decomposition,
                             elimination_order_minfill, run_dp, union_blocks,
                             validate_nice_decomposition, vertex_set)
 from .model import (Instance, SolveReport, Variant, build_report, prune_pairs,
@@ -115,7 +115,11 @@ def default_trials(k: int) -> int:
     """Trial budget that finds a fixed path on at most k vertices with
     probability >= 95% when coloring with k colors: each trial makes it
     colorful with probability >= e^-k, and (1 - e^-k)^(3e^k) < e^-3."""
-    return math.ceil(3 * math.e ** k)
+    try:
+        return math.ceil(3 * math.e ** k)
+    except OverflowError:
+        raise errors.GraphsackError(f"default budget ceil(3e^k) overflows at "
+                                    f"k = {k} colors; set --trials") from None
 
 
 def solve_path_color_sweep(inst: Instance, seed: int = 0,
@@ -166,23 +170,21 @@ class _PathRules:
     solution is a set of vertex-disjoint paths, one block per path's bag
     vertices, and ``one`` and ``two`` are the bag vertices at solution
     degree 1 and 2; all are vertex bitmasks (bit v = vertex v).  A
-    terminal may reach degree 1 (0 when x == y), any other vertex 2, and
-    a vertex leaves the bag only at degree 2."""
+    terminal may reach degree 1, any other vertex 2, and a vertex leaves
+    the bag only at degree 2.  Rules return ``DONE`` for a finished x-y
+    path: one block whose degree-1 vertices are x and y, or x == y."""
 
     def __init__(self, inst: Instance):
         self.ends = sorted({inst.x, inst.y})
-        ends = sum(1 << v for v in self.ends)
-        # terminals whose degree limit is 1 (x != y) or 0 (x == y)
-        self.lim1 = ends if len(self.ends) == 2 else 0
-        self.lim0 = ends ^ self.lim1
+        self.lim1 = 1 << inst.x | 1 << inst.y
 
     def leaf(self):
         # every bag of the decomposition is pinned at both terminals
-        return tuple(1 << v for v in self.ends), 0, 0
+        return ((tuple(1 << v for v in self.ends), 0, 0)
+                if len(self.ends) == 2 else DONE)
 
-    def accept(self):
-        """The root state of one x-y path."""
-        return ((self.lim1 | self.lim0,), self.lim1, 0)
+    def _done(self, *state):
+        return DONE if len(state[0]) == 1 and state[1] == self.lim1 else state
 
     @staticmethod
     def forget(state, u):
@@ -196,12 +198,12 @@ class _PathRules:
     def edge(self, state, u, v):
         blocks, one, two = state
         uv = 1 << u | 1 << v
-        if uv & (two | one & self.lim1 | self.lim0):
+        if uv & (two | one & self.lim1):
             return [state]  # an endpoint is at its degree limit
         merged = union_blocks(blocks, (uv,))
         if len(merged) == len(blocks):
             return [state]  # closing a cycle
-        return [state, (merged, one ^ uv, two | one & uv)]
+        return [state, self._done(merged, one ^ uv, two | one & uv)]
 
     def join(self, state1, state2):
         (blocks1, one1, two1), (blocks2, one2, two2) = state1, state2
@@ -214,7 +216,7 @@ class _PathRules:
         shared = sum(blocks1).bit_count()
         if len(merged) != len(blocks1) + len(blocks2) - shared:
             return None
-        return merged, one1 ^ one2, two1 | two2 | one1 & one2
+        return self._done(merged, one1 ^ one2, two1 | two2 | one1 & one2)
 
 
 def solve_path_treewidth(inst: Instance,
@@ -236,6 +238,5 @@ def solve_path_treewidth(inst: Instance,
     else:
         validate_nice_decomposition(inst, nd)
     stats = {"nodes_expanded": 0, "states_touched": 0}
-    rules = _PathRules(inst)
-    cell = run_dp(inst, nd, rules, stats).get(rules.accept(), {})
+    cell = run_dp(inst, nd, _PathRules(inst), stats)
     return build_report(inst, cell, lambda p: vertex_set(cell[p]), stats)

@@ -138,6 +138,20 @@ class TestGuarantee:
         assert report.best_value == 10
         assert report.witness == frozenset({0, 2, 3})
 
+    @pytest.mark.xfail(strict=True, reason="alpha_max counts a light "
+                       "vertex on no x-y path (ROADMAP item 2)")
+    @pytest.mark.parametrize("variant, weight", [
+        (Variant.PATH, (0, 1, 2, 0, 1)),
+        (Variant.SHORTEST_PATH, (0, 1, 1, 0, 1))],
+        ids=["path", "shortest_path"])
+    def test_light_vertex_off_every_path(self, variant, weight):
+        # the pendant 4 off y fits s and sets alpha_max = 1000, so both
+        # x-y paths scale to 0 and the witness is the one of value 1
+        inst = make(variant, 5, ((0, 1), (1, 3), (0, 2), (2, 3), (3, 4)),
+                    weight, (0, 1, 10, 0, 1000), 2, x=0, y=3)
+        report = fptas_optimize(inst, Fraction(1, 2))
+        assert report.best_value >= (1 - Fraction(1, 2)) * 10
+
     @pytest.mark.parametrize("weight, value", [((1, 1), (0, 0)),
                                                ((1, 9), (0, 5))])
     def test_zero_values_decision_reports_value(self, weight, value):

@@ -137,6 +137,21 @@ class TestSolve:
                         "--engine", "color", "--trials", trials)
         assert code == 2 and out == ""
 
+    def test_color_default_budget_overflow_exit_two(self, capsys,
+                                                      tmp_path):
+        # k = 720 zero-weight vertices fit s: ceil(3e^k) overflows a float
+        n = 720
+        inst = validate_instance(Instance(
+            variant=Variant.PATH, n=n,
+            edges=tuple((v, v + 1) for v in range(n - 1)), weight=(0,) * n,
+            value=(1,) * n, s=0, x=0, y=n - 1))
+        code = main(["solve", "--input", write_instance(tmp_path, inst),
+                     "--engine", "color"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "k = 720" in err and "--trials" in err
+
     def test_auto_uses_tree_solver_on_trees(self, capsys, tmp_path):
         inst = random_instance(Variant.PATH, "tree", 6, 4)
         path = write_instance(tmp_path, inst)
@@ -375,6 +390,29 @@ class TestVerify:
         code, _ = run(capsys, "verify", "--input", diamond_sp,
                       "--witness", str(wit))
         assert code == 2
+
+
+class TestDeepNesting:
+    """JSON nested past the parser's recursion limit is bad input, not
+    a crash: every command that reads a file exits 2 with one line."""
+
+    @pytest.mark.parametrize("argv", [
+        ("solve", "--input", "{deep}"),
+        ("decompose", "--input", "{deep}"),
+        ("verify", "--input", "{inst}", "--witness", "{deep}"),
+        ("generate", "--reduction", "vc", "--source-graph", "{deep}"),
+        ("generate", "--reduction", "star", "--items", "{deep}")],
+        ids=["solve", "decompose", "verify-witness", "generate-source-graph",
+             "generate-items"])
+    def test_exit_two_one_line(self, capsys, tmp_path, argv):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200000 + "]" * 200000)
+        inst = write_instance(tmp_path,
+                              random_instance(Variant.CONNECTED, "tree", 3, 1))
+        code = main([a.format(deep=deep, inst=inst) for a in argv])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 class TestDecompose:

@@ -10,9 +10,9 @@ from graphsack import (Instance, ParetoSet, Variant, fptas_optimize,
                        instance_from_json, instance_to_json,
                        validate_instance, verify_solution)
 from graphsack import cli, decomposition, errors, model, paths, shortest
-from graphsack.decomposition import (FORGET_VERTEX, INTRODUCE_VERTEX, JOIN,
-                                     LEAF, DecompNode, NiceDecomposition,
-                                     run_dp)
+from graphsack.decomposition import (DONE, FORGET_VERTEX, INTRODUCE_VERTEX,
+                                     JOIN, LEAF, DecompNode,
+                                     NiceDecomposition, run_dp)
 from graphsack.model import prune_pairs
 from conftest import instance_stream
 
@@ -70,7 +70,7 @@ def insert(front, pair):
 
 class _SubsetRules:
     """``run_dp`` states ``(blocks,)``: one block per bag vertex taken;
-    any set goes."""
+    any set goes, and a join finishes it."""
 
     @staticmethod
     def leaf():
@@ -86,13 +86,14 @@ class _SubsetRules:
 
     @staticmethod
     def join(state1, state2):
-        return (tuple(sorted({*state1[0], *state2[0]})),)
+        return DONE
 
 
 def join_frontiers(weight, value, s, side1, side2, shared=()):
     """Run ``run_dp`` on a join of two branches that each introduce the
     ``shared`` vertices and introduce and forget their own side's; return
-    the join's ``{state: frontier}``."""
+    the frontier of the join's products, which ``run_dp`` returns as
+    finished."""
     nodes = []
 
     def add(kind, bag, children, vertex=None):
@@ -113,8 +114,7 @@ def join_frontiers(weight, value, s, side1, side2, shared=()):
     nd = NiceDecomposition(tuple(nodes), root, frozenset(), len(shared))
     inst = make(n=len(weight), edges=(), weight=weight, value=value, s=s)
     stats = {"nodes_expanded": 0, "states_touched": 0}
-    return {state: tuple(cell)
-            for state, cell in run_dp(inst, nd, _SubsetRules, stats).items()}
+    return tuple(run_dp(inst, nd, _SubsetRules, stats))
 
 
 class TestParetoOps:
@@ -130,17 +130,17 @@ class TestParetoOps:
     def test_join_shared_bag(self):
         # vertex 0 is taken on both sides but counted once
         out = join_frontiers((2,), (3,), 10, (), (), shared=(0,))
-        assert out == {((),): ((0, 0),), ((1,),): ((2, 3),)}
+        assert out == ((0, 0), (2, 3))
 
     def test_join_neutral(self):
         # the empty side holds only (0, 0): the join is the other side
         out = join_frontiers((4,), (7,), 10, (), (0,))
-        assert out == {((),): ((0, 0), (4, 7))}
+        assert out == ((0, 0), (4, 7))
 
     def test_join_cap(self):
         # sides ((0,0),(1,1),(2,5)) and ((0,0),(1,2)); (3,7) is over s=2
         out = join_frontiers((1, 2, 1), (1, 5, 2), 2, (0, 1), (2,))
-        assert out == {((),): ((0, 0), (1, 2), (2, 5))}
+        assert out == ((0, 0), (1, 2), (2, 5))
 
     def test_no_solver_prunes_a_pair_over_budget(self, monkeypatch):
         # every solver drops a pair over s where it makes it, so

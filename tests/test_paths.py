@@ -125,6 +125,17 @@ class TestColorCoding:
         assert report.stats["trials_run"] == default_trials(3)
         assert report.frontier.pairs == ((2, 2), (3, 3))
 
+    def test_default_budget_overflow_names_k(self):
+        # all 720 zero-weight vertices fit s, so k = 720 and 3e^k is past
+        # every float; an explicit budget still runs
+        n = 720
+        inst = make(n, [(v, v + 1) for v in range(n - 1)], (0,) * n,
+                    (1,) * n, 0, x=0, y=n - 1)
+        with pytest.raises(errors.GraphsackError, match="k = 720"):
+            solve_path_color_sweep(inst)
+        report = solve_path_color_sweep(inst, trials=5)
+        assert report.stats["trials_run"] == 5
+
     def test_sweep_same_terminal(self):
         report = solve_path_color_sweep(make(**P3, s=3, x=1, y=1))
         assert report.witness == frozenset({1})
