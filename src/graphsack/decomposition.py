@@ -140,8 +140,8 @@ def run_dp(inst: Instance, nd: NiceDecomposition, rules, stats: dict) -> dict:
     frontier.  Each pair maps to the vertex bitmask of the first
     partial solution that reached it: a leaf's bag, plus u when u is
     taken, or the union of the two sides at a join.  Once per node the
-    ``DONE`` cell leaves the walk for the finished cell, the first
-    finished in node order winning a tie.  Nodes are filled in id order,
+    ``DONE`` cell is pruned and leaves the walk for the finished cell,
+    the first finished in node order winning a tie.  Nodes are filled in id order,
     and a child table is dropped once its parent is filled.  It counts
     ``nodes_expanded`` and ``states_touched`` (pairs kept in node
     tables) in ``stats``.
@@ -212,8 +212,9 @@ def run_dp(inst: Instance, nd: NiceDecomposition, rules, stats: dict) -> dict:
         else:
             raise AssertionError(node.kind)
 
-        for p, mask in out.pop(DONE, {}).items():
-            finished.setdefault(p, mask)
+        done = out.pop(DONE, {})
+        for p in prune_pairs(done):
+            finished.setdefault(p, done[p])
         # a join cell is empty when every pair in it overran the budget
         out = {st: cell if len(cell) == 1
                else {p: cell[p] for p in prune_pairs(cell.keys())}

@@ -365,8 +365,8 @@ class TestRootWitnesses:
     at sizes past the oracles' limits, where a verified witness per pair
     is what shows the frontier sound, and on the oracle-size seeded
     stream, where the cell must prune to the oracle's frontier; Connected
-    adds the empty solution ``(0, 0)`` first.  Every fifth Path instance
-    takes y = x."""
+    adds the empty solution ``(0, 0)`` first.  Path also runs a y = x
+    copy of every fifth oracle-size instance."""
 
     @pytest.mark.parametrize("variant, kind, n, p", [
         (Variant.CONNECTED, "grid", 25, 0.4),
@@ -382,6 +382,9 @@ class TestRootWitnesses:
         small = [inst for i, inst in enumerate(
                      instance_stream(variant, 66, 1900, 12))
                  if GRAPH_KINDS[i % 4] == kind]
+        if variant is Variant.PATH:
+            small += [dataclasses.replace(inst, y=inst.x)
+                      for inst in small[::5]]
         checked = 0
         for i, inst in enumerate(large + small):
             if variant is Variant.CONNECTED:
@@ -389,8 +392,6 @@ class TestRootWitnesses:
                               {"nodes_expanded": 0, "states_touched": 0})
                 pairs = [(0, 0), *cell]
             else:
-                if i % 5 == 0:
-                    inst = dataclasses.replace(inst, y=inst.x)
                 cell = run_dp(inst, decompose(inst, {inst.x, inst.y}),
                               _PathRules(inst),
                               {"nodes_expanded": 0, "states_touched": 0})
