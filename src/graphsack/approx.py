@@ -5,7 +5,7 @@ the exact solver runs on the scaled instance, and the returned witness
 is re-valued in the original instance.  The classic rounding argument
 gives alpha(witness) >= (1 - eps) * OPT if alpha_max <= OPT, as for
 Connected; for Path and Shortest-Path a light vertex on no x-y path can
-set alpha_max above OPT and break it (ROADMAP item 2).
+set alpha_max above OPT and break it (ROADMAP item 3).
 """
 from __future__ import annotations
 

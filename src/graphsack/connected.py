@@ -50,7 +50,11 @@ class _ConnectedRules:
 
 def solve_connected(inst: Instance, early_stop: bool = False) -> SolveReport:
     """Frontier over all connected vertex subsets within the budget, the
-    empty set included, from one DP pass; ``early_stop`` is ignored."""
+    empty set included, from one DP pass.  With d set, the pass drops
+    every pair that cannot reach d and stops at the first finished
+    component that does (``run_dp``), and the report is the decision
+    answer.  ``early_stop`` is accepted for old callers and ignored:
+    decision mode always stops."""
     require_variant(inst, Variant.CONNECTED)
     stats = {"nodes_expanded": 0, "states_touched": 0}
     nd = build_nice_decomposition(inst, elimination_order_minfill(inst), ())

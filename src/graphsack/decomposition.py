@@ -17,13 +17,18 @@ that reached it, so no child table outlives its parent.  A rule marks
 a finished solution by returning ``DONE``; it leaves the walk for one
 finished cell, which ``run_dp`` returns with its witnesses.  A state
 keeps each block of bag vertices as an int bitmask (bit v = vertex v),
-and ``union_blocks`` merges two partitions of them.
+and ``union_blocks`` merges two partitions of them.  In decision mode
+``run_dp`` drops every pair that a fractional knapsack bound shows
+cannot reach d, and stops at the first finished pair that does.
 """
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from fractions import Fraction
+from itertools import accumulate, compress
+from typing import Callable, Iterable, Iterator, Optional
 
 from . import errors
 from .model import Instance, prune_pairs
@@ -111,6 +116,68 @@ def _key(state) -> int:
     return sum(state[0])
 
 
+# maps the binary digits of a decided mask to undecided flags
+_UNDECIDED = bytes.maketrans(b"01", b"\x01\x00")
+
+
+class _Bound:
+    """Decision mode's cut: a pair (w, a) at a node can reach d only if
+    a plus the fractional knapsack over the vertices in no bag at or
+    below the node, with capacity s - w (the Dantzig bound), is at
+    least d.  It ranks the vertices once by falling value/weight
+    density, zero-weight vertices first, the greedy order of the
+    fractional knapsack, and each table's decided vertices, those in
+    some bag at or below it, are an int mask over those ranks.  The
+    bound never falls as w falls or a rises, so a pair that dominates a
+    kept pair is kept, and it never rises up the walk, so a pair cut
+    stays cut."""
+
+    def __init__(self, inst: Instance, pinned: frozenset[int]):
+        weight, value = inst.weight, inst.value
+        order = sorted(range(inst.n), key=lambda v: (1, Fraction(
+            -value[v], weight[v])) if weight[v] else (0, 0))
+        self.bit = [0] * inst.n
+        for i, v in enumerate(order):
+            self.bit[v] = 1 << i
+        self.weight = [weight[v] for v in order]
+        self.value = [value[v] for v in order]
+        self.leaf = sum(self.bit[v] for v in pinned)  # every leaf bag
+        self.n, self.s, self.d = inst.n, inst.s, inst.d
+
+    def decided(self, node: DecompNode, kids: list[int]) -> int:
+        """A node's decided mask from its children's: a leaf's bag, the
+        child's plus u at introduce-vertex u, the union at a join."""
+        if node.kind == LEAF:
+            return self.leaf
+        if node.kind == INTRODUCE_VERTEX:
+            return kids[0] | self.bit[node.vertex]
+        return kids[0] | kids[-1]
+
+    def test(self, decided: int) -> Callable[[int, int], bool]:
+        """``keep(w, a)``: whether a + the bound with capacity s - w is
+        at least d.  ``bisect`` on prefix sums over the undecided ranks
+        finds the greedy prefix that fits, and the next vertex, of
+        positive weight, fills the rest fractionally; the test
+        cross-multiplies, so it stays in integers."""
+        s, d = self.s, self.d
+        # one byte per rank, low rank first, nonzero when undecided
+        flags = f"{decided:0{self.n}b}".encode().translate(_UNDECIDED)[::-1]
+        prefix_w = [*accumulate(compress(self.weight, flags), initial=0)]
+        prefix_a = [*accumulate(compress(self.value, flags), initial=0)]
+        last = len(prefix_w) - 1
+
+        def keep(w: int, a: int) -> bool:
+            room = s - w
+            k = bisect_right(prefix_w, room) - 1
+            gap = a + prefix_a[k] - d
+            if gap >= 0 or k == last:
+                return gap >= 0
+            return (gap * (prefix_w[k + 1] - prefix_w[k])
+                    + (room - prefix_w[k]) * (prefix_a[k + 1] - prefix_a[k])
+                    >= 0)
+        return keep
+
+
 def run_dp(inst: Instance, nd: NiceDecomposition, rules, stats: dict) -> dict:
     """Fill a (weight, value) Pareto DP over ``nd`` bottom-up and return
     the ``{pair: mask}`` frontier of the finished solutions.
@@ -145,11 +212,23 @@ def run_dp(inst: Instance, nd: NiceDecomposition, rules, stats: dict) -> dict:
     and a child table is dropped once its parent is filled.  It counts
     ``nodes_expanded`` and ``states_touched`` (pairs kept in node
     tables) in ``stats``.
+
+    Decision mode (``inst.d`` set) does two more things.  After the
+    ``DONE`` sweep of a node, the first finished pair with value >= d
+    is returned at once, alone with its mask; without one, the cell
+    returned holds no such pair.  And at each leaf, introduce-vertex
+    and join node, the only nodes that decide vertices, every pair of
+    the pruned table that ``_Bound`` shows cannot reach d is dropped and
+    counted in ``stats["pairs_cut"]``.  The kept pairs keep their masks.
     """
-    s = inst.s
+    s, d = inst.s, inst.d
     weight, value = inst.weight, inst.value
     tables: dict[int, dict] = {}
     finished: dict = {}  # {pair: mask} of every finished solution
+    if d is not None:
+        bound = _Bound(inst, nd.pinned)
+        decided: dict[int, int] = {}  # per table, as in tables
+        stats["pairs_cut"] = 0
 
     for nid, node in enumerate(nd.nodes):
         stats["nodes_expanded"] += 1
@@ -214,11 +293,24 @@ def run_dp(inst: Instance, nd: NiceDecomposition, rules, stats: dict) -> dict:
 
         done = out.pop(DONE, {})
         for p in prune_pairs(done):
+            if d is not None and p[1] >= d:
+                return {p: done[p]}
             finished.setdefault(p, done[p])
         # a join cell is empty when every pair in it overran the budget
         out = {st: cell if len(cell) == 1
                else {p: cell[p] for p in prune_pairs(cell.keys())}
                for st, cell in out.items() if cell}
+        if d is not None:
+            mask = decided[nid] = bound.decided(
+                node, [decided.pop(c) for c in node.children])
+            # only these kinds shrink the undecided vertices
+            if node.kind in (LEAF, INTRODUCE_VERTEX, JOIN):
+                keep = bound.test(mask)
+                before = sum(len(c) for c in out.values())
+                out = {st: kept for st, cell in out.items()
+                       if (kept := {p: m for p, m in cell.items()
+                                    if keep(*p)})}
+                stats["pairs_cut"] += before - sum(len(c) for c in out.values())
         stats["states_touched"] += sum(len(c) for c in out.values())
         tables[nid] = out
     return {p: finished[p] for p in prune_pairs(finished)}

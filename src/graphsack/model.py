@@ -204,19 +204,23 @@ def build_report(inst: Instance, pairs: Iterable[Pair], witness_for,
     """Assemble a SolveReport from the pairs a solver found.
 
     Every solver returns through here.  ``pairs`` are all within the
-    budget already and are pruned to the frontier here; no pairs give
-    the infeasible report.  ``witness_for`` maps a frontier pair to its
-    vertex set.  Decision mode (d set) reports the cheapest pair with
-    value >= d; optimize mode is feasible whenever the frontier is
-    non-empty.
+    budget already and are pruned to the frontier here.  ``witness_for``
+    maps a frontier pair to its vertex set.  Optimize mode (d unset)
+    reports the whole frontier and its most valuable pair, and is
+    feasible whenever the frontier is non-empty.  Decision mode (d set)
+    reports only its answer: "yes" has the cheapest pair of value >= d
+    as the one pair of its frontier and its value as ``best_value``;
+    "no" has an empty frontier and no ``best_value``.
     """
     frontier = ParetoSet(prune_pairs(pairs))
-    best_value = frontier.best_value()
-    if not frontier or inst.d is not None and best_value < inst.d:
-        return SolveReport(False, best_value, None, frontier, stats)
-    top = (frontier.pairs[-1] if inst.d is None
-           else next(pair for pair in frontier if pair[1] >= inst.d))
-    return SolveReport(True, best_value, frozenset(witness_for(top)),
+    if inst.d is None:
+        top = frontier.pairs[-1] if frontier else None
+    else:
+        top = next((pair for pair in frontier if pair[1] >= inst.d), None)
+        frontier = ParetoSet((top,) if top else ())
+    if top is None:
+        return SolveReport(False, None, None, frontier, stats)
+    return SolveReport(True, top[1], frozenset(witness_for(top)),
                        frontier, stats)
 
 

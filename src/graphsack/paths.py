@@ -226,8 +226,10 @@ def solve_path_treewidth(inst: Instance,
     The default decomposition eliminates G - {x, y} by min-fill and the
     terminals last, as they sit in every bag.  A caller's ``nd`` must be
     pinned at exactly {x, y}, or ``ValueError`` is raised, and must pass
-    ``validate_nice_decomposition`` against ``inst``.  Shortest-Path
-    instances are refused: the DP ignores dist(x, y)."""
+    ``validate_nice_decomposition`` against ``inst``.  With d set, the
+    walk drops every pair that cannot reach d and stops at the first
+    finished path that does (``run_dp``).  Shortest-Path instances are
+    refused: the DP ignores dist(x, y)."""
     require_variant(inst, Variant.PATH)
     pinned = {inst.x, inst.y}
     if nd is None:

@@ -3,6 +3,7 @@ and the DP driver both exact solvers share."""
 import dataclasses
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -14,8 +15,8 @@ from graphsack import errors
 from graphsack.connected import _ConnectedRules
 from graphsack.decomposition import (FORGET_VERTEX, INTRODUCE_EDGE,
                                      INTRODUCE_VERTEX, JOIN, LEAF, DecompNode,
-                                     NiceDecomposition, run_dp, union_blocks,
-                                     vertex_set)
+                                     NiceDecomposition, _Bound, run_dp,
+                                     union_blocks, vertex_set)
 from graphsack.model import prune_pairs
 from graphsack.paths import _PathRules
 from graphsack.generators import random_instance
@@ -335,13 +336,15 @@ class TestSharedDriver:
     the frontier tests cannot see: which witness a tie yields, and how
     many nodes and states the DP visits.  The Path rows run on the
     min-fill order of the whole graph, x and y included, so that they
-    pin the driver and not the solver's pin-aware order."""
+    pin the driver and not the solver's pin-aware order.  Odd seeds are
+    decision instances: the walk stops at the first finished solution
+    that reaches d, and ``pairs_cut`` counts the pairs the bound cut."""
 
     @pytest.mark.parametrize("variant, kind, n, seed, witness, counts", [
-        (Variant.CONNECTED, "tree", 12, 5, {2, 3, 5}, (56, 247)),
+        (Variant.CONNECTED, "tree", 12, 5, {1, 2, 3}, (52, 191, 9)),
         (Variant.CONNECTED, "gnp", 16, 0, {0, 4, 5, 6, 7, 11, 13, 14},
          (82, 2104)),
-        (Variant.PATH, "grid", 9, 1, {0, 1, 2, 5}, (37, 610)),
+        (Variant.PATH, "grid", 9, 1, {0, 1, 4, 5}, (14, 106, 0)),
         (Variant.PATH, "grid", 9, 4, {0, 1, 2, 3, 5, 6, 7, 8}, (38, 875)),
     ])
     def test_witness_and_counters_pinned(self, variant, kind, n, seed,
@@ -355,8 +358,10 @@ class TestSharedDriver:
                 inst, elimination_order_minfill(inst), {inst.x, inst.y})
             report = solve_path_treewidth(inst, nd)
         assert report.witness == frozenset(witness)
-        assert (report.stats["nodes_expanded"],
-                report.stats["states_touched"]) == counts
+        assert report.stats == dict(zip(
+            ("nodes_expanded", "states_touched", "pairs_cut"), counts))
+        if inst.d is not None:
+            assert verify_solution(inst, report.witness).alpha >= inst.d
 
 
 class TestRootWitnesses:
@@ -405,3 +410,71 @@ class TestRootWitnesses:
             if i >= len(large):
                 assert prune_pairs(pairs) == oracle_for(inst).pairs, inst
         assert checked > 0
+
+
+class TestDecisionMode:
+    """With d set, ``run_dp`` cuts every pair that the fractional
+    knapsack bound shows cannot reach d and returns at the first
+    finished pair that does.  The cut must never lose a "yes": the
+    answers must equal the oracle's with d the generator's, an eighth
+    of the total value and one over the optimum, and each report must
+    follow the decision contract."""
+
+    @pytest.mark.parametrize("variant", [Variant.CONNECTED, Variant.PATH])
+    @pytest.mark.parametrize("kind", ["tree", "gnp", "grid"])
+    def test_answer_matches_oracle(self, variant, kind):
+        solve = (solve_connected if variant is Variant.CONNECTED
+                 else solve_path_treewidth)
+        cut = stopped = 0
+        for seed in range(40):
+            base = random_instance(variant, kind, 2 + seed % 10, 4200 + seed,
+                                   p=0.4, decision=True)
+            optimize = dataclasses.replace(base, d=None)
+            pairs = oracle_for(optimize).pairs
+            opt = pairs[-1][1] if pairs else -1
+            walk = solve(optimize).stats["nodes_expanded"]
+            for d in (base.d, sum(base.value) // 8, opt + 1):
+                inst = dataclasses.replace(base, d=d)
+                report = solve(inst)
+                assert report.feasible == (opt >= d), inst
+                if report.feasible:
+                    result = verify_solution(inst, report.witness)
+                    assert result.ok and result.alpha >= d, inst
+                    assert report.frontier.pairs == ((result.w,
+                                                      result.alpha),)
+                    assert report.best_value == result.alpha
+                    stopped += report.stats["nodes_expanded"] < walk
+                else:
+                    assert not report.frontier, inst
+                    assert report.best_value is None, inst
+                cut += report.stats["pairs_cut"]
+        assert cut > 0 and stopped > 0
+
+    def test_bound_is_the_fractional_knapsack(self):
+        # against an exact Fraction greedy over the undecided vertices,
+        # zero weights and values included
+        rng = random.Random(7)
+        for _ in range(300):
+            n = rng.randint(0, 7)
+            inst = dataclasses.replace(
+                graph(n, ()), weight=tuple(rng.randint(0, 5) for _ in range(n)),
+                value=tuple(rng.randint(0, 5) for _ in range(n)),
+                s=rng.randint(0, 15), d=rng.randint(0, 20))
+            bound = _Bound(inst, frozenset())
+            decided = [v for v in range(n) if rng.random() < 0.4]
+            mask = sum(bound.bit[v] for v in decided)
+            keep = bound.test(mask)
+            items = sorted(((Fraction(inst.value[v], inst.weight[v])
+                             if inst.weight[v] else None, v)
+                            for v in range(n) if v not in decided),
+                           key=lambda item: (item[0] is not None,
+                                             -(item[0] or 0)))
+            for w in range(inst.s + 1):
+                room, best = inst.s - w, Fraction(0)
+                for _, v in items:
+                    take = min(Fraction(1), Fraction(room, inst.weight[v])
+                               if inst.weight[v] else Fraction(1))
+                    best += take * inst.value[v]
+                    room -= take * inst.weight[v]
+                for a in range(inst.d + 1):
+                    assert keep(w, a) == (a + best >= inst.d), (inst, w, a)
