@@ -19,7 +19,7 @@ finished cell, which ``run_dp`` returns with its witnesses.  A state
 keeps each block of bag vertices as an int bitmask (bit v = vertex v),
 and ``union_blocks`` merges two partitions of them.  In decision mode
 ``run_dp`` drops every pair that a fractional knapsack bound shows
-cannot reach d, and stops at the first finished pair that does.
+cannot reach d, and returns the first finished pair that does, if any.
 """
 from __future__ import annotations
 
@@ -126,13 +126,14 @@ class _Bound:
     below the node, with capacity s - w (the Dantzig bound), is at
     least d.  It ranks the vertices once by falling value/weight
     density, zero-weight vertices first, the greedy order of the
-    fractional knapsack, and each table's decided vertices, those in
-    some bag at or below it, are an int mask over those ranks.  The
-    bound never falls as w falls or a rises, so a pair that dominates a
-    kept pair is kept, and it never rises up the walk, so a pair cut
-    stays cut."""
+    fractional knapsack.  ``decided[nid]``, an int mask over those
+    ranks, holds the vertices in some bag at or below node nid: a
+    leaf's bag, the child's plus u at introduce-vertex u, the union at
+    a join, the child's elsewhere.  The bound never falls as w falls or
+    a rises, so a pair that dominates a kept pair is kept, and it never
+    rises up the walk, so a pair cut stays cut."""
 
-    def __init__(self, inst: Instance, pinned: frozenset[int]):
+    def __init__(self, inst: Instance, nd: NiceDecomposition):
         weight, value = inst.weight, inst.value
         order = sorted(range(inst.n), key=lambda v: (1, Fraction(
             -value[v], weight[v])) if weight[v] else (0, 0))
@@ -141,17 +142,16 @@ class _Bound:
             self.bit[v] = 1 << i
         self.weight = [weight[v] for v in order]
         self.value = [value[v] for v in order]
-        self.leaf = sum(self.bit[v] for v in pinned)  # every leaf bag
         self.n, self.s, self.d = inst.n, inst.s, inst.d
-
-    def decided(self, node: DecompNode, kids: list[int]) -> int:
-        """A node's decided mask from its children's: a leaf's bag, the
-        child's plus u at introduce-vertex u, the union at a join."""
-        if node.kind == LEAF:
-            return self.leaf
-        if node.kind == INTRODUCE_VERTEX:
-            return kids[0] | self.bit[node.vertex]
-        return kids[0] | kids[-1]
+        decided = self.decided = []  # per node id
+        for node in nd.nodes:
+            if node.kind == LEAF:
+                mask = sum(self.bit[v] for v in node.bag)
+            else:
+                mask = decided[node.children[0]] | decided[node.children[-1]]
+                if node.kind == INTRODUCE_VERTEX:
+                    mask |= self.bit[node.vertex]
+            decided.append(mask)
 
     def test(self, decided: int) -> Callable[[int, int], bool]:
         """``keep(w, a)``: whether a + the bound with capacity s - w is
@@ -207,27 +207,26 @@ def run_dp(inst: Instance, nd: NiceDecomposition, rules, stats: dict) -> dict:
     frontier.  Each pair maps to the vertex bitmask of the first
     partial solution that reached it: a leaf's bag, plus u when u is
     taken, or the union of the two sides at a join.  Once per node the
-    ``DONE`` cell is pruned and leaves the walk for the finished cell,
-    the first finished in node order winning a tie.  Nodes are filled in id order,
-    and a child table is dropped once its parent is filled.  It counts
-    ``nodes_expanded`` and ``states_touched`` (pairs kept in node
-    tables) in ``stats``.
+    ``DONE`` cell is pruned and, in optimize mode, leaves the walk for
+    the finished cell, the first finished in node order winning a tie.
+    Nodes are filled in id order, and a child table is dropped once its
+    parent is filled.  It counts ``nodes_expanded`` and
+    ``states_touched`` (pairs kept in node tables) in ``stats``.
 
-    Decision mode (``inst.d`` set) does two more things.  After the
-    ``DONE`` sweep of a node, the first finished pair with value >= d
-    is returned at once, alone with its mask; without one, the cell
-    returned holds no such pair.  And at each leaf, introduce-vertex
-    and join node, the only nodes that decide vertices, every pair of
-    the pruned table that ``_Bound`` shows cannot reach d is dropped and
-    counted in ``stats["pairs_cut"]``.  The kept pairs keep their masks.
+    Decision mode (``inst.d`` set) keeps no finished cell.  After the
+    ``DONE`` prune of a node, the first finished pair with value >= d
+    is returned at once, alone with its mask; a walk that finds none
+    returns an empty cell.  And at each leaf, introduce-vertex and join
+    node, the only nodes that decide vertices, every pair of the pruned
+    table that ``_Bound`` shows cannot reach d is dropped and counted in
+    ``stats["pairs_cut"]``.  The kept pairs keep their masks.
     """
     s, d = inst.s, inst.d
     weight, value = inst.weight, inst.value
     tables: dict[int, dict] = {}
     finished: dict = {}  # {pair: mask} of every finished solution
     if d is not None:
-        bound = _Bound(inst, nd.pinned)
-        decided: dict[int, int] = {}  # per table, as in tables
+        bound = _Bound(inst, nd)
         stats["pairs_cut"] = 0
 
     for nid, node in enumerate(nd.nodes):
@@ -293,24 +292,21 @@ def run_dp(inst: Instance, nd: NiceDecomposition, rules, stats: dict) -> dict:
 
         done = out.pop(DONE, {})
         for p in prune_pairs(done):
-            if d is not None and p[1] >= d:
+            if d is None:
+                finished.setdefault(p, done[p])
+            elif p[1] >= d:
                 return {p: done[p]}
-            finished.setdefault(p, done[p])
         # a join cell is empty when every pair in it overran the budget
         out = {st: cell if len(cell) == 1
                else {p: cell[p] for p in prune_pairs(cell.keys())}
                for st, cell in out.items() if cell}
-        if d is not None:
-            mask = decided[nid] = bound.decided(
-                node, [decided.pop(c) for c in node.children])
-            # only these kinds shrink the undecided vertices
-            if node.kind in (LEAF, INTRODUCE_VERTEX, JOIN):
-                keep = bound.test(mask)
-                before = sum(len(c) for c in out.values())
-                out = {st: kept for st, cell in out.items()
-                       if (kept := {p: m for p, m in cell.items()
-                                    if keep(*p)})}
-                stats["pairs_cut"] += before - sum(len(c) for c in out.values())
+        # only these kinds shrink the undecided vertices
+        if d is not None and node.kind in (LEAF, INTRODUCE_VERTEX, JOIN):
+            keep = bound.test(bound.decided[nid])
+            before = sum(len(c) for c in out.values())
+            out = {st: kept for st, cell in out.items()
+                   if (kept := {p: m for p, m in cell.items() if keep(*p)})}
+            stats["pairs_cut"] += before - sum(len(c) for c in out.values())
         stats["states_touched"] += sum(len(c) for c in out.values())
         tables[nid] = out
     return {p: finished[p] for p in prune_pairs(finished)}

@@ -88,28 +88,20 @@ def validate_instance(raw: Instance) -> Instance:
     elif costs is not None:
         raise errors.BadInstanceJson("edge costs only allowed for shortest_path")
 
-    seen = set()
-    normalized = []
-    for idx, (u, v) in enumerate(raw.edges):
+    cost_of = {}  # {normalized edge: cost}, cost None off Shortest-Path
+    for (u, v), cost in zip(raw.edges, costs or [None] * len(raw.edges)):
         if u == v:
             raise errors.SelfLoop(f"edge {{{u},{v}}}")
         if not (0 <= u < raw.n and 0 <= v < raw.n):
             raise errors.IdOutOfRange(f"edge {{{u},{v}}} out of range")
         key = (min(u, v), max(u, v))
-        if key in seen:
+        if key in cost_of:
             raise errors.DuplicateEdge(f"edge {{{u},{v}}} appears twice")
-        seen.add(key)
-        if costs is not None:
-            if costs[idx] < 1:
-                raise errors.ZeroEdgeCost(
-                    f"edge {{{u},{v}}} has cost {costs[idx]}")
-            normalized.append((key, costs[idx]))
-        else:
-            normalized.append((key, None))
-    normalized.sort(key=lambda item: item[0])
-    edges = tuple(e for e, _ in normalized)
-    edge_cost = (tuple(c for _, c in normalized)
-                 if raw.variant is Variant.SHORTEST_PATH else None)
+        if costs is not None and cost < 1:
+            raise errors.ZeroEdgeCost(f"edge {{{u},{v}}} has cost {cost}")
+        cost_of[key] = cost
+    edges = tuple(sorted(cost_of))
+    edge_cost = tuple(map(cost_of.get, edges)) if costs is not None else None
 
     if raw.variant in (Variant.PATH, Variant.SHORTEST_PATH):
         if raw.x is None or raw.y is None:

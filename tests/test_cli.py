@@ -1,4 +1,5 @@
 """CLI: exit-code contract, determinism, engine dispatch."""
+import hashlib
 import json
 import os
 import subprocess
@@ -9,6 +10,8 @@ from pathlib import Path
 import pytest
 
 import graphsack
+from graphsack import cli, errors
+from graphsack.approx import fptas_optimize
 from graphsack.cli import main
 from graphsack.model import Instance, instance_to_json, validate_instance
 from graphsack.generators import random_instance
@@ -454,3 +457,60 @@ class TestDecompose:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# One SHA-256 per (engine, variant) cell of ``cli._engines`` over the
+# report documents of a seeded stream: each instance solved in optimize
+# mode, in decision mode and under the FPTAS at eps = 1/3; an engine's
+# GraphsackError is hashed by its class name.
+REPORT_DIGESTS = {
+    ("auto", "connected"): "673171780865d99be548ac55b67747a87acacd60239767865990a27a50d8945f",
+    ("auto", "path"): "0ab99a4d08f52c6d57f6f8430558d505055625203aca3c797f79feab3e1ee180",
+    ("auto", "shortest_path"): "761297690811164cefb765b074483ae56e08110ddacb264c4488ce2b648e28e5",
+    ("treewidth", "connected"): "673171780865d99be548ac55b67747a87acacd60239767865990a27a50d8945f",
+    ("treewidth", "path"): "02cd3fc3f9bf268d9f18a00009a6f48ee636f3d864953cc9aa0844f0d40722cc",
+    ("color", "path"): "18010a4723125f2da2500cd532929bc54b472cccadfb6ce5edd24325a16d591b",
+    ("labels", "shortest_path"): "761297690811164cefb765b074483ae56e08110ddacb264c4488ce2b648e28e5",
+    ("tree", "path"): "f220f7c0466bf75cd0fe64fced596790fd284ecdbb40126d3f344e3183d29810",
+    ("tree", "shortest_path"): "5e3a8f4664d4a2ddeaed2274b9bb888dba81632d66ac92ab326b22d542d13ac1",
+    ("oracle", "connected"): "ed3e2ae95f9b23d89a075da1bdc5754ab955f715f98d2876753af9e6b4b053bc",
+    ("oracle", "path"): "bc78c0e1af6d00cdc9157e38440e5c78d5982361eaed9c57f93c838cc14ed54c",
+    ("oracle", "shortest_path"): "9dfeebd74c6c6df446e2d3aae853044aea379796984f834e613edc0de59db6a2",
+}
+
+
+class TestReportDigests:
+    """Every engine's report bytes are pinned on a seeded stream: tree,
+    gnp and grid, n in {1, 2, 5, 9, 12}, seeds 0-9, p = 0.3, color at
+    32 trials.  A change that keeps the frontiers, witnesses and stats
+    keeps these digests."""
+
+    def test_cells_cover_the_engine_table(self):
+        assert set(REPORT_DIGESTS) == {
+            (engine, variant.value)
+            for engine, table in cli._engines(0, 32).items()
+            for variant in table}
+
+    @pytest.mark.parametrize("engine, variant", sorted(REPORT_DIGESTS))
+    def test_report_bytes(self, engine, variant):
+        solver = cli._engines(0, 32)[engine][Variant(variant)]
+        digest, feasible = hashlib.sha256(), 0
+        for kind in ("tree", "gnp", "grid"):
+            for n in (1, 2, 5, 9, 12):
+                for seed in range(10):
+                    base = random_instance(Variant(variant), kind, n, seed,
+                                           p=0.3, decision=True)
+                    optimize = replace(base, d=None)
+                    for run in (lambda: solver(optimize),
+                                lambda: solver(base),
+                                lambda: fptas_optimize(optimize, "1/3",
+                                                       solver)):
+                        try:
+                            doc = cli._report_doc(run())
+                            feasible += doc["feasible"]
+                        except errors.GraphsackError as exc:
+                            doc = type(exc).__name__
+                        digest.update(json.dumps(doc, sort_keys=True)
+                                      .encode() + b"\n")
+        assert feasible > 0
+        assert digest.hexdigest() == REPORT_DIGESTS[engine, variant]

@@ -17,7 +17,7 @@ from graphsack.decomposition import (FORGET_VERTEX, INTRODUCE_EDGE,
                                      INTRODUCE_VERTEX, JOIN, LEAF, DecompNode,
                                      NiceDecomposition, _Bound, run_dp,
                                      union_blocks, vertex_set)
-from graphsack.model import prune_pairs
+from graphsack.model import build_report, prune_pairs
 from graphsack.paths import _PathRules
 from graphsack.generators import random_instance
 
@@ -450,6 +450,40 @@ class TestDecisionMode:
                 cut += report.stats["pairs_cut"]
         assert cut > 0 and stopped > 0
 
+    @pytest.mark.parametrize("variant", [Variant.CONNECTED, Variant.PATH])
+    def test_answer_on_shuffled_orders(self, variant):
+        # decompositions that min-fill does not build: wider bags and
+        # join shapes whose decided masks the cut must still get right
+        rng = random.Random(23)
+        cut = joins = 0
+        for seed in range(60):
+            base = random_instance(variant, ("tree", "gnp", "grid")[seed % 3],
+                                   2 + seed % 10, 5300 + seed, p=0.4,
+                                   decision=True)
+            order = list(range(base.n))
+            rng.shuffle(order)
+            pinned = () if variant is Variant.CONNECTED else {base.x, base.y}
+            nd = build_nice_decomposition(base, tuple(order), pinned)
+            joins += sum(node.kind == JOIN for node in nd.nodes)
+            pairs = oracle_for(dataclasses.replace(base, d=None)).pairs
+            opt = pairs[-1][1] if pairs else -1
+            for d in (base.d, sum(base.value) // 8, opt + 1):
+                inst = dataclasses.replace(base, d=d)
+                if variant is Variant.CONNECTED:
+                    stats = {"nodes_expanded": 0, "states_touched": 0}
+                    cell = {**run_dp(inst, nd, _ConnectedRules(), stats),
+                            (0, 0): 0}
+                    report = build_report(
+                        inst, cell, lambda p: vertex_set(cell[p]), stats)
+                else:
+                    report = solve_path_treewidth(inst, nd)
+                assert report.feasible == (opt >= d), (inst, order)
+                if report.feasible:
+                    result = verify_solution(inst, report.witness)
+                    assert result.ok and result.alpha >= d, (inst, order)
+                cut += report.stats["pairs_cut"]
+        assert cut > 0 and joins > 0
+
     def test_bound_is_the_fractional_knapsack(self):
         # against an exact Fraction greedy over the undecided vertices,
         # zero weights and values included
@@ -460,7 +494,7 @@ class TestDecisionMode:
                 graph(n, ()), weight=tuple(rng.randint(0, 5) for _ in range(n)),
                 value=tuple(rng.randint(0, 5) for _ in range(n)),
                 s=rng.randint(0, 15), d=rng.randint(0, 20))
-            bound = _Bound(inst, frozenset())
+            bound = _Bound(inst, decompose(inst))
             decided = [v for v in range(n) if rng.random() < 0.4]
             mask = sum(bound.bit[v] for v in decided)
             keep = bound.test(mask)

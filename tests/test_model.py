@@ -178,11 +178,11 @@ class TestParetoOps:
     @given(st.lists(st.tuples(st.integers(0, 30), st.integers(0, 30))))
     def test_prune_is_canonical_and_undominated(self, pairs):
         out = prune_pairs(pairs)
-        ps = ParetoSet(out)  # canonical-form check built into the type
-        for w, a in ps:
-            assert (w, a) in pairs
-            assert not any(w2 <= w and a2 >= a for w2, a2 in pairs
-                           if w2 < w or a2 > a)
+        ParetoSet(out)  # canonical-form check built into the type
+        # complete as well as sound: exactly the input pairs that no
+        # other input pair weakly dominates
+        assert set(out) == {(w, a) for w, a in pairs if not any(
+            w2 <= w and a2 >= a for w2, a2 in pairs if (w2, a2) != (w, a))}
 
     @given(st.lists(st.tuples(st.integers(0, 20), st.integers(0, 20)),
                     max_size=12),
