@@ -34,10 +34,10 @@ class _ConnectedRules:
     @staticmethod
     def forget(state, u):
         blocks, bit = state[0], 1 << u
-        if next(b for b in blocks if b & bit) != bit:
-            return (tuple(sorted(b & ~bit for b in blocks)),)
+        if bit not in blocks:  # blocks are disjoint: u's is not u alone
+            return [(tuple(sorted(b & ~bit for b in blocks)),)]
         # u's component left the bag: done, or cut off from the others
-        return DONE if len(blocks) == 1 else None
+        return [DONE] if len(blocks) == 1 else []
 
     @staticmethod
     def edge(state, u, v):
@@ -45,7 +45,7 @@ class _ConnectedRules:
 
     @staticmethod
     def join(state1, state2):
-        return (union_blocks(state1[0], state2[0]),)
+        return [(union_blocks(state1[0], state2[0]),)]
 
 
 def solve_connected(inst: Instance, early_stop: bool = False) -> SolveReport:

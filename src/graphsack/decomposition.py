@@ -103,12 +103,6 @@ def vertex_set(mask: int) -> frozenset[int]:
     return frozenset(_bits(mask))
 
 
-def _copy(out: dict, dst_state, cell: dict) -> None:
-    dst = out.setdefault(dst_state, {})
-    for p, mask in cell.items():
-        dst.setdefault(p, mask)
-
-
 def _key(state) -> int:
     """The bitmask of the bag vertices in a state's partial solution: a
     state's first entry is its sorted tuple of block masks, and the
@@ -185,33 +179,36 @@ def run_dp(inst: Instance, nd: NiceDecomposition, rules, stats: dict) -> dict:
     A state's first entry is its sorted tuple of block masks (bit v =
     vertex v); their union, the state's key, is the set of bag vertices
     in the partial solution.  ``rules`` holds the rest of one problem's
-    states, and any rule may return ``DONE`` for a finished solution,
-    which takes no more vertices:
+    states.  Each rule but ``leaf`` returns the list of states its node
+    leads to, ``[]`` to drop the state, and any rule may give ``DONE``
+    for a finished solution, which takes no more vertices:
 
     - ``leaf() -> state``: the state of a leaf;
-    - ``forget(state, u) -> state | None``: the state once u, a solution
-      vertex, leaves the bag, or None to drop it;
-    - ``edge(state, u, v) -> states``: the states once edge uv between
-      two solution vertices is in;
-    - ``join(state1, state2)``: the merged state of two states with the
-      same key, or None.
+    - ``forget(state, u) -> states``: once u, a solution vertex, leaves
+      the bag;
+    - ``edge(state, u, v) -> states``: once edge uv between two solution
+      vertices is in;
+    - ``join(state1, state2) -> states``: the merged states of two
+      states with the same key.
 
-    The driver calls ``forget`` and ``edge`` only on vertices in the
-    key; a vertex or edge outside it leaves the state as it is.  The
-    driver owns introduce and the pairs: u left out keeps the state,
-    u taken adds the block ``1 << u`` and u's weight and value, the
-    whole leaf bag is in the partial solution, a join pairs the states
-    of its children on their keys and subtracts the key's vertices
-    counted on both sides, pairs over the budget are dropped where they
-    are made, and every cell of two or more pairs is pruned to its
-    frontier.  Each pair maps to the vertex bitmask of the first
-    partial solution that reached it: a leaf's bag, plus u when u is
-    taken, or the union of the two sides at a join.  Once per node the
-    ``DONE`` cell is pruned and, in optimize mode, leaves the walk for
-    the finished cell, the first finished in node order winning a tie.
-    Nodes are filled in id order, and a child table is dropped once its
-    parent is filled.  It counts ``nodes_expanded`` and
-    ``states_touched`` (pairs kept in node tables) in ``stats``.
+    Forget and introduce-edge nodes share one loop, which runs the rule
+    on a state whose key holds every vertex it names and passes any
+    other state on as it is.  The driver owns introduce and the pairs:
+    u left out keeps the state and its cell, u taken adds the block
+    ``1 << u`` and u's weight and value, the whole leaf bag is in the
+    partial solution, a join pairs the states of its children on their
+    keys and subtracts the key's vertices counted on both sides, pairs
+    over the budget are dropped where they are made, and every cell of
+    two or more pairs is pruned to its frontier.  Each pair maps to the
+    vertex bitmask of the first partial solution that reached it: a
+    leaf's bag, plus u when u is taken, or the union of the two sides at
+    a join.  Once per node the ``DONE`` cell is pruned and, in optimize
+    mode, leaves the walk for the finished cell, the first finished in
+    node order winning a tie.  Nodes are filled in id order, and a child
+    table is dropped once its parent is filled.  A stored cell is never
+    changed: every cell that gains pairs is a fresh dict of the node
+    being filled.  It counts ``nodes_expanded`` and ``states_touched``
+    (pairs kept in node tables) in ``stats``.
 
     Decision mode (``inst.d`` set) keeps no finished cell.  After the
     ``DONE`` prune of a node, the first finished pair with value >= d
@@ -225,6 +222,7 @@ def run_dp(inst: Instance, nd: NiceDecomposition, rules, stats: dict) -> dict:
     weight, value = inst.weight, inst.value
     tables: dict[int, dict] = {}
     finished: dict = {}  # {pair: mask} of every finished solution
+    rule_of = {FORGET_VERTEX: rules.forget, INTRODUCE_EDGE: rules.edge}
     if d is not None:
         bound = _Bound(inst, nd)
         stats["pairs_cut"] = 0
@@ -243,27 +241,12 @@ def run_dp(inst: Instance, nd: NiceDecomposition, rules, stats: dict) -> dict:
             for state, cell in tables.pop(node.children[0]).items():
                 # skip before take: the order of the states in a table
                 # decides which of two equal pairs keeps its witness
-                _copy(out, state, cell)
+                out[state] = cell
                 shifted = {(w + wu, a + au): mask | bit
                            for (w, a), mask in cell.items() if w + wu <= s}
                 if shifted:
                     take = (tuple(sorted(state[0] + (bit,))), *state[1:])
                     out[take] = shifted
-
-        elif node.kind == FORGET_VERTEX:
-            for state, cell in tables.pop(node.children[0]).items():
-                if _key(state) >> node.vertex & 1:
-                    state = rules.forget(state, node.vertex)
-                if state is not None:
-                    _copy(out, state, cell)
-
-        elif node.kind == INTRODUCE_EDGE:
-            u, v = node.edge
-            uv = 1 << u | 1 << v
-            for state, cell in tables.pop(node.children[0]).items():
-                for new_state in (rules.edge(state, u, v)
-                                  if _key(state) & uv == uv else (state,)):
-                    _copy(out, new_state, cell)
 
         elif node.kind == JOIN:
             c1, c2 = node.children
@@ -278,17 +261,23 @@ def run_dp(inst: Instance, nd: NiceDecomposition, rules, stats: dict) -> dict:
                 w_off = sum(weight[v] for v in node.bag if key >> v & 1)
                 a_off = sum(value[v] for v in node.bag if key >> v & 1)
                 for state2, cell2 in partners:
-                    merged = rules.join(state1, state2)
-                    if merged is None:
-                        continue
-                    dst = out.setdefault(merged, {})
-                    for (w1, a1), m1 in cell1.items():
-                        for (w2, a2), m2 in cell2.items():
-                            w = w1 + w2 - w_off
-                            if w <= s:
-                                dst.setdefault((w, a1 + a2 - a_off), m1 | m2)
-        else:
-            raise AssertionError(node.kind)
+                    for merged in rules.join(state1, state2):
+                        dst = out.setdefault(merged, {})
+                        for (w1, a1), m1 in cell1.items():
+                            for (w2, a2), m2 in cell2.items():
+                                w = w1 + w2 - w_off
+                                if w <= s:
+                                    dst.setdefault((w, a1 + a2 - a_off),
+                                                   m1 | m2)
+        else:  # forget u or introduce edge uv
+            ends, rule = node.edge or (node.vertex,), rule_of[node.kind]
+            need = sum(1 << v for v in ends)
+            for state, cell in tables.pop(node.children[0]).items():
+                for new_state in (rule(state, *ends)
+                                  if _key(state) & need == need else (state,)):
+                    dst = out.setdefault(new_state, {})
+                    for p, mask in cell.items():
+                        dst.setdefault(p, mask)
 
         done = out.pop(DONE, {})
         for p in prune_pairs(done):

@@ -1,7 +1,9 @@
 """Core data model: instances, Pareto sets, reports, verification.
 
-Everything here is immutable after construction and safe to share
-between concurrent solver runs.
+``Instance``, ``ParetoSet`` and ``VerifyResult`` are frozen and safe to
+share between concurrent solver runs.  ``SolveReport`` is not: its
+``stats`` dict is the solver's own, so code that adds to the stats of
+a report it did not make copies them first, as ``fptas_optimize`` does.
 """
 from __future__ import annotations
 

@@ -17,9 +17,9 @@ from itertools import accumulate
 from typing import Optional
 
 from . import errors
-from .decomposition import (DONE, NiceDecomposition, build_nice_decomposition,
+from .decomposition import (DONE, build_nice_decomposition,
                             elimination_order_minfill, run_dp, union_blocks,
-                            validate_nice_decomposition, vertex_set)
+                            vertex_set)
 from .model import (Instance, SolveReport, Variant, build_report, prune_pairs,
                     require_variant)
 
@@ -191,9 +191,9 @@ class _PathRules:
         blocks, one, two = state
         bit = 1 << u
         if not two & bit:
-            return None  # an open segment end left the bag
+            return []  # an open segment end left the bag
         # u lies inside its segment, whose two ends are still in the bag
-        return tuple(sorted(b & ~bit for b in blocks)), one, two & ~bit
+        return [(tuple(sorted(b & ~bit for b in blocks)), one, two & ~bit)]
 
     def edge(self, state, u, v):
         blocks, one, two = state
@@ -209,36 +209,28 @@ class _PathRules:
         (blocks1, one1, two1), (blocks2, one2, two2) = state1, state2
         used1, used2 = one1 | two1, one2 | two2
         if (two1 & used2) | (used1 & two2) | (one1 & one2 & self.lim1):
-            return None  # a degree sum over its limit
+            return []  # a degree sum over its limit
         merged = union_blocks(blocks1, blocks2)
         # the blocks of both sides, linked by their shared vertices, must
         # form a forest, or the union closes a cycle
         shared = sum(blocks1).bit_count()
         if len(merged) != len(blocks1) + len(blocks2) - shared:
-            return None
-        return self._done(merged, one1 ^ one2, two1 | two2 | one1 & one2)
+            return []
+        return [self._done(merged, one1 ^ one2, two1 | two2 | one1 & one2)]
 
 
-def solve_path_treewidth(inst: Instance,
-                         nd: Optional[NiceDecomposition] = None) -> SolveReport:
+def solve_path_treewidth(inst: Instance) -> SolveReport:
     """Exact frontier over all simple x-y paths within the budget.
 
-    The default decomposition eliminates G - {x, y} by min-fill and the
-    terminals last, as they sit in every bag.  A caller's ``nd`` must be
-    pinned at exactly {x, y}, or ``ValueError`` is raised, and must pass
-    ``validate_nice_decomposition`` against ``inst``.  With d set, the
-    walk drops every pair that cannot reach d and stops at the first
-    finished path that does (``run_dp``).  Shortest-Path instances are
-    refused: the DP ignores dist(x, y)."""
+    The decomposition eliminates G - {x, y} by min-fill and the
+    terminals last, as they sit in every bag.  With d set, the walk
+    drops every pair that cannot reach d and stops at the first finished
+    path that does (``run_dp``).  Shortest-Path instances are refused:
+    the DP ignores dist(x, y)."""
     require_variant(inst, Variant.PATH)
     pinned = {inst.x, inst.y}
-    if nd is None:
-        nd = build_nice_decomposition(
-            inst, elimination_order_minfill(inst, pinned=pinned), pinned)
-    elif nd.pinned != pinned:
-        raise ValueError(f"nd is not pinned at the terminals {pinned}")
-    else:
-        validate_nice_decomposition(inst, nd)
+    nd = build_nice_decomposition(
+        inst, elimination_order_minfill(inst, pinned=pinned), pinned)
     stats = {"nodes_expanded": 0, "states_touched": 0}
     cell = run_dp(inst, nd, _PathRules(inst), stats)
     return build_report(inst, cell, lambda p: vertex_set(cell[p]), stats)

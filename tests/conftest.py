@@ -1,6 +1,6 @@
-"""Shared helpers: seeded instance streams, a decomposition mutation,
-and brute-force solvers for the reduction source problems (kept
-independent of the library)."""
+"""Shared helpers: seeded instance streams, the Path DP on a given
+decomposition, a decomposition mutation, and brute-force solvers for
+the reduction source problems (kept independent of the library)."""
 from __future__ import annotations
 
 import itertools
@@ -9,8 +9,11 @@ import random
 import pytest
 
 from graphsack import Variant
-from graphsack.decomposition import DecompNode, NiceDecomposition
+from graphsack.decomposition import (DecompNode, NiceDecomposition, run_dp,
+                                     vertex_set)
 from graphsack.generators import random_instance
+from graphsack.model import build_report
+from graphsack.paths import _PathRules
 from graphsack.reductions import KnapsackItems, SourceGraph
 
 GRAPH_KINDS = ("tree", "gnp", "gnp", "grid")
@@ -36,6 +39,15 @@ def random_items(rng: random.Random, n: int) -> KnapsackItems:
     return KnapsackItems(tuple(rng.randint(0, 6) for _ in range(n)),
                          tuple(rng.randint(0, 6) for _ in range(n)),
                          rng.randint(0, 12), rng.randint(0, 15))
+
+
+def path_dp(inst, nd):
+    """The Path DP's report on the decomposition ``nd``, which must be
+    pinned at {x, y}, in place of the one ``solve_path_treewidth``
+    builds."""
+    stats = {"nodes_expanded": 0, "states_touched": 0}
+    cell = run_dp(inst, nd, _PathRules(inst), stats)
+    return build_report(inst, cell, lambda p: vertex_set(cell[p]), stats)
 
 
 def reroute(nd: NiceDecomposition, drop: int | None = None,

@@ -13,6 +13,7 @@ import graphsack
 from graphsack import cli, errors
 from graphsack.approx import fptas_optimize
 from graphsack.cli import main
+from graphsack.decomposition import decompose
 from graphsack.model import Instance, instance_to_json, validate_instance
 from graphsack.generators import random_instance
 from graphsack import Variant
@@ -514,3 +515,30 @@ class TestReportDigests:
                                       .encode() + b"\n")
         assert feasible > 0
         assert digest.hexdigest() == REPORT_DIGESTS[engine, variant]
+
+
+# One SHA-256 per variant over what ``graphsack decompose`` prints for
+# the instances of the ``TestReportDigests`` stream: Connected unpinned,
+# Path pinned at {x, y}.
+DECOMPOSE_DIGESTS = {
+    "connected": "f5a1dd23636e22d0640af761a09150dca0682f6d7307b4875330783319d253b2",
+    "path": "af442b738d7ebf27389c13757111fe405b59212fc61b947cb1530ce54ed9a5e2",
+}
+
+
+class TestDecomposeDigests:
+    """The decomposition documents are pinned on the report stream, so
+    that a change to the order or the build shows here on purpose."""
+
+    @pytest.mark.parametrize("variant", sorted(DECOMPOSE_DIGESTS))
+    def test_decompose_bytes(self, variant):
+        digest = hashlib.sha256()
+        for kind in ("tree", "gnp", "grid"):
+            for n in (1, 2, 5, 9, 12):
+                for seed in range(10):
+                    inst = random_instance(Variant(variant), kind, n, seed,
+                                           p=0.3, decision=True)
+                    pins = () if inst.x is None else {inst.x, inst.y}
+                    digest.update(json.dumps(decompose(inst, pins).to_doc(),
+                                             sort_keys=True).encode() + b"\n")
+        assert digest.hexdigest() == DECOMPOSE_DIGESTS[variant]

@@ -21,7 +21,7 @@ from graphsack.model import build_report, prune_pairs
 from graphsack.paths import _PathRules
 from graphsack.generators import random_instance
 
-from conftest import GRAPH_KINDS, instance_stream, reroute
+from conftest import GRAPH_KINDS, instance_stream, path_dp, reroute
 
 
 def graph(n, edges):
@@ -356,7 +356,7 @@ class TestSharedDriver:
         else:
             nd = build_nice_decomposition(
                 inst, elimination_order_minfill(inst), {inst.x, inst.y})
-            report = solve_path_treewidth(inst, nd)
+            report = path_dp(inst, nd)
         assert report.witness == frozenset(witness)
         assert report.stats == dict(zip(
             ("nodes_expanded", "states_touched", "pairs_cut"), counts))
@@ -476,7 +476,7 @@ class TestDecisionMode:
                     report = build_report(
                         inst, cell, lambda p: vertex_set(cell[p]), stats)
                 else:
-                    report = solve_path_treewidth(inst, nd)
+                    report = path_dp(inst, nd)
                 assert report.feasible == (opt >= d), (inst, order)
                 if report.feasible:
                     result = verify_solution(inst, report.witness)

@@ -10,9 +10,10 @@ from graphsack import (Instance, ParetoSet, Variant, fptas_optimize,
                        instance_from_json, instance_to_json,
                        validate_instance, verify_solution)
 from graphsack import cli, decomposition, errors, model, paths, shortest
-from graphsack.decomposition import (DONE, FORGET_VERTEX, INTRODUCE_VERTEX,
-                                     JOIN, LEAF, DecompNode,
-                                     NiceDecomposition, run_dp)
+from graphsack.decomposition import (DONE, FORGET_VERTEX, INTRODUCE_EDGE,
+                                     INTRODUCE_VERTEX, JOIN, LEAF, DecompNode,
+                                     NiceDecomposition, run_dp,
+                                     validate_nice_decomposition)
 from graphsack.model import prune_pairs
 from conftest import instance_stream
 
@@ -78,15 +79,42 @@ class _SubsetRules:
 
     @staticmethod
     def forget(state, u):
-        return (tuple(b for b in state[0] if b != 1 << u),)
+        return [(tuple(b for b in state[0] if b != 1 << u),)]
 
     @staticmethod
     def edge(state, u, v):
-        return (state,)
+        return [state]
 
     @staticmethod
     def join(state1, state2):
-        return DONE
+        return [DONE]
+
+
+class _TagRules:
+    """``run_dp`` states ``(blocks, tag)``, one block per bag vertex
+    taken: an edge splits a state into tags "a" and "b", a forget drops
+    tag "b", and a join finishes every pair it meets.  ``calls`` records
+    each rule's name and state."""
+
+    def __init__(self):
+        self.calls = []
+
+    def leaf(self):
+        return ((), "")
+
+    def edge(self, state, u, v):
+        self.calls.append(("edge", state))
+        return [(state[0], "a"), (state[0], "b")]
+
+    def forget(self, state, u):
+        self.calls.append(("forget", state))
+        blocks, tag = state
+        return [] if tag == "b" else [
+            (tuple(b for b in blocks if b != 1 << u), tag)]
+
+    def join(self, state1, state2):
+        self.calls.append(("join", state1))
+        return [DONE]
 
 
 def join_frontiers(weight, value, s, side1, side2, shared=()):
@@ -115,6 +143,41 @@ def join_frontiers(weight, value, s, side1, side2, shared=()):
     inst = make(n=len(weight), edges=(), weight=weight, value=value, s=s)
     stats = {"nodes_expanded": 0, "states_touched": 0}
     return tuple(run_dp(inst, nd, _SubsetRules, stats))
+
+
+class TestRuleProtocol:
+    def test_rules_return_the_states_their_node_leads_to(self):
+        # edge 0-1 introduced, then 0 and 1 forgotten; the root joins
+        # that branch with a bare leaf.  Vertex 0 weighs and is worth
+        # nothing, so taking it ties with leaving it out.
+        nodes = (DecompNode(LEAF, frozenset(), ()),
+                 DecompNode(INTRODUCE_VERTEX, frozenset({0}), (0,), 0),
+                 DecompNode(INTRODUCE_VERTEX, frozenset({0, 1}), (1,), 1),
+                 DecompNode(INTRODUCE_EDGE, frozenset({0, 1}), (2,),
+                            edge=(0, 1)),
+                 DecompNode(FORGET_VERTEX, frozenset({1}), (3,), 0),
+                 DecompNode(FORGET_VERTEX, frozenset(), (4,), 1),
+                 DecompNode(LEAF, frozenset(), ()),
+                 DecompNode(JOIN, frozenset(), (5, 6)))
+        nd = NiceDecomposition(nodes, 7, frozenset(), 1)
+        inst = make(n=2, edges=((0, 1),), weight=(0, 1), value=(0, 5))
+        assert validate_nice_decomposition(inst, nd)
+        rules = _TagRules()
+        stats = {"nodes_expanded": 0, "states_touched": 0}
+        cell = run_dp(inst, nd, rules, stats)
+        # the edge runs on {0, 1} only and both of its states reach the
+        # forget of 0, which drops "b"; every state that reaches the
+        # root join is finished
+        assert rules.calls == [
+            ("edge", ((0b01, 0b10), "")),
+            ("forget", ((0b01,), "")), ("forget", ((0b01, 0b10), "a")),
+            ("forget", ((0b01, 0b10), "b")),
+            ("forget", ((0b10,), "")), ("forget", ((0b10,), "a")),
+            ("join", ((), "")), ("join", ((), "a"))]
+        # a tied pair keeps the mask of the first state in table order:
+        # (0, 0) the empty set's over {0}'s at the forget of 0, and
+        # (1, 5) {1}'s over the "a" state's {0, 1} at the join
+        assert cell == {(0, 0): 0, (1, 5): 0b10}
 
 
 class TestParetoOps:

@@ -3,13 +3,13 @@ import dataclasses
 
 import pytest
 
-from graphsack import (Instance, Variant, build_nice_decomposition, decompose,
+from graphsack import (Instance, Variant, build_nice_decomposition,
                        elimination_order_minfill, oracle_for,
                        solve_path_color_sweep, solve_path_tree,
                        solve_path_treewidth, validate_instance,
                        verify_solution)
 from graphsack import errors, model, paths
-from conftest import instance_stream
+from conftest import instance_stream, path_dp
 from graphsack.generators import random_instance
 from graphsack.paths import default_trials
 
@@ -199,8 +199,7 @@ class TestTreewidthDP:
                                    i, p=0.4, decision=bool(i % 2))
             whole = build_nice_decomposition(
                 inst, elimination_order_minfill(inst), {inst.x, inst.y})
-            reports = solve_path_treewidth(inst), solve_path_treewidth(
-                inst, whole)
+            reports = solve_path_treewidth(inst), path_dp(inst, whole)
             if inst.d is None:
                 assert reports[0].frontier == reports[1].frontier, inst
             assert reports[0].feasible == reports[1].feasible, inst
@@ -208,28 +207,6 @@ class TestTreewidthDP:
                 if report.witness is not None:
                     # in decision mode verify_solution also checks alpha >= d
                     assert verify_solution(inst, report.witness).ok, inst
-
-    @pytest.mark.parametrize("pins", ["none", "x only"])
-    def test_decomposition_not_pinned_at_terminals_refused(self, pins):
-        # the leaf rule assumes both terminals are in every bag
-        inst = random_instance(Variant.PATH, "gnp", 7, 0)
-        nd = decompose(inst, () if pins == "none" else {inst.x})
-        with pytest.raises(ValueError):
-            solve_path_treewidth(inst, nd)
-
-    @pytest.mark.parametrize("change", ["edge dropped", "edge added"])
-    def test_decomposition_of_another_graph_refused(self, change):
-        # pinned at the terminals, but its introduce-edge nodes name a
-        # non-edge of inst or miss one of its edges
-        for seed in range(17):
-            inst = random_instance(Variant.PATH, "gnp", 8, seed, p=0.5)
-            other = validate_instance(dataclasses.replace(
-                inst, edges=inst.edges[1:]))
-            if change == "edge added":
-                inst, other = other, inst
-            nd = decompose(other, {inst.x, inst.y})
-            with pytest.raises(errors.ValidationError):
-                solve_path_treewidth(inst, nd)
 
     def test_single_edge(self):
         inst = make(2, ((0, 1),), (1, 2), (3, 4), 3, x=0, y=1)
