@@ -16,7 +16,7 @@ from typing import Optional
 from . import errors, generators, reductions
 from .approx import fptas_optimize
 from .connected import solve_connected
-from .decomposition import decompose
+from .decomposition import decompose, validate_nice_decomposition
 from .model import (Instance, SolveReport, Variant, build_report,
                     instance_from_json, instance_to_json, is_int_list,
                     json_object, verify_solution)
@@ -195,7 +195,9 @@ def cmd_decompose(args) -> int:
             pinned = [int(tok) for tok in args.pin.split(",")]
         except ValueError as exc:
             raise errors.BadInstanceJson(f"bad --pin value: {args.pin}") from exc
-    _emit(decompose(inst, pinned).to_doc())
+    nd = decompose(inst, pinned)
+    validate_nice_decomposition(inst, nd)
+    _emit(nd.to_doc())
     return 0
 
 

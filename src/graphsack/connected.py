@@ -6,7 +6,7 @@ trace of the partial solution in the bag, each a vertex bitmask (bit
 v = vertex v), with the blocks sorted.  Forgetting the last bag vertex
 of the only block returns ``DONE``: a non-empty connected subset is
 finished and leaves the walk for the cell that ``run_dp`` returns, and
-that cell with the empty solution is the whole frontier.
+that cell with the empty solution prunes to the whole frontier.
 ``decomposition.run_dp`` introduces vertices, carries the (weight,
 value) frontiers and their witness masks, and derives each state's key
 from its blocks; this module only supplies the rules for solution
@@ -16,9 +16,7 @@ from the rest.
 """
 from __future__ import annotations
 
-from .decomposition import (DONE, build_nice_decomposition,
-                            elimination_order_minfill, run_dp, union_blocks,
-                            vertex_set)
+from .decomposition import DONE, decompose, run_dp, union_blocks, vertex_set
 from .model import (Instance, SolveReport, Variant, build_report,
                     require_variant)
 
@@ -57,7 +55,7 @@ def solve_connected(inst: Instance, early_stop: bool = False) -> SolveReport:
     decision mode always stops."""
     require_variant(inst, Variant.CONNECTED)
     stats = {"nodes_expanded": 0, "states_touched": 0}
-    nd = build_nice_decomposition(inst, elimination_order_minfill(inst), ())
+    nd = decompose(inst)
     # run_dp returns the non-empty connected subsets; add the empty one
     cell = {**run_dp(inst, nd, _ConnectedRules(), stats), (0, 0): 0}
     return build_report(inst, cell, lambda p: vertex_set(cell[p]), stats)

@@ -10,14 +10,15 @@ that adds one of its ends to a bag already holding the other, or above
 the first leaf when both ends are pinned.
 ``run_dp`` is the Pareto DP over these decompositions that both exact
 solvers share: it walks the nodes in id order, owns the pairs, the
-introduce step and each state's key (the union of its blocks), and
-each solver supplies only the rules for its solution vertices.  Every
-stored pair carries the vertex bitmask of the first partial solution
-that reached it, so no child table outlives its parent.  A rule marks
-a finished solution by returning ``DONE``; it leaves the walk for one
-finished cell, which ``run_dp`` returns with its witnesses.  A state
-keeps each block of bag vertices as an int bitmask (bit v = vertex v),
-and ``union_blocks`` merges two partitions of them.  In decision mode
+introduce step and each state's key (the union of its blocks), and each
+solver supplies only the rules for its solution vertices.  Every stored
+pair carries the vertex bitmask of the first partial solution that
+reached it, so no child table outlives its parent.  Stored cells are
+frontiers, so only nodes where two cells meet prune.  A rule marks a
+finished solution by returning ``DONE``; it leaves the walk for one
+finished cell, which ``run_dp`` returns unpruned.  A state keeps each
+block of bag vertices as an int bitmask (bit v = vertex v), and
+``union_blocks`` merges two partitions of them.  In decision mode
 ``run_dp`` drops every pair that a fractional knapsack bound shows
 cannot reach d, and returns the first finished pair that does, if any.
 """
@@ -174,7 +175,7 @@ class _Bound:
 
 def run_dp(inst: Instance, nd: NiceDecomposition, rules, stats: dict) -> dict:
     """Fill a (weight, value) Pareto DP over ``nd`` bottom-up and return
-    the ``{pair: mask}`` frontier of the finished solutions.
+    the finished ``{pair: mask}`` cell, which ``build_report`` prunes.
 
     A state's first entry is its sorted tuple of block masks (bit v =
     vertex v); their union, the state's key, is the set of bag vertices
@@ -197,21 +198,21 @@ def run_dp(inst: Instance, nd: NiceDecomposition, rules, stats: dict) -> dict:
     u left out keeps the state and its cell, u taken adds the block
     ``1 << u`` and u's weight and value, the whole leaf bag is in the
     partial solution, a join pairs the states of its children on their
-    keys and subtracts the key's vertices counted on both sides, pairs
-    over the budget are dropped where they are made, and every cell of
-    two or more pairs is pruned to its frontier.  Each pair maps to the
-    vertex bitmask of the first partial solution that reached it: a
-    leaf's bag, plus u when u is taken, or the union of the two sides at
-    a join.  Once per node the ``DONE`` cell is pruned and, in optimize
-    mode, leaves the walk for the finished cell, the first finished in
-    node order winning a tie.  Nodes are filled in id order, and a child
-    table is dropped once its parent is filled.  A stored cell is never
-    changed: every cell that gains pairs is a fresh dict of the node
-    being filled.  It counts ``nodes_expanded`` and ``states_touched``
-    (pairs kept in node tables) in ``stats``.
+    keys and subtracts the key's vertices counted on both sides, and
+    pairs over the budget are dropped where they are made.  Each pair
+    maps to the vertex bitmask of the first partial solution that reached
+    it: a leaf's bag, plus u when u is taken, or the union of the two
+    sides at a join.  Every stored cell is a frontier by weight (leaf and
+    introduce cells are so already), so only forget, introduce-edge and
+    join nodes, where cells meet, prune, ``DONE``'s too; in optimize mode
+    it then joins the finished cell, the first finished in node order
+    winning a tie.  Nodes are filled in id order, a child table is
+    dropped once its parent is filled, and a cell that gains pairs is a
+    fresh dict, so no stored cell changes.  It counts ``nodes_expanded``
+    and ``states_touched`` (pairs kept in node tables) in ``stats``.
 
-    Decision mode (``inst.d`` set) keeps no finished cell.  After the
-    ``DONE`` prune of a node, the first finished pair with value >= d
+    Decision mode (``inst.d`` set) keeps no finished cell.  After a
+    node's prune, the first pair of its ``DONE`` cell with value >= d
     is returned at once, alone with its mask; a walk that finds none
     returns an empty cell.  And at each leaf, introduce-vertex and join
     node, the only nodes that decide vertices, every pair of the pruned
@@ -279,16 +280,16 @@ def run_dp(inst: Instance, nd: NiceDecomposition, rules, stats: dict) -> dict:
                     for p, mask in cell.items():
                         dst.setdefault(p, mask)
 
-        done = out.pop(DONE, {})
-        for p in prune_pairs(done):
+        if node.kind in (FORGET_VERTEX, INTRODUCE_EDGE, JOIN):
+            # a join cell is empty when every pair in it overran the budget
+            out = {st: cell if len(cell) == 1
+                   else {p: cell[p] for p in prune_pairs(cell.keys())}
+                   for st, cell in out.items() if cell}
+        for p, mask in out.pop(DONE, {}).items():
             if d is None:
-                finished.setdefault(p, done[p])
+                finished.setdefault(p, mask)
             elif p[1] >= d:
-                return {p: done[p]}
-        # a join cell is empty when every pair in it overran the budget
-        out = {st: cell if len(cell) == 1
-               else {p: cell[p] for p in prune_pairs(cell.keys())}
-               for st, cell in out.items() if cell}
+                return {p: mask}
         # only these kinds shrink the undecided vertices
         if d is not None and node.kind in (LEAF, INTRODUCE_VERTEX, JOIN):
             keep = bound.test(bound.decided[nid])
@@ -298,7 +299,7 @@ def run_dp(inst: Instance, nd: NiceDecomposition, rules, stats: dict) -> dict:
             stats["pairs_cut"] += before - sum(len(c) for c in out.values())
         stats["states_touched"] += sum(len(c) for c in out.values())
         tables[nid] = out
-    return {p: finished[p] for p in prune_pairs(finished)}
+    return finished
 
 
 def _adjacency_masks(inst: Instance) -> list[int]:
@@ -520,11 +521,9 @@ def validate_nice_decomposition(inst: Instance,
 
 def decompose(inst: Instance,
               pinned: Iterable[int] = ()) -> NiceDecomposition:
-    """The min-fill order of G - pinned, built into a nice decomposition
-    pinned at ``pinned`` and validated: with no pins, the decomposition
-    the Connected solver uses; pinned at {x, y}, the Path solver's."""
+    """The min-fill order of G - pinned built into a nice decomposition
+    pinned at ``pinned``, unvalidated: both solvers call it, Connected
+    with no pins and Path with {x, y}; ``cmd_decompose`` validates it."""
     pinned = frozenset(pinned)
     order = elimination_order_minfill(inst, pinned=pinned)
-    nd = build_nice_decomposition(inst, order, pinned)
-    validate_nice_decomposition(inst, nd)
-    return nd
+    return build_nice_decomposition(inst, order, pinned)

@@ -1,4 +1,5 @@
-"""Path Knapsack solvers.
+"""Path Knapsack solvers.  A solution is the vertex set of a simple x-y
+path; the subgraph it induces may hold more edges.
 
 Three routes with very different profiles: the unique-path walk on
 trees, a randomized color-coding search whose one run with k colors
@@ -17,9 +18,7 @@ from itertools import accumulate
 from typing import Optional
 
 from . import errors
-from .decomposition import (DONE, build_nice_decomposition,
-                            elimination_order_minfill, run_dp, union_blocks,
-                            vertex_set)
+from .decomposition import DONE, decompose, run_dp, union_blocks, vertex_set
 from .model import (Instance, SolveReport, Variant, build_report, prune_pairs,
                     require_variant)
 
@@ -228,9 +227,7 @@ def solve_path_treewidth(inst: Instance) -> SolveReport:
     path that does (``run_dp``).  Shortest-Path instances are refused:
     the DP ignores dist(x, y)."""
     require_variant(inst, Variant.PATH)
-    pinned = {inst.x, inst.y}
-    nd = build_nice_decomposition(
-        inst, elimination_order_minfill(inst, pinned=pinned), pinned)
     stats = {"nodes_expanded": 0, "states_touched": 0}
+    nd = decompose(inst, {inst.x, inst.y})
     cell = run_dp(inst, nd, _PathRules(inst), stats)
     return build_report(inst, cell, lambda p: vertex_set(cell[p]), stats)

@@ -10,13 +10,14 @@ from pathlib import Path
 import pytest
 
 import graphsack
-from graphsack import cli, errors
+from graphsack import cli, connected, decomposition, errors, paths
 from graphsack.approx import fptas_optimize
 from graphsack.cli import main
-from graphsack.decomposition import decompose
+from graphsack.decomposition import INTRODUCE_EDGE, decompose
 from graphsack.model import Instance, instance_to_json, validate_instance
 from graphsack.generators import random_instance
 from graphsack import Variant
+from conftest import reroute
 
 
 def run(capsys, *argv):
@@ -458,6 +459,52 @@ class TestDecompose:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_printed_decomposition_is_validated(self, capsys, tmp_path,
+                                                monkeypatch):
+        # a builder that loses an edge introduction must not be printed
+        build = decomposition.build_nice_decomposition
+
+        def broken(inst, order, pinned):
+            nd = build(inst, order, pinned)
+            return reroute(nd, drop=next(
+                nid for nid, node in enumerate(nd.nodes)
+                if node.kind == INTRODUCE_EDGE))
+
+        monkeypatch.setattr(decomposition, "build_nice_decomposition", broken)
+        inst = random_instance(Variant.CONNECTED, "tree", 6, 11)
+        path = write_instance(tmp_path, inst)
+        code = main(["decompose", "--input", path])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert (captured.err.startswith("error: ")
+                and captured.err.count("\n") == 1)
+
+    @pytest.mark.parametrize("variant", ["connected", "path"])
+    def test_solvers_run_on_the_printed_decomposition(self, variant,
+                                                      monkeypatch):
+        # what the treewidth solver walks hashes to the pinned digest of
+        # what ``graphsack decompose`` prints for the same stream
+        module = connected if variant == "connected" else paths
+        solve = cli._engines(0, None)["treewidth"][Variant(variant)]
+        dp, walked = module.run_dp, []
+
+        def spy(inst, nd, rules, stats):
+            walked.append(nd)
+            return dp(inst, nd, rules, stats)
+
+        monkeypatch.setattr(module, "run_dp", spy)
+        digest = hashlib.sha256()
+        for kind in ("tree", "gnp", "grid"):
+            for n in (1, 2, 5, 9, 12):
+                for seed in range(10):
+                    inst = random_instance(Variant(variant), kind, n, seed,
+                                           p=0.3, decision=True)
+                    solve(inst)
+                    digest.update(json.dumps(walked.pop().to_doc(),
+                                             sort_keys=True).encode() + b"\n")
+        assert not walked
+        assert digest.hexdigest() == DECOMPOSE_DIGESTS[variant]
 
 
 # One SHA-256 per (engine, variant) cell of ``cli._engines`` over the

@@ -179,6 +179,32 @@ class TestRuleProtocol:
         # (1, 5) {1}'s over the "a" state's {0, 1} at the join
         assert cell == {(0, 0): 0, (1, 5): 0b10}
 
+    def test_cells_are_pruned_only_where_two_cells_meet(self, monkeypatch):
+        # 0 introduced and forgotten, then 1, joined with a bare leaf: a
+        # stored cell is already a frontier, so only the forgets, where
+        # the taken and skipped states merge, and the join prune
+        nodes = (DecompNode(LEAF, frozenset(), ()),
+                 DecompNode(INTRODUCE_VERTEX, frozenset({0}), (0,), 0),
+                 DecompNode(FORGET_VERTEX, frozenset(), (1,), 0),
+                 DecompNode(INTRODUCE_VERTEX, frozenset({1}), (2,), 1),
+                 DecompNode(FORGET_VERTEX, frozenset(), (3,), 1),
+                 DecompNode(LEAF, frozenset(), ()),
+                 DecompNode(JOIN, frozenset(), (4, 5)))
+        nd = NiceDecomposition(nodes, 6, frozenset(), 0)
+        inst = make(n=2, edges=(), weight=(1, 2), value=(3, 4))
+        assert validate_nice_decomposition(inst, nd)
+        stats = {"nodes_expanded": 0, "states_touched": 0}
+        pruned_at = []
+
+        def spy(pairs):
+            pruned_at.append(stats["nodes_expanded"] - 1)  # the node id
+            return prune_pairs(pairs)
+
+        monkeypatch.setattr(decomposition, "prune_pairs", spy)
+        cell = run_dp(inst, nd, _SubsetRules, stats)
+        assert pruned_at == [2, 4, 6]
+        assert cell == {(0, 0): 0, (1, 3): 1, (2, 4): 2, (3, 7): 3}
+
 
 class TestParetoOps:
     def test_insert_no_dominance(self):
