@@ -1,11 +1,11 @@
 """Value-scaling FPTAS wrapper around any of the exact solvers.
 
 Values are rescaled to alpha'(u) = floor(n * alpha(u) / (eps * alpha_max)),
-the exact solver runs on the scaled instance, and the returned witness
-is re-valued in the original instance.  The classic rounding argument
-gives alpha(witness) >= (1 - eps) * OPT if alpha_max <= OPT, as for
-Connected; for Path and Shortest-Path a light vertex on no x-y path can
-set alpha_max above OPT and break it (ROADMAP item 3).
+the exact solver runs on the scaled instance, which keeps every vertex
+id, and its witness is re-valued in the original instance.  The classic
+rounding argument gives alpha(witness) >= (1 - eps) * OPT if
+alpha_max <= OPT, as for Connected; for Path and Shortest-Path a light
+vertex on no x-y path can set alpha_max above OPT (ROADMAP item 3).
 """
 from __future__ import annotations
 
@@ -15,8 +15,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from . import connected, errors, paths, shortest
-from .model import (Instance, SolveReport, Variant, build_report,
-                    require_variant, validate_instance)
+from .model import Instance, SolveReport, Variant, build_report
 
 
 @dataclass(frozen=True)
@@ -54,7 +53,10 @@ def scale_values(inst: Instance, epsilon) -> ScaledInstance:
 
     n and alpha_max count only the vertices with w <= s; a heavier
     vertex is in no feasible solution and is scaled to 0, as is every
-    vertex when alpha_max is 0.  The scaled instance has no target d:
+    vertex when alpha_max is 0.  On Connected and Path a heavier vertex
+    also loses its edges, so no exact solver builds states around it;
+    Shortest-Path keeps every edge, as a cut one could raise dist(x, y).
+    Every vertex keeps its id.  The scaled instance has no target d:
     the FPTAS always optimizes.
     """
     eps = parse_epsilon(epsilon)
@@ -63,33 +65,11 @@ def scale_values(inst: Instance, epsilon) -> ScaledInstance:
     factor = Fraction(sum(light)) / (eps * alpha_max) if alpha_max else 0
     scaled_values = tuple(int(a * factor) if ok else 0
                           for a, ok in zip(inst.value, light))
-    scaled = replace(inst, value=scaled_values, d=None)
+    edges = inst.edges
+    if inst.variant is not Variant.SHORTEST_PATH:
+        edges = tuple((u, v) for u, v in edges if light[u] and light[v])
+    scaled = replace(inst, edges=edges, value=scaled_values, d=None)
     return ScaledInstance(scaled, alpha_max)
-
-
-def prune_overweight(inst: Instance) -> tuple[Instance, Optional[tuple[int, ...]]]:
-    """Drop every vertex with w(u) > s; returns (instance, old-id map).
-
-    Safe for connected and path instances: such a vertex cannot appear
-    in any feasible solution.  Shortest-Path instances are refused:
-    removing a vertex can raise dist(x, y) and so change which paths
-    qualify at all.  Returns ``(inst, None)`` when nothing is dropped.
-    For path variants an overweight terminal means no feasible solution
-    exists; the caller must check terminals first.
-    """
-    require_variant(inst, Variant.CONNECTED, Variant.PATH)
-    keep = [v for v in range(inst.n) if inst.weight[v] <= inst.s]
-    if len(keep) == inst.n:
-        return inst, None
-    remap = {v: i for i, v in enumerate(keep)}
-    pruned = replace(
-        inst, n=len(keep),
-        edges=tuple((remap[u], remap[v]) for u, v in inst.edges
-                    if u in remap and v in remap),
-        weight=tuple(inst.weight[v] for v in keep),
-        value=tuple(inst.value[v] for v in keep),
-        x=remap.get(inst.x), y=remap.get(inst.y))
-    return validate_instance(pruned), tuple(keep)
 
 
 def fptas_optimize(inst: Instance, epsilon,
@@ -97,20 +77,18 @@ def fptas_optimize(inst: Instance, epsilon,
     """(1 - eps)-optimal if alpha_max <= OPT; witness feasible in ``inst``.
 
     ``exact_solver`` defaults to the variant's treewidth DP or, for
-    Shortest-Path, the label solver.  The report's frontier and values
-    are in ORIGINAL units; the scaled run's outcome is recorded under
-    stats["scaled_value"].
+    Shortest-Path, the label solver; it runs on ``scale_values``'
+    instance, so its witness is already in ``inst``'s ids.  A terminal
+    heavier than s is reported infeasible without a solve.  The report's
+    frontier and values are in ORIGINAL units; the scaled run's outcome
+    is recorded under stats["scaled_value"].
     """
     eps = parse_epsilon(epsilon)
     if inst.variant in (Variant.PATH, Variant.SHORTEST_PATH):
         if inst.weight[inst.x] > inst.s or inst.weight[inst.y] > inst.s:
             return build_report(inst, (), None, {})
-    if inst.variant is Variant.SHORTEST_PATH:
-        work, keep_map = inst, None  # pruning would change dist(x, y)
-    else:
-        work, keep_map = prune_overweight(inst)
 
-    scaling = scale_values(work, eps)
+    scaling = scale_values(inst, eps)
     solver = exact_solver or {
         Variant.CONNECTED: connected.solve_connected,
         Variant.PATH: paths.solve_path_treewidth,
@@ -121,13 +99,9 @@ def fptas_optimize(inst: Instance, epsilon,
     stats["epsilon"] = str(eps)
     stats["alpha_max"] = scaling.alpha_max
     stats["scaled_value"] = report.best_value
-    if report.witness is None:
-        return build_report(inst, (), None, stats)
-
     witness = report.witness
-    if keep_map is not None:
-        witness = frozenset(keep_map[v] for v in witness)
-    w = inst.total_weight(witness)
-    a = inst.total_value(witness)
+    if witness is None:
+        return build_report(inst, (), None, stats)
+    w, a = inst.total_weight(witness), inst.total_value(witness)
     return build_report(inst, [(w, a)] if w <= inst.s else [],
                         lambda _: witness, stats)

@@ -202,9 +202,10 @@ def run_dp(inst: Instance, nd: NiceDecomposition, rules, stats: dict) -> dict:
     pairs over the budget are dropped where they are made.  Each pair
     maps to the vertex bitmask of the first partial solution that reached
     it: a leaf's bag, plus u when u is taken, or the union of the two
-    sides at a join.  Every stored cell is a frontier by weight (leaf and
-    introduce cells are so already), so only forget, introduce-edge and
-    join nodes, where cells meet, prune, ``DONE``'s too; in optimize mode
+    sides at a join.  Every stored cell is a frontier listed by weight
+    (leaf and introduce cells are so already), so a join row stops at
+    its first pair over s, and only forget, introduce-edge and join
+    nodes, where cells meet, prune, ``DONE``'s too; in optimize mode
     it then joins the finished cell, the first finished in node order
     winning a tie.  Nodes are filled in id order, a child table is
     dropped once its parent is filled, and a cell that gains pairs is a
@@ -267,9 +268,9 @@ def run_dp(inst: Instance, nd: NiceDecomposition, rules, stats: dict) -> dict:
                         for (w1, a1), m1 in cell1.items():
                             for (w2, a2), m2 in cell2.items():
                                 w = w1 + w2 - w_off
-                                if w <= s:
-                                    dst.setdefault((w, a1 + a2 - a_off),
-                                                   m1 | m2)
+                                if w > s:
+                                    break  # cell2 ascends in weight
+                                dst.setdefault((w, a1 + a2 - a_off), m1 | m2)
         else:  # forget u or introduce edge uv
             ends, rule = node.edge or (node.vertex,), rule_of[node.kind]
             need = sum(1 << v for v in ends)
@@ -316,6 +317,14 @@ def _eliminate(adj: list[int], v: int) -> int:
     return nbrs
 
 
+def _check_pins(inst: Instance, pinned: Iterable[int]) -> list[int]:
+    """The pins sorted; ``IdOutOfRange`` if one is not a vertex."""
+    pinned = sorted(set(pinned))
+    if any(v not in range(inst.n) for v in pinned):
+        raise errors.IdOutOfRange(f"pinned set {pinned} out of range")
+    return pinned
+
+
 def elimination_order_minfill(inst: Instance,
                               pinned: Iterable[int] = ()) -> tuple[int, ...]:
     """Greedy min-fill elimination order of G - pinned, followed by the
@@ -331,9 +340,7 @@ def elimination_order_minfill(inst: Instance,
     and N(N(v)) are recomputed, no others.  Raises ``IdOutOfRange`` for
     a pin that is not a vertex.
     """
-    pinned = sorted(set(pinned))
-    if any(v not in range(inst.n) for v in pinned):
-        raise errors.IdOutOfRange(f"pinned set {pinned} out of range")
+    pinned = _check_pins(inst, pinned)
     pins = sum(1 << v for v in pinned)
     adj = [nbrs & ~pins for nbrs in _adjacency_masks(inst)]
 
@@ -381,8 +388,7 @@ def build_nice_decomposition(inst: Instance, order: tuple[int, ...],
     pinned = frozenset(pinned)
     if len(pinned) > 2:
         raise errors.PinnedTooLarge(f"pinned set {sorted(pinned)} too large")
-    if any(not 0 <= v < inst.n for v in pinned):
-        raise errors.IdOutOfRange(f"pinned set {sorted(pinned)} out of range")
+    _check_pins(inst, pinned)
 
     nodes: list[DecompNode] = []
     todo = set(inst.edges)  # normalized edges not yet introduced

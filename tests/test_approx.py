@@ -8,7 +8,7 @@ from graphsack import (Instance, Variant, fptas_optimize, oracle_for,
                        scale_values, solve_connected, validate_instance,
                        verify_solution)
 from graphsack import errors
-from graphsack.approx import parse_epsilon, prune_overweight
+from graphsack.approx import parse_epsilon
 from conftest import instance_stream
 
 
@@ -67,25 +67,43 @@ class TestScaleValues:
             parse_epsilon(bad)
 
 
-class TestPruneOverweight:
-    def test_drops_heavy_vertices_and_remaps(self):
-        inst = make(Variant.CONNECTED, 3, ((0, 1), (1, 2)), (1, 99, 1),
-                    (1, 1, 1), 5)
-        pruned, keep = prune_overweight(inst)
-        assert pruned.n == 2 and pruned.edges == ()
-        assert keep == (0, 2)
+class TestHeavyVertices:
+    """A vertex heavier than s keeps its id and is scaled to 0; on
+    Connected and Path its edges are cut, on Shortest-Path none is."""
 
-    def test_noop_when_all_fit(self):
-        inst = make(Variant.CONNECTED, 2, ((0, 1),), (1, 1), (1, 1), 5)
-        pruned, keep = prune_overweight(inst)
-        assert pruned is inst and keep is None
+    def test_exact_solver_sees_every_vertex_id(self):
+        # vertex 1 (weight 99 > s) stays, so the witness needs no map
+        inst = make(Variant.CONNECTED, 4, ((0, 1), (1, 2), (2, 3)),
+                    (1, 99, 1, 1), (1, 5, 2, 3), 5)
+        seen = []
 
-    def test_refuses_shortest_path(self):
-        # dropping a heavy vertex can raise dist(x, y)
-        inst = make(Variant.SHORTEST_PATH, 3, ((0, 1), (1, 2)), (1, 99, 1),
-                    (1, 1, 1), 5, x=0, y=2)
-        with pytest.raises(ValueError):
-            prune_overweight(inst)
+        def spy(scaled):
+            seen.append(scaled)
+            return solve_connected(scaled)
+
+        report = fptas_optimize(inst, Fraction(1, 2), spy)
+        (scaled,) = seen
+        assert scaled.n == 4 and scaled.weight == inst.weight
+        assert scaled.value[1] == 0
+        assert report.witness == frozenset({2, 3})
+        assert report.best_value == 5
+
+    @pytest.mark.parametrize("variant", [Variant.CONNECTED, Variant.PATH])
+    def test_heavy_vertex_edges_cut(self, variant):
+        terminals = {"x": 0, "y": 3} if variant is Variant.PATH else {}
+        inst = make(variant, 4, ((0, 1), (0, 2), (1, 3), (2, 3)),
+                    (1, 9, 1, 1), (1, 1, 1, 1), 5, **terminals)
+        scaled = scale_values(inst, Fraction(1, 2)).scaled
+        assert scaled.n == 4 and scaled.edges == ((0, 2), (2, 3))
+
+    def test_shortest_path_keeps_every_edge(self):
+        # the one shortest 0-2 path runs through the heavy vertex 1;
+        # cutting its edges would let the longer path 0-3-4-2 qualify
+        inst = make(Variant.SHORTEST_PATH, 5,
+                    ((0, 1), (1, 2), (0, 3), (3, 4), (2, 4)),
+                    (0, 9, 0, 0, 0), (1, 1, 1, 1, 1), 5, x=0, y=2)
+        assert scale_values(inst, Fraction(1, 2)).scaled.edges == inst.edges
+        assert not fptas_optimize(inst, Fraction(1, 2)).feasible
 
 
 class TestGuarantee:

@@ -2,6 +2,7 @@
 and the DP driver both exact solvers share."""
 import dataclasses
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -296,6 +297,18 @@ class TestValidate:
             decompose(graph(3, ((0, 1),)), {99})
         with pytest.raises(errors.IdOutOfRange):
             decompose(graph(3, ((0, 1),)), {-1})
+
+    @pytest.mark.parametrize("pinned", [{9}, {-1}, {-1, 9}])
+    def test_each_stage_refuses_a_pin_outside_instance(self, pinned):
+        inst = graph(3, ((0, 1),))
+        message = re.escape(f"pinned set {sorted(pinned)} out of range")
+        with pytest.raises(errors.IdOutOfRange, match=message):
+            elimination_order_minfill(inst, pinned)
+        with pytest.raises(errors.IdOutOfRange, match=message):
+            build_nice_decomposition(inst, (0, 1, 2), pinned)
+        # the build counts the pins before it checks them
+        with pytest.raises(errors.PinnedTooLarge):
+            build_nice_decomposition(inst, (0, 1, 2), {0, 1, *pinned})
 
     def test_wrong_root_bag_caught(self):
         inst = graph(3, ((0, 1), (1, 2)))
