@@ -3,7 +3,8 @@
 stdout carries machine-readable JSON only; stderr carries nothing but
 an error, as one ``error:`` line.  ``solve`` looks its solver up in one
 ``{engine: {variant: solver}}`` table, ``auto`` included.  Exit codes:
-0 solved/feasible, 1 infeasible, 2 usage or validation error.
+0 solved/feasible, 1 infeasible, 2 usage or validation error.  Each
+command imports the modules it uses when it runs, and no others.
 """
 from __future__ import annotations
 
@@ -13,33 +14,21 @@ import sys
 from dataclasses import replace
 from typing import Optional
 
-from . import errors, generators, reductions
-from .approx import fptas_optimize
-from .connected import solve_connected
-from .decomposition import decompose, validate_nice_decomposition
+from . import errors
 from .model import (Instance, SolveReport, Variant, build_report,
                     instance_from_json, instance_to_json, is_int_list,
                     json_object, verify_solution)
-from .oracles import oracle_witnesses
-from .paths import (solve_path_color_sweep, solve_path_tree,
-                    solve_path_treewidth)
-from .shortest import solve_shortest_path
 
-def _read_instance(path: str) -> Instance:
+ENGINES = ("auto", "treewidth", "color", "labels", "tree", "oracle")
+
+
+def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return instance_from_json(fh.read())
-
-
-def _path_auto(inst: Instance) -> SolveReport:
-    """The tree solver on a forest, else the treewidth DP; the tree
-    solver's own walk is the forest check."""
-    try:
-        return solve_path_tree(inst)
-    except errors.NotATree:
-        return solve_path_treewidth(inst)
+        return fh.read()
 
 
 def _oracle(inst: Instance) -> SolveReport:
+    from .oracles import oracle_witnesses
     try:
         found, stats = oracle_witnesses(inst), {}
     except errors.Unreachable:
@@ -48,19 +37,28 @@ def _oracle(inst: Instance) -> SolveReport:
 
 
 def _engines(seed: int, trials: Optional[int]) -> dict:
-    """{engine: {variant: solver}}, built on each call so that a solver
-    name rebound in this module is the one that runs."""
+    """{engine: {variant: solver}} over ``ENGINES``, each solver read off
+    its module on each call, so that a solver rebound there is the one
+    that runs.  On Path, ``auto`` runs the tree solver, whose own walk
+    is the forest check, and else the treewidth DP."""
+    from . import connected, paths, shortest
+
+    def path_auto(inst: Instance) -> SolveReport:
+        try:
+            return paths.solve_path_tree(inst)
+        except errors.NotATree:
+            return paths.solve_path_treewidth(inst)
     return {
-        "auto": {Variant.CONNECTED: solve_connected,
-                 Variant.PATH: _path_auto,
-                 Variant.SHORTEST_PATH: solve_shortest_path},
-        "treewidth": {Variant.CONNECTED: solve_connected,
-                      Variant.PATH: solve_path_treewidth},
-        "color": {Variant.PATH: lambda inst: solve_path_color_sweep(
+        "auto": {Variant.CONNECTED: connected.solve_connected,
+                 Variant.PATH: path_auto,
+                 Variant.SHORTEST_PATH: shortest.solve_shortest_path},
+        "treewidth": {Variant.CONNECTED: connected.solve_connected,
+                      Variant.PATH: paths.solve_path_treewidth},
+        "color": {Variant.PATH: lambda inst: paths.solve_path_color_sweep(
             inst, seed=seed, trials=trials)},
-        "labels": {Variant.SHORTEST_PATH: solve_shortest_path},
+        "labels": {Variant.SHORTEST_PATH: shortest.solve_shortest_path},
         "tree": dict.fromkeys((Variant.PATH, Variant.SHORTEST_PATH),
-                              solve_path_tree),
+                              paths.solve_path_tree),
         "oracle": dict.fromkeys(Variant, _oracle),
     }
 
@@ -81,7 +79,7 @@ def _emit(doc) -> None:
 
 
 def cmd_solve(args) -> int:
-    inst = _read_instance(args.input)
+    inst = instance_from_json(_read(args.input))
     if args.mode == "decision" and inst.d is None:
         raise errors.EngineMismatch("decision mode needs d in the instance")
     if args.mode == "optimize" and inst.d is not None:
@@ -90,8 +88,11 @@ def cmd_solve(args) -> int:
     if solver is None:
         raise errors.EngineMismatch(f"engine {args.engine} does not handle "
                                     f"variant {inst.variant.value}")
-    report = (solver(inst) if args.epsilon is None
-              else fptas_optimize(inst, args.epsilon, solver))
+    if args.epsilon is None:
+        report = solver(inst)
+    else:
+        from .approx import fptas_optimize
+        report = fptas_optimize(inst, args.epsilon, solver)
     _emit(_report_doc(report))
     return 0 if report.feasible else 1
 
@@ -104,7 +105,8 @@ def cmd_generate(args) -> int:
     else:
         if args.n < 1:
             raise errors.BadInstanceJson("--n must be positive")
-        inst = generators.random_instance(
+        from .generators import random_instance
+        inst = random_instance(
             Variant(args.variant), args.random, args.n, args.seed,
             max_weight=args.max_weight, max_value=args.max_value,
             p=args.p, decision=args.decision)
@@ -122,22 +124,20 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _load_source_graph(path: str) -> reductions.SourceGraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json_object(fh.read(), {"n", "edges"})
+def _load_source_graph(path: str) -> tuple[int, tuple]:
+    doc = json_object(_read(path), {"n", "edges"})
     n, edges = doc["n"], doc["edges"]
     if not (type(n) is int and type(edges) is list and all(
             is_int_list(e) and len(e) == 2 and 0 <= min(e) <= max(e) < n
             for e in edges)):
         raise errors.BadInstanceJson(
             "n must be an integer and each edge a pair of ids below n")
-    return reductions.SourceGraph(n, tuple(map(tuple, edges)))
+    return n, tuple(map(tuple, edges))
 
 
-def _load_items(path: str) -> reductions.KnapsackItems:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json_object(fh.read(), {"sizes", "profits", "capacity",
-                                      "target"})
+def _load_items(path: str) -> tuple[tuple, tuple, int, int]:
+    doc = json_object(_read(path), {"sizes", "profits", "capacity",
+                                    "target"})
     sizes, profits = doc["sizes"], doc["profits"]
     if not (is_int_list(sizes) and is_int_list(profits)
             and len(sizes) == len(profits)
@@ -145,17 +145,19 @@ def _load_items(path: str) -> reductions.KnapsackItems:
         raise errors.BadInstanceJson(
             "sizes and profits must be integer lists of one length, and "
             "capacity and target integers")
-    return reductions.KnapsackItems(tuple(sizes), tuple(profits),
-                                    doc["capacity"], doc["target"])
+    return tuple(sizes), tuple(profits), doc["capacity"], doc["target"]
 
 
-def _make_reduction(args) -> reductions.ReductionOutput:
+def _make_reduction(args):
+    """The ``reductions.ReductionOutput`` that ``--reduction`` names."""
+    from . import reductions
     name = args.reduction
     if name in ("vc", "pvc", "ham"):
         if not args.source_graph:
             raise errors.BadInstanceJson(f"--reduction {name} needs "
                                          "--source-graph")
-        graph = _load_source_graph(args.source_graph)
+        graph = reductions.SourceGraph(
+            *_load_source_graph(args.source_graph))
         if name == "vc":
             return reductions.reduce_vertex_cover_to_connected(graph, args.k)
         if name == "pvc":
@@ -164,7 +166,7 @@ def _make_reduction(args) -> reductions.ReductionOutput:
         return reductions.reduce_hamiltonian_to_path(graph, args.x, args.y)
     if not args.items:
         raise errors.BadInstanceJson(f"--reduction {name} needs --items")
-    items = _load_items(args.items)
+    items = reductions.KnapsackItems(*_load_items(args.items))
     if name == "star":
         return reductions.reduce_knapsack_to_star_connected(items)
     return reductions.reduce_knapsack_to_path_gadget(
@@ -173,12 +175,11 @@ def _make_reduction(args) -> reductions.ReductionOutput:
 
 
 def cmd_verify(args) -> int:
-    inst = _read_instance(args.input)
-    with open(args.witness, "r", encoding="utf-8") as fh:
-        try:
-            witness = json.load(fh)
-        except RecursionError as exc:
-            raise errors.BadInstanceJson(str(exc)) from exc
+    inst = instance_from_json(_read(args.input))
+    try:
+        witness = json.loads(_read(args.witness))
+    except RecursionError as exc:
+        raise errors.BadInstanceJson(str(exc)) from exc
     if not is_int_list(witness):
         raise errors.BadInstanceJson("witness must be a JSON list of ints")
     result = verify_solution(inst, witness)
@@ -188,13 +189,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    inst = _read_instance(args.input)
+    inst = instance_from_json(_read(args.input))
     pinned = []
     if args.pin:
         try:
             pinned = [int(tok) for tok in args.pin.split(",")]
         except ValueError as exc:
             raise errors.BadInstanceJson(f"bad --pin value: {args.pin}") from exc
+    from .decomposition import decompose, validate_nice_decomposition
     nd = decompose(inst, pinned)
     validate_nice_decomposition(inst, nd)
     _emit(nd.to_doc())
@@ -210,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve an instance file")
     p.add_argument("--input", required=True)
-    p.add_argument("--engine", default="auto", choices=list(_engines(0, None)))
+    p.add_argument("--engine", default="auto", choices=ENGINES)
     p.add_argument("--mode", default="optimize",
                    choices=["decision", "optimize"])
     p.add_argument("--epsilon", default=None,

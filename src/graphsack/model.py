@@ -245,10 +245,12 @@ def _induced_connected(inst: Instance, vertices: frozenset[int]) -> bool:
 def _is_path(inst: Instance, vertices: frozenset[int]) -> bool:
     """Whether a simple x-y path visits exactly ``vertices``.
 
-    A depth-first search with an explicit stack: each entry holds the
-    vertices used so far (a bitmask) and the untried next vertices, and
-    y is taken only once every other vertex is used.
-    """
+    A depth-first search with an explicit stack of (used, end, untried)
+    entries: the vertices used so far as a bitmask, the path's last one
+    and its untried neighbours; y is taken only once every other vertex
+    is used.  A (used, end) state whose search failed is never entered
+    again (Held-Karp), so k vertices take O(2^k k^2) time and memory
+    that grows with the failed states."""
     x, y = inst.x, inst.y
     if x not in vertices or y not in vertices:
         return False
@@ -262,17 +264,19 @@ def _is_path(inst: Instance, vertices: frozenset[int]) -> bool:
             adj[1 << v].append(1 << u)
     y_bit = 1 << y
     all_but_y = sum(adj) & ~y_bit
-    stack = [(1 << x, iter(adj[1 << x]))]
+    failed: set[tuple[int, int]] = set()
+    stack = [(1 << x, 1 << x, iter(adj[1 << x]))]
     while stack:
-        used, untried = stack[-1]
+        used, end, untried = stack[-1]
         for bit in untried:
             if bit == y_bit:
                 if used == all_but_y:
                     return True
-            elif not used & bit:
-                stack.append((used | bit, iter(adj[bit])))
+            elif not used & bit and (used | bit, bit) not in failed:
+                stack.append((used | bit, bit, iter(adj[bit])))
                 break
         else:
+            failed.add((used, end))
             stack.pop()
     return False
 
@@ -313,14 +317,12 @@ def verify_solution(inst: Instance, subset: Iterable[int]) -> VerifyResult:
     if inst.variant is Variant.CONNECTED:
         if not _induced_connected(inst, vertices):
             return VerifyResult(w, alpha, False, "disconnected")
+    elif not vertices:
+        return VerifyResult(w, alpha, False, "missing_terminal")
     elif inst.variant is Variant.PATH:
-        if not vertices:
-            return VerifyResult(w, alpha, False, "missing_terminal")
         if not _is_path(inst, vertices):
             return VerifyResult(w, alpha, False, "not_a_path")
     else:
-        if not vertices:
-            return VerifyResult(w, alpha, False, "missing_terminal")
         dist = _reference_distances(inst, inst.x)
         if dist[inst.y] is None:
             return VerifyResult(w, alpha, False, "unreachable")

@@ -284,7 +284,8 @@ class TestAutoRow:
 
     def test_fptas_picks_tree_solver_after_pruning(self, capsys, tmp_path):
         # vertex 2 (weight 9 > s) is on the one cycle, and the FPTAS
-        # drops it before auto picks a solver: tree stats, not the DP's
+        # cuts its edges before auto picks a solver: tree stats, not the
+        # DP's
         inst = validate_instance(Instance(
             variant=Variant.PATH, n=4, edges=((0, 1), (0, 2), (1, 2), (1, 3)),
             weight=(1, 1, 9, 1), value=(2, 3, 5, 4), s=4, x=0, y=3))
@@ -296,6 +297,74 @@ class TestAutoRow:
             "stats": {"alpha_max": 4, "epsilon": "1/3", "nodes_expanded": 3,
                       "scaled_value": 19, "states_touched": 1},
             "witness": [0, 1, 3]}
+
+
+# A child process that imports graphsack.cli and, given arguments, runs
+# main on them with stdout discarded; it prints the graphsack modules it
+# has loaded as a JSON list.
+_LOADED_SCRIPT = """\
+import contextlib, io, json, sys
+from graphsack.cli import main
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(sys.argv[1:]) == 0
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.partition(".")[0] == "graphsack")))
+"""
+
+
+def loaded_modules(*argv):
+    src_dir = str(Path(graphsack.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _LOADED_SCRIPT, *argv],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src_dir))
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout))
+
+
+class TestImportScope:
+    def test_cli_import_loads_only_what_every_command_needs(self):
+        assert loaded_modules() == {"graphsack", "graphsack.cli",
+                                    "graphsack.errors", "graphsack.model"}
+
+    def test_connected_solve_loads_no_other_command_module(self, tmp_path):
+        inst = random_instance(Variant.CONNECTED, "gnp", 6, 11)
+        loaded = loaded_modules("solve", "--input",
+                                write_instance(tmp_path, inst))
+        assert "graphsack.connected" in loaded
+        assert not loaded & {"graphsack.approx", "graphsack.generators",
+                             "graphsack.oracles", "graphsack.reductions"}
+
+    def test_every_exported_name_resolves(self):
+        namespace = {}
+        exec("from graphsack import *", namespace)
+        for name in graphsack.__all__:
+            assert namespace[name] is getattr(graphsack, name)
+        assert set(graphsack.__all__) <= set(dir(graphsack))
+        with pytest.raises(AttributeError):
+            getattr(graphsack, "no_such_name")
+
+    def test_engine_choices_are_the_table_rows(self):
+        assert cli.ENGINES == tuple(cli._engines(0, None))
+
+    def test_solve_runs_the_solver_bound_on_its_module(self, capsys,
+                                                       tmp_path,
+                                                       monkeypatch):
+        # the benchmark's tracer rebinds solvers on their modules in the
+        # same way, and must see every solve that main runs
+        solve, calls = connected.solve_connected, []
+
+        def spy(inst):
+            calls.append(inst)
+            return solve(inst)
+
+        monkeypatch.setattr(connected, "solve_connected", spy)
+        inst = random_instance(Variant.CONNECTED, "gnp", 6, 11)
+        code, out = run(capsys, "solve", "--input",
+                        write_instance(tmp_path, inst))
+        assert code in (0, 1) and calls == [inst]
+        assert json.loads(out)["frontier"] == [
+            list(pair) for pair in solve(inst).frontier]
 
 
 class TestGenerate:

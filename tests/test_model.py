@@ -1,11 +1,16 @@
 """Core model: validation, Pareto operations, verification, JSON."""
 import itertools
 import json
+import os
+import subprocess
 import sys
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import graphsack
 from graphsack import (Instance, ParetoSet, Variant, fptas_optimize,
                        instance_from_json, instance_to_json,
                        validate_instance, verify_solution)
@@ -341,6 +346,75 @@ class TestVerifySolution:
         assert verify_solution(inst, {0, 1, 2}).reason == "overweight"
         inst = make(d=5)
         assert verify_solution(inst, {0}).reason == "below_target"
+
+
+def brute_is_path(inst, vertices):
+    """Whether some order of ``vertices`` runs from x to y with each step
+    an edge: every permutation tried, independent of ``_is_path``."""
+    edges = set(inst.edges)
+    return any(order[0] == inst.x and order[-1] == inst.y and all(
+        (min(u, v), max(u, v)) in edges for u, v in zip(order, order[1:]))
+        for order in itertools.permutations(vertices))
+
+
+def complete_bipartite(a, b, x, y):
+    n = a + b
+    return make(variant=Variant.PATH, n=n,
+                edges=[(u, v) for u in range(a) for v in range(a, n)],
+                s=n, x=x, y=y)
+
+
+class TestIsPath:
+    """``model._is_path`` against a brute force over every nonempty
+    subset of small instances, sets missing a terminal included."""
+
+    @staticmethod
+    def verdicts(inst):
+        found = []
+        for k in range(1, inst.n + 1):
+            for subset in itertools.combinations(range(inst.n), k):
+                want = brute_is_path(inst, subset)
+                assert model._is_path(inst, frozenset(subset)) == want, (
+                    inst, subset)
+                found.append(want)
+        return found
+
+    @pytest.mark.parametrize("same_ends", [False, True],
+                             ids=["x-y", "x-x"])
+    def test_matches_brute_force_on_random_draws(self, same_ends):
+        found = []
+        for inst in instance_stream(Variant.PATH, 48, 2700, 8):
+            assert inst.n <= 8
+            if same_ends:
+                inst = replace(inst, y=inst.x)
+            found += self.verdicts(inst)
+        assert any(found) and not all(found)
+
+    @pytest.mark.parametrize("a, b", [
+        (a, b) for a in range(1, 8) for b in range(1, 9 - a)])
+    def test_matches_brute_force_on_complete_bipartite(self, a, b):
+        ends = [(0, a)]  # opposite sides
+        ends += [(0, 1)] if a > 1 else []  # both on the a-side
+        ends += [(a, a + 1)] if b > 1 else []  # both on the b-side
+        for x, y in ends:
+            self.verdicts(complete_bipartite(a, b, x, y))
+
+    def test_k8_10_full_set_is_refused_quickly(self):
+        # a Hamiltonian path of a bipartite graph alternates sides, so
+        # sides of 8 and 10 vertices have none; a search that tries
+        # every ordering of the 18 vertices does not end in 10 s
+        script = (
+            "from graphsack import Instance, Variant, verify_solution\n"
+            "inst = Instance(variant=Variant.PATH, n=18, edges=tuple(\n"
+            "    (u, v) for u in range(8) for v in range(8, 18)),\n"
+            "    weight=(1,) * 18, value=(1,) * 18, s=18, x=0, y=8)\n"
+            "print(verify_solution(inst, range(18)).reason)\n")
+        src_dir = str(Path(graphsack.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=10,
+                              env=dict(os.environ, PYTHONPATH=src_dir))
+        assert proc.returncode == 0 and proc.stdout == "not_a_path\n", (
+            proc.stderr)
 
 
 class TestJsonRoundTrip:
