@@ -5,7 +5,7 @@ submodule is imported on the first use of one of its names (PEP 562)."""
 from importlib import import_module
 
 _EXPORTS = {  # {module: the names it exports}
-    "approx": "ScaledInstance fptas_optimize scale_values",
+    "approx": "fptas_optimize scale_values",
     "connected": "solve_connected",
     "decomposition": "NiceDecomposition build_nice_decomposition decompose "
                      "elimination_order_minfill validate_nice_decomposition",

@@ -10,19 +10,12 @@ vertex on no x-y path can set alpha_max above OPT (ROADMAP item 3).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
 from typing import Callable, Optional
 
 from . import connected, errors, paths, shortest
 from .model import Instance, SolveReport, Variant, build_report
-
-
-@dataclass(frozen=True)
-class ScaledInstance:
-    scaled: Instance
-    alpha_max: int
-
 
 _MAX_DIGITS = 1000
 
@@ -48,8 +41,9 @@ def parse_epsilon(value) -> Fraction:
     return eps
 
 
-def scale_values(inst: Instance, epsilon) -> ScaledInstance:
-    """Apply the floor(n*alpha/(eps*alpha_max)) value scaling.
+def scale_values(inst: Instance, epsilon) -> tuple[Instance, int]:
+    """Apply the floor(n*alpha/(eps*alpha_max)) value scaling and return
+    ``(scaled instance, alpha_max)``.
 
     n and alpha_max count only the vertices with w <= s; a heavier
     vertex is in no feasible solution and is scaled to 0, as is every
@@ -68,8 +62,7 @@ def scale_values(inst: Instance, epsilon) -> ScaledInstance:
     edges = inst.edges
     if inst.variant is not Variant.SHORTEST_PATH:
         edges = tuple((u, v) for u, v in edges if light[u] and light[v])
-    scaled = replace(inst, edges=edges, value=scaled_values, d=None)
-    return ScaledInstance(scaled, alpha_max)
+    return replace(inst, edges=edges, value=scaled_values, d=None), alpha_max
 
 
 def fptas_optimize(inst: Instance, epsilon,
@@ -79,29 +72,24 @@ def fptas_optimize(inst: Instance, epsilon,
     ``exact_solver`` defaults to the variant's treewidth DP or, for
     Shortest-Path, the label solver; it runs on ``scale_values``'
     instance, so its witness is already in ``inst``'s ids.  A terminal
-    heavier than s is reported infeasible without a solve.  The report's
-    frontier and values are in ORIGINAL units; the scaled run's outcome
-    is recorded under stats["scaled_value"].
+    heavier than s is reported infeasible without a solve.  The report
+    holds the one pair of that witness re-valued in ORIGINAL units; the
+    scaled run's outcome is recorded under stats["scaled_value"].
     """
     eps = parse_epsilon(epsilon)
     if inst.variant in (Variant.PATH, Variant.SHORTEST_PATH):
         if inst.weight[inst.x] > inst.s or inst.weight[inst.y] > inst.s:
-            return build_report(inst, (), None, {})
+            return build_report(inst, {}, {})
 
-    scaling = scale_values(inst, eps)
+    scaled, alpha_max = scale_values(inst, eps)
     solver = exact_solver or {
         Variant.CONNECTED: connected.solve_connected,
         Variant.PATH: paths.solve_path_treewidth,
         Variant.SHORTEST_PATH: shortest.solve_shortest_path}[inst.variant]
-    report = solver(scaling.scaled)
-
-    stats = dict(report.stats)
-    stats["epsilon"] = str(eps)
-    stats["alpha_max"] = scaling.alpha_max
-    stats["scaled_value"] = report.best_value
-    witness = report.witness
-    if witness is None:
-        return build_report(inst, (), None, stats)
-    w, a = inst.total_weight(witness), inst.total_value(witness)
-    return build_report(inst, [(w, a)] if w <= inst.s else [],
-                        lambda _: witness, stats)
+    report = solver(scaled)
+    stats = {**report.stats, "epsilon": str(eps), "alpha_max": alpha_max,
+             "scaled_value": report.best_value}
+    witness, found = report.witness, {}
+    if witness is not None and (w := inst.total_weight(witness)) <= inst.s:
+        found[w, inst.total_value(witness)] = witness
+    return build_report(inst, found, stats)

@@ -33,7 +33,7 @@ def _oracle(inst: Instance) -> SolveReport:
         found, stats = oracle_witnesses(inst), {}
     except errors.Unreachable:
         found, stats = {}, {"unreachable": True}
-    return build_report(inst, found, found.__getitem__, stats)
+    return build_report(inst, found, stats)
 
 
 def _engines(seed: int, trials: Optional[int]) -> dict:

@@ -5,10 +5,11 @@ A DP state at node t is (blocks,): one block per connected component
 trace of the partial solution in the bag, each a vertex bitmask (bit
 v = vertex v), with the blocks sorted.  Forgetting the last bag vertex
 of the only block returns ``DONE``: a non-empty connected subset is
-finished and leaves the walk for the cell that ``run_dp`` returns, and
-that cell with the empty solution prunes to the whole frontier.
+finished and leaves the walk for the ``{pair: vertex set}`` frontier
+that ``run_dp`` returns, which with the empty solution ``(0, 0): ()``
+prunes to the whole frontier in ``build_report``.
 ``decomposition.run_dp`` introduces vertices, carries the (weight,
-value) frontiers and their witness masks, and derives each state's key
+value) frontiers and their witnesses, and derives each state's key
 from its blocks; this module only supplies the rules for solution
 vertices: an edge or a join merges blocks, and forgetting a vertex
 shrinks its block, finishes the solution, or drops a component cut off
@@ -16,7 +17,7 @@ from the rest.
 """
 from __future__ import annotations
 
-from .decomposition import DONE, decompose, run_dp, union_blocks, vertex_set
+from .decomposition import DONE, decompose, run_dp, union_blocks
 from .model import (Instance, SolveReport, Variant, build_report,
                     require_variant)
 
@@ -55,7 +56,6 @@ def solve_connected(inst: Instance, early_stop: bool = False) -> SolveReport:
     decision mode always stops."""
     require_variant(inst, Variant.CONNECTED)
     stats = {"nodes_expanded": 0, "states_touched": 0}
-    nd = decompose(inst)
     # run_dp returns the non-empty connected subsets; add the empty one
-    cell = {**run_dp(inst, nd, _ConnectedRules(), stats), (0, 0): 0}
-    return build_report(inst, cell, lambda p: vertex_set(cell[p]), stats)
+    found = run_dp(inst, decompose(inst), _ConnectedRules(), stats)
+    return build_report(inst, {**found, (0, 0): ()}, stats)

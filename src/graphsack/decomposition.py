@@ -16,8 +16,9 @@ pair carries the vertex bitmask of the first partial solution that
 reached it, so no child table outlives its parent.  Stored cells are
 frontiers, so only nodes where two cells meet prune.  A rule marks a
 finished solution by returning ``DONE``; it leaves the walk for one
-finished cell, which ``run_dp`` returns unpruned.  A state keeps each
-block of bag vertices as an int bitmask (bit v = vertex v), and
+finished cell, which ``run_dp`` prunes and returns as ``{pair: vertex
+frozenset}``, so no witness bitmask leaves this module.  A state keeps
+each block of bag vertices as an int bitmask (bit v = vertex v), and
 ``union_blocks`` merges two partitions of them.  In decision mode
 ``run_dp`` drops every pair that a fractional knapsack bound shows
 cannot reach d, and returns the first finished pair that does, if any.
@@ -99,11 +100,6 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def vertex_set(mask: int) -> frozenset[int]:
-    """The vertices whose bits are set in ``mask``."""
-    return frozenset(_bits(mask))
-
-
 def _key(state) -> int:
     """The bitmask of the bag vertices in a state's partial solution: a
     state's first entry is its sorted tuple of block masks, and the
@@ -175,7 +171,8 @@ class _Bound:
 
 def run_dp(inst: Instance, nd: NiceDecomposition, rules, stats: dict) -> dict:
     """Fill a (weight, value) Pareto DP over ``nd`` bottom-up and return
-    the finished ``{pair: mask}`` cell, which ``build_report`` prunes.
+    the finished solutions as ``{pair: vertex frozenset}``, pruned to
+    their frontier in ascending weight, as ``build_report`` takes them.
 
     A state's first entry is its sorted tuple of block masks (bit v =
     vertex v); their union, the state's key, is the set of bag vertices
@@ -209,16 +206,18 @@ def run_dp(inst: Instance, nd: NiceDecomposition, rules, stats: dict) -> dict:
     it then joins the finished cell, the first finished in node order
     winning a tie.  Nodes are filled in id order, a child table is
     dropped once its parent is filled, and a cell that gains pairs is a
-    fresh dict, so no stored cell changes.  It counts ``nodes_expanded``
-    and ``states_touched`` (pairs kept in node tables) in ``stats``.
+    fresh dict, so no stored cell changes.  After the root the finished
+    cell is pruned and each witness mask becomes its vertex set.  It
+    counts ``nodes_expanded`` and ``states_touched`` (pairs kept in
+    node tables) in ``stats``.
 
     Decision mode (``inst.d`` set) keeps no finished cell.  After a
     node's prune, the first pair of its ``DONE`` cell with value >= d
-    is returned at once, alone with its mask; a walk that finds none
-    returns an empty cell.  And at each leaf, introduce-vertex and join
-    node, the only nodes that decide vertices, every pair of the pruned
-    table that ``_Bound`` shows cannot reach d is dropped and counted in
-    ``stats["pairs_cut"]``.  The kept pairs keep their masks.
+    is returned at once, alone with its vertex set; a walk that finds
+    none returns an empty dict.  And at each leaf, introduce-vertex and
+    join node, the only nodes that decide vertices, every pair of the
+    pruned table that ``_Bound`` shows cannot reach d is dropped and
+    counted in ``stats["pairs_cut"]``.  The kept pairs keep their masks.
     """
     s, d = inst.s, inst.d
     weight, value = inst.weight, inst.value
@@ -290,7 +289,7 @@ def run_dp(inst: Instance, nd: NiceDecomposition, rules, stats: dict) -> dict:
             if d is None:
                 finished.setdefault(p, mask)
             elif p[1] >= d:
-                return {p: mask}
+                return {p: frozenset(_bits(mask))}
         # only these kinds shrink the undecided vertices
         if d is not None and node.kind in (LEAF, INTRODUCE_VERTEX, JOIN):
             keep = bound.test(bound.decided[nid])
@@ -300,7 +299,7 @@ def run_dp(inst: Instance, nd: NiceDecomposition, rules, stats: dict) -> dict:
             stats["pairs_cut"] += before - sum(len(c) for c in out.values())
         stats["states_touched"] += sum(len(c) for c in out.values())
         tables[nid] = out
-    return finished
+    return {p: frozenset(_bits(finished[p])) for p in prune_pairs(finished)}
 
 
 def _adjacency_masks(inst: Instance) -> list[int]:

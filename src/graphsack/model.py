@@ -193,20 +193,21 @@ class SolveReport:
     stats: dict = field(default_factory=dict)
 
 
-def build_report(inst: Instance, pairs: Iterable[Pair], witness_for,
-                 stats: dict) -> SolveReport:
-    """Assemble a SolveReport from the pairs a solver found.
+def build_report(inst: Instance, found: dict, stats: dict) -> SolveReport:
+    """Assemble a SolveReport from the solutions a solver found.
 
-    Every solver returns through here.  ``pairs`` are all within the
-    budget already and are pruned to the frontier here.  ``witness_for``
-    maps a frontier pair to its vertex set.  Optimize mode (d unset)
-    reports the whole frontier and its most valuable pair, and is
-    feasible whenever the frontier is non-empty.  Decision mode (d set)
-    reports only its answer: "yes" has the cheapest pair of value >= d
-    as the one pair of its frontier and its value as ``best_value``;
-    "no" has an empty frontier and no ``best_value``.
+    Every solver returns through here.  ``found`` maps each (w, alpha)
+    pair, all within s already, to the vertices of one solution with it
+    as any iterable (an x-y tuple or a frozenset); the pairs are pruned
+    to the frontier here, and the reported pair's vertices are the
+    witness.  Optimize mode (d unset) reports the whole frontier and its
+    most valuable pair, and is feasible whenever the frontier is
+    non-empty.  Decision mode (d set) reports only its answer: "yes" has
+    the cheapest pair of value >= d as the one pair of its frontier and
+    its value as ``best_value``; "no" has an empty frontier and no
+    ``best_value``.
     """
-    frontier = ParetoSet(prune_pairs(pairs))
+    frontier = ParetoSet(prune_pairs(found))
     if inst.d is None:
         top = frontier.pairs[-1] if frontier else None
     else:
@@ -214,8 +215,7 @@ def build_report(inst: Instance, pairs: Iterable[Pair], witness_for,
         frontier = ParetoSet((top,) if top else ())
     if top is None:
         return SolveReport(False, None, None, frontier, stats)
-    return SolveReport(True, top[1], frozenset(witness_for(top)),
-                       frontier, stats)
+    return SolveReport(True, top[1], frozenset(found[top]), frontier, stats)
 
 
 @dataclass(frozen=True)

@@ -89,25 +89,21 @@ def _paths_found(inst: Instance) -> dict:
 
 def _shortest_paths_found(inst: Instance) -> dict:
     """{pair: the first minimum-cost simple x-y path with it} within the
-    budget.  Raises Unreachable when no x-y path exists at all."""
+    budget, in one pass that starts afresh at each cheaper path.  Raises
+    Unreachable when no x-y path exists at all."""
     if inst.n > MAX_PATH_N:
         raise errors.TooLarge(f"n={inst.n} exceeds {MAX_PATH_N}")
     cmap = inst.cost_map()
-    best_cost = None
-    costed = []
+    best_cost, found = None, {}
     for path in _all_simple_paths(inst):
         cost = sum(cmap[(min(u, v), max(u, v))]
                    for u, v in zip(path, path[1:]))
-        costed.append((cost, path))
         if best_cost is None or cost < best_cost:
-            best_cost = cost
+            best_cost, found = cost, {}
+        if cost == best_cost and (w := inst.total_weight(path)) <= inst.s:
+            found.setdefault((w, inst.total_value(path)), frozenset(path))
     if best_cost is None:
         raise errors.Unreachable(f"no path from {inst.x} to {inst.y}")
-    found = {}
-    for cost, path in costed:
-        w = inst.total_weight(path)
-        if cost == best_cost and w <= inst.s:
-            found.setdefault((w, inst.total_value(path)), frozenset(path))
     return found
 
 

@@ -8,7 +8,9 @@ DP over a nice edge tree decomposition pinned at both terminals.  The
 segment states are vertex bitmasks: the path blocks of the bag and
 the bag vertices at solution degree 1 and 2.  ``decomposition.run_dp``
 derives each state's key from its blocks, calls the segment rules only
-for solution vertices and edges, and returns the paths they finish.
+for solution vertices and edges, and returns the frontier of the paths
+they finish with their vertex sets; the tree walk and the color sweep
+give ``build_report`` each path as its x-y vertex tuple.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ from itertools import accumulate
 from typing import Optional
 
 from . import errors
-from .decomposition import DONE, decompose, run_dp, union_blocks, vertex_set
+from .decomposition import DONE, decompose, run_dp, union_blocks
 from .model import (Instance, SolveReport, Variant, build_report, prune_pairs,
                     require_variant)
 
@@ -57,8 +59,8 @@ def solve_path_tree(inst: Instance) -> SolveReport:
 
     w = inst.total_weight(path)
     stats = {"nodes_expanded": len(path), "states_touched": 1 if path else 0}
-    pairs = [(w, inst.total_value(path))] if path and w <= inst.s else []
-    return build_report(inst, pairs, lambda pair: path, stats)
+    found = {(w, inst.total_value(path)): path} if path and w <= inst.s else {}
+    return build_report(inst, found, stats)
 
 
 # ---------------------------------------------------------------------
@@ -158,7 +160,7 @@ def solve_path_color_sweep(inst: Instance, seed: int = 0,
             pool.setdefault(pair, path)
         if inst.d is not None and any(a >= inst.d for _, a in pool):
             break
-    return build_report(inst, pool, pool.__getitem__, stats)
+    return build_report(inst, pool, stats)
 
 
 # ---------------------------------------------------------------------
@@ -229,5 +231,4 @@ def solve_path_treewidth(inst: Instance) -> SolveReport:
     require_variant(inst, Variant.PATH)
     stats = {"nodes_expanded": 0, "states_touched": 0}
     nd = decompose(inst, {inst.x, inst.y})
-    cell = run_dp(inst, nd, _PathRules(inst), stats)
-    return build_report(inst, cell, lambda p: vertex_set(cell[p]), stats)
+    return build_report(inst, run_dp(inst, nd, _PathRules(inst), stats), stats)

@@ -59,7 +59,7 @@ def solve_shortest_path(inst: Instance) -> SolveReport:
     stats = {"nodes_expanded": len(order), "states_touched": 0}
     if order[-1] != y:
         stats["unreachable"] = True
-        return build_report(inst, (), None, stats)
+        return build_report(inst, {}, stats)
     stats["distance"] = dist[y]
 
     # Every tight edge into a settled vertex starts at a settled one: a
@@ -88,4 +88,4 @@ def solve_shortest_path(inst: Instance) -> SolveReport:
             for (w, a), path in cell.items():
                 if w + wu <= s:
                     target.setdefault((w + wu, a + au), path + (u,))
-    return build_report(inst, labels[y], labels[y].__getitem__, stats)
+    return build_report(inst, labels[y], stats)

@@ -9,8 +9,7 @@ import random
 import pytest
 
 from graphsack import Variant
-from graphsack.decomposition import (DecompNode, NiceDecomposition, run_dp,
-                                     vertex_set)
+from graphsack.decomposition import DecompNode, NiceDecomposition, run_dp
 from graphsack.generators import random_instance
 from graphsack.model import build_report
 from graphsack.paths import _PathRules
@@ -46,8 +45,7 @@ def path_dp(inst, nd):
     pinned at {x, y}, in place of the one ``solve_path_treewidth``
     builds."""
     stats = {"nodes_expanded": 0, "states_touched": 0}
-    cell = run_dp(inst, nd, _PathRules(inst), stats)
-    return build_report(inst, cell, lambda p: vertex_set(cell[p]), stats)
+    return build_report(inst, run_dp(inst, nd, _PathRules(inst), stats), stats)
 
 
 def reroute(nd: NiceDecomposition, drop: int | None = None,

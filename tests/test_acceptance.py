@@ -84,9 +84,9 @@ def test_fptas_guarantee_150_per_variant():
             except errors.Unreachable:
                 opt = None
             for eps in epsilons:
-                scaled = scale_values(inst, eps)
-                if scaled.alpha_max != 0:
-                    assert (sum(scaled.scaled.value)
+                scaled, alpha_max = scale_values(inst, eps)
+                if alpha_max != 0:
+                    assert (sum(scaled.value)
                             <= math.ceil(inst.n ** 2 / eps)), (inst, eps)
                 report = fptas_optimize(inst, eps)
                 if opt is None:

@@ -22,28 +22,28 @@ class TestScaleValues:
     def test_formula(self):
         inst = make(Variant.CONNECTED, 3, ((0, 1), (1, 2)), (0, 0, 0),
                     (10, 20, 40), 5)
-        scaled = scale_values(inst, Fraction(1, 2))
-        assert scaled.alpha_max == 40
-        assert scaled.scaled.value == (1, 3, 6)
+        scaled, alpha_max = scale_values(inst, Fraction(1, 2))
+        assert alpha_max == 40
+        assert scaled.value == (1, 3, 6)
 
     def test_all_equal_values(self):
         n = 4
         inst = make(Variant.CONNECTED, n, (), (0,) * n, (7,) * n, 0)
-        scaled = scale_values(inst, 1)
-        assert scaled.scaled.value == (n,) * n
+        scaled, _ = scale_values(inst, 1)
+        assert scaled.value == (n,) * n
 
     def test_alpha_max_zero_flagged(self):
         inst = make(Variant.CONNECTED, 2, ((0, 1),), (1, 1), (0, 0), 2, d=1)
-        scaled = scale_values(inst, Fraction(1, 2))
-        assert scaled.alpha_max == 0
-        assert scaled.scaled.value == (0, 0) and scaled.scaled.d is None
+        scaled, alpha_max = scale_values(inst, Fraction(1, 2))
+        assert alpha_max == 0
+        assert scaled.value == (0, 0) and scaled.d is None
 
     def test_scaled_sum_bound(self):
         for i, inst in enumerate(instance_stream(Variant.CONNECTED, 30,
                                                  10000, 10)):
             eps = (Fraction(1, 2), Fraction(1, 4), Fraction(1, 10))[i % 3]
-            scaled = scale_values(inst, eps)
-            assert sum(scaled.scaled.value) <= math.ceil(inst.n ** 2 / eps)
+            scaled, _ = scale_values(inst, eps)
+            assert sum(scaled.value) <= math.ceil(inst.n ** 2 / eps)
 
     def test_bad_epsilon(self):
         inst = make(Variant.CONNECTED, 1, (), (0,), (1,), 0)
@@ -93,7 +93,7 @@ class TestHeavyVertices:
         terminals = {"x": 0, "y": 3} if variant is Variant.PATH else {}
         inst = make(variant, 4, ((0, 1), (0, 2), (1, 3), (2, 3)),
                     (1, 9, 1, 1), (1, 1, 1, 1), 5, **terminals)
-        scaled = scale_values(inst, Fraction(1, 2)).scaled
+        scaled, _ = scale_values(inst, Fraction(1, 2))
         assert scaled.n == 4 and scaled.edges == ((0, 2), (2, 3))
 
     def test_shortest_path_keeps_every_edge(self):
@@ -102,7 +102,7 @@ class TestHeavyVertices:
         inst = make(Variant.SHORTEST_PATH, 5,
                     ((0, 1), (1, 2), (0, 3), (3, 4), (2, 4)),
                     (0, 9, 0, 0, 0), (1, 1, 1, 1, 1), 5, x=0, y=2)
-        assert scale_values(inst, Fraction(1, 2)).scaled.edges == inst.edges
+        assert scale_values(inst, Fraction(1, 2))[0].edges == inst.edges
         assert not fptas_optimize(inst, Fraction(1, 2)).feasible
 
 

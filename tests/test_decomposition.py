@@ -17,7 +17,7 @@ from graphsack.connected import _ConnectedRules
 from graphsack.decomposition import (FORGET_VERTEX, INTRODUCE_EDGE,
                                      INTRODUCE_VERTEX, JOIN, LEAF, DecompNode,
                                      NiceDecomposition, _Bound, run_dp,
-                                     union_blocks, vertex_set)
+                                     union_blocks)
 from graphsack.model import build_report, prune_pairs
 from graphsack.paths import _PathRules
 from graphsack.generators import random_instance
@@ -378,13 +378,14 @@ class TestSharedDriver:
 
 
 class TestRootWitnesses:
-    """Once the walk reaches the root, ``run_dp`` returns the finished
-    cell, every solution a rule returned as ``DONE``.  Each family runs
-    at sizes past the oracles' limits, where a verified witness per pair
-    is what shows the frontier sound, and on the oracle-size seeded
-    stream, where the cell must prune to the oracle's frontier; Connected
-    adds the empty solution ``(0, 0)`` first.  Path also runs a y = x
-    copy of every fifth oracle-size instance."""
+    """Once the walk reaches the root, ``run_dp`` returns the frontier
+    of the finished cell, every solution a rule returned as ``DONE``, in
+    ascending weight and each pair with its witness's vertex set.  Each
+    family runs at sizes past the oracles' limits, where a verified
+    witness per pair is what shows the frontier sound, and on the
+    oracle-size seeded stream, where the cell must prune to the oracle's
+    frontier; Connected adds the empty solution ``(0, 0)`` first.  Path
+    also runs a y = x copy of every fifth oracle-size instance."""
 
     @pytest.mark.parametrize("variant, kind, n, p", [
         (Variant.CONNECTED, "grid", 25, 0.4),
@@ -414,9 +415,11 @@ class TestRootWitnesses:
                               _PathRules(inst),
                               {"nodes_expanded": 0, "states_touched": 0})
                 pairs = list(cell)
-            for pair, mask in cell.items():
-                assert mask and mask >> inst.n == 0, (inst, pair)
-                result = verify_solution(inst, vertex_set(mask))
+            assert tuple(cell) == prune_pairs(cell), inst
+            for pair, witness in cell.items():
+                assert type(witness) is frozenset and witness, (inst, pair)
+                assert witness <= frozenset(range(inst.n)), (inst, pair)
+                result = verify_solution(inst, witness)
                 assert result.ok, (inst, pair, result.reason)
                 assert (result.w, result.alpha) == pair, inst
                 checked += 1
@@ -484,10 +487,9 @@ class TestDecisionMode:
                 inst = dataclasses.replace(base, d=d)
                 if variant is Variant.CONNECTED:
                     stats = {"nodes_expanded": 0, "states_touched": 0}
-                    cell = {**run_dp(inst, nd, _ConnectedRules(), stats),
-                            (0, 0): 0}
                     report = build_report(
-                        inst, cell, lambda p: vertex_set(cell[p]), stats)
+                        inst, {**run_dp(inst, nd, _ConnectedRules(), stats),
+                               (0, 0): ()}, stats)
                 else:
                     report = path_dp(inst, nd)
                 assert report.feasible == (opt >= d), (inst, order)

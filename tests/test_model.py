@@ -179,15 +179,16 @@ class TestRuleProtocol:
             ("forget", ((0b01, 0b10), "b")),
             ("forget", ((0b10,), "")), ("forget", ((0b10,), "a")),
             ("join", ((), "")), ("join", ((), "a"))]
-        # a tied pair keeps the mask of the first state in table order:
-        # (0, 0) the empty set's over {0}'s at the forget of 0, and
-        # (1, 5) {1}'s over the "a" state's {0, 1} at the join
-        assert cell == {(0, 0): 0, (1, 5): 0b10}
+        # a tied pair keeps the witness of the first state in table
+        # order: (0, 0) the empty set's over {0}'s at the forget of 0,
+        # and (1, 5) {1}'s over the "a" state's {0, 1} at the join
+        assert cell == {(0, 0): frozenset(), (1, 5): frozenset({1})}
 
     def test_cells_are_pruned_only_where_two_cells_meet(self, monkeypatch):
         # 0 introduced and forgotten, then 1, joined with a bare leaf: a
         # stored cell is already a frontier, so only the forgets, where
-        # the taken and skipped states merge, and the join prune
+        # the taken and skipped states merge, and the join prune, and
+        # then the finished cell once the walk is over
         nodes = (DecompNode(LEAF, frozenset(), ()),
                  DecompNode(INTRODUCE_VERTEX, frozenset({0}), (0,), 0),
                  DecompNode(FORGET_VERTEX, frozenset(), (1,), 0),
@@ -207,8 +208,9 @@ class TestRuleProtocol:
 
         monkeypatch.setattr(decomposition, "prune_pairs", spy)
         cell = run_dp(inst, nd, _SubsetRules, stats)
-        assert pruned_at == [2, 4, 6]
-        assert cell == {(0, 0): 0, (1, 3): 1, (2, 4): 2, (3, 7): 3}
+        assert pruned_at == [2, 4, 6, 6]
+        assert cell == {(0, 0): frozenset(), (1, 3): frozenset({0}),
+                        (2, 4): frozenset({1}), (3, 7): frozenset({0, 1})}
 
 
 class TestParetoOps:

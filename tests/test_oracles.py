@@ -3,7 +3,7 @@ import pytest
 
 from graphsack import Instance, Variant, oracle_for, validate_instance
 from graphsack import errors
-from graphsack.oracles import _all_simple_paths
+from graphsack.oracles import _all_simple_paths, oracle_witnesses
 
 
 def make(variant, n, edges, weight, value, s, **kw):
@@ -74,6 +74,14 @@ class TestShortestPathOracle:
                     ((0, 1), (1, 3), (0, 2), (2, 3)),
                     (0, 2, 1, 0), (0, 5, 1, 0), 2, x=0, y=3)
         assert oracle_for(inst).pairs == ((1, 1), (2, 5))
+
+    def test_costlier_path_enumerated_first_is_dropped(self):
+        # 0-1-2 (cost 4) fits s and comes first; 0-2 (cost 1) replaces it
+        inst = make(Variant.SHORTEST_PATH, 3, ((0, 1), (1, 2), (0, 2)),
+                    (1, 1, 1), (1, 5, 1), 9, x=0, y=2, edge_cost=(2, 2, 1))
+        assert next(_all_simple_paths(inst)) == (0, 1, 2)
+        assert oracle_for(inst).pairs == ((2, 2),)
+        assert oracle_witnesses(inst) == {(2, 2): frozenset({0, 2})}
 
 
 class TestOracleOutputsAreCanonical:
