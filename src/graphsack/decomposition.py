@@ -14,7 +14,8 @@ introduce step and each state's key (the union of its blocks), and each
 solver supplies only the rules for its solution vertices.  Every stored
 pair carries the vertex bitmask of the first partial solution that
 reached it, so no child table outlives its parent.  Stored cells are
-frontiers, so only nodes where two cells meet prune.  A rule marks a
+frontiers and never change, so a state that one cell feeds shares it,
+and only a state where two cells meet is pruned.  A rule marks a
 finished solution by returning ``DONE``; it leaves the walk for one
 finished cell, which ``run_dp`` prunes and returns as ``{pair: vertex
 frozenset}``, so no witness bitmask leaves this module.  A state keeps
@@ -85,10 +86,15 @@ def union_blocks(blocks1: tuple, blocks2: Iterable[int]) -> tuple:
     vertex set this is their transitive closure."""
     merged = list(blocks1)
     for block in blocks2:
-        touching = [b for b in merged if b & block]
-        if len(touching) > 1:
-            merged = [b for b in merged if not b & block]
-            merged.append(sum(touching))  # disjoint: sum is union
+        union, rest = 0, []
+        for b in merged:
+            if b & block:
+                union |= b
+            else:
+                rest.append(b)
+        if union:
+            rest.append(union)
+            merged = rest
     return tuple(sorted(merged))
 
 
@@ -199,25 +205,30 @@ def run_dp(inst: Instance, nd: NiceDecomposition, rules, stats: dict) -> dict:
     pairs over the budget are dropped where they are made.  Each pair
     maps to the vertex bitmask of the first partial solution that reached
     it: a leaf's bag, plus u when u is taken, or the union of the two
-    sides at a join.  Every stored cell is a frontier listed by weight
-    (leaf and introduce cells are so already), so a join row stops at
-    its first pair over s, and only forget, introduce-edge and join
-    nodes, where cells meet, prune, ``DONE``'s too; in optimize mode
-    it then joins the finished cell, the first finished in node order
-    winning a tie.  Nodes are filled in id order, a child table is
-    dropped once its parent is filled, and a cell that gains pairs is a
-    fresh dict, so no stored cell changes.  After the root the finished
-    cell is pruned and each witness mask becomes its vertex set.  It
-    counts ``nodes_expanded`` and ``states_touched`` (pairs kept in
-    node tables) in ``stats``.
+    sides at a join.  Every stored cell is a frontier listed by weight,
+    so a join row stops at its first pair over s.  A leaf cell is one
+    pair and an introduce cell the child's, shifted when u is taken.  A
+    forget or introduce-edge state fed by one cell stores that cell
+    object, and a join product with a one-pair side is the other side
+    shifted, so only a state fed twice, or a join product of two
+    multi-pair cells, is pruned, ``DONE``'s too; a second feed makes a
+    fresh dict in which the earlier mask wins a tie.  In optimize mode
+    the ``DONE`` cell then joins the finished cell, the first finished
+    in node order winning a tie.  Nodes are filled in id order, a child
+    table is dropped once its parent is filled, and no stored cell
+    changes.  After the root the finished cell is pruned and each
+    witness mask becomes its vertex set.  It counts ``nodes_expanded``
+    and ``states_touched`` (pairs kept in node tables) in ``stats``.
 
     Decision mode (``inst.d`` set) keeps no finished cell.  After a
     node's prune, the first pair of its ``DONE`` cell with value >= d
     is returned at once, alone with its vertex set; a walk that finds
     none returns an empty dict.  And at each leaf, introduce-vertex and
-    join node, the only nodes that decide vertices, every pair of the
-    pruned table that ``_Bound`` shows cannot reach d is dropped and
-    counted in ``stats["pairs_cut"]``.  The kept pairs keep their masks.
+    join node, the only nodes that decide vertices, ``_Bound`` tests
+    each distinct pair of the pruned table once, and the pairs it shows
+    cannot reach d are dropped from every cell that holds one and
+    counted in ``stats["pairs_cut"]``.  The kept pairs keep their masks,
+    and a cell that loses none is kept as it is.
     """
     s, d = inst.s, inst.d
     weight, value = inst.weight, inst.value
@@ -231,6 +242,7 @@ def run_dp(inst: Instance, nd: NiceDecomposition, rules, stats: dict) -> dict:
     for nid, node in enumerate(nd.nodes):
         stats["nodes_expanded"] += 1
         out: dict = {}
+        meet = set()  # the states where two cells meet: only these prune
         if node.kind == LEAF:
             pair = (inst.total_weight(node.bag), inst.total_value(node.bag))
             if pair[0] <= s:
@@ -263,6 +275,10 @@ def run_dp(inst: Instance, nd: NiceDecomposition, rules, stats: dict) -> dict:
                 a_off = sum(value[v] for v in node.bag if key >> v & 1)
                 for state2, cell2 in partners:
                     for merged in rules.join(state1, state2):
+                        # a product with a one-pair side is a shifted
+                        # frontier, ascending in weight
+                        if merged in out or len(cell1) > 1 and len(cell2) > 1:
+                            meet.add(merged)
                         dst = out.setdefault(merged, {})
                         for (w1, a1), m1 in cell1.items():
                             for (w2, a2), m2 in cell2.items():
@@ -270,21 +286,24 @@ def run_dp(inst: Instance, nd: NiceDecomposition, rules, stats: dict) -> dict:
                                 if w > s:
                                     break  # cell2 ascends in weight
                                 dst.setdefault((w, a1 + a2 - a_off), m1 | m2)
+            # a join cell is empty when every pair in it overran the budget
+            out = {st: cell for st, cell in out.items() if cell}
         else:  # forget u or introduce edge uv
             ends, rule = node.edge or (node.vertex,), rule_of[node.kind]
             need = sum(1 << v for v in ends)
             for state, cell in tables.pop(node.children[0]).items():
                 for new_state in (rule(state, *ends)
                                   if _key(state) & need == need else (state,)):
-                    dst = out.setdefault(new_state, {})
-                    for p, mask in cell.items():
-                        dst.setdefault(p, mask)
+                    dst = out.get(new_state)
+                    if dst is None:
+                        out[new_state] = cell
+                    else:  # the earlier mask wins a tie
+                        out[new_state] = {**cell, **dst}
+                        meet.add(new_state)
 
-        if node.kind in (FORGET_VERTEX, INTRODUCE_EDGE, JOIN):
-            # a join cell is empty when every pair in it overran the budget
-            out = {st: cell if len(cell) == 1
-                   else {p: cell[p] for p in prune_pairs(cell.keys())}
-                   for st, cell in out.items() if cell}
+        for st in meet & out.keys():
+            if len(cell := out[st]) > 1:
+                out[st] = {p: cell[p] for p in prune_pairs(cell)}
         for p, mask in out.pop(DONE, {}).items():
             if d is None:
                 finished.setdefault(p, mask)
@@ -293,10 +312,14 @@ def run_dp(inst: Instance, nd: NiceDecomposition, rules, stats: dict) -> dict:
         # only these kinds shrink the undecided vertices
         if d is not None and node.kind in (LEAF, INTRODUCE_VERTEX, JOIN):
             keep = bound.test(bound.decided[nid])
-            before = sum(len(c) for c in out.values())
-            out = {st: kept for st, cell in out.items()
-                   if (kept := {p: m for p, m in cell.items() if keep(*p)})}
-            stats["pairs_cut"] += before - sum(len(c) for c in out.values())
+            pairs = {p for cell in out.values() for p in cell}
+            if cut := {p for p in pairs if not keep(*p)}:
+                before = sum(len(c) for c in out.values())
+                out = {st: kept for st, cell in out.items() if (
+                    kept := cell if cut.isdisjoint(cell)
+                    else {p: m for p, m in cell.items() if p not in cut})}
+                stats["pairs_cut"] += before - sum(
+                    len(c) for c in out.values())
         stats["states_touched"] += sum(len(c) for c in out.values())
         tables[nid] = out
     return {p: frozenset(_bits(finished[p])) for p in prune_pairs(finished)}

@@ -286,20 +286,22 @@ def _reference_distances(inst: Instance, x: int) -> list[Optional[int]]:
     solver; None marks an unreachable vertex."""
     import heapq
     adj: list[list[tuple[int, int]]] = [[] for _ in range(inst.n)]
-    cmap = inst.cost_map()
-    for u, v in inst.edges:
-        c = cmap[(u, v)]
+    for (u, v), c in zip(inst.edges,
+                         inst.edge_cost or (1,) * len(inst.edges)):
         adj[u].append((v, c))
         adj[v].append((u, c))
-    dist = [None] * inst.n
+    # dist holds the best distance found so far, and an entry is pushed
+    # only when it improves one, so an entry above dist[u] is stale
+    dist: list[Optional[int]] = [None] * inst.n
+    dist[x] = 0
     heap = [(0, x)]
     while heap:
         du, u = heapq.heappop(heap)
-        if dist[u] is not None:
+        if du > dist[u]:
             continue
-        dist[u] = du
         for v, c in adj[u]:
-            if dist[v] is None:
+            if dist[v] is None or du + c < dist[v]:
+                dist[v] = du + c
                 heapq.heappush(heap, (du + c, v))
     return dist
 

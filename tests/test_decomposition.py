@@ -7,6 +7,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from graphsack import (Instance, Variant, build_nice_decomposition, decompose,
                        elimination_order_minfill, oracle_for, solve_connected,
@@ -342,6 +343,38 @@ class TestUnionBlocks:
         assert len(cycle) != 1 + 1 - 2
         chain = union_blocks((0b011, 0b100), (0b001, 0b110))  # 0-1 then 1-2
         assert chain == (0b111,) and len(chain) == 2 + 2 - 3
+
+    # vertex v's block index on each side, or None when v is in no block
+    @given(st.lists(st.tuples(st.none() | st.integers(0, 3),
+                              st.none() | st.integers(0, 3)), max_size=10))
+    def test_equals_union_find_closure(self, labels):
+        def blocks(side):
+            masks = {}
+            for v, pair in enumerate(labels):
+                if pair[side] is not None:
+                    masks[pair[side]] = masks.get(pair[side], 0) | 1 << v
+            return tuple(sorted(masks.values()))
+
+        # reference: union-find over the vertices in a block of blocks1,
+        # linking two of them when they share a block on either side
+        parent = {v: v for v, pair in enumerate(labels) if pair[0] is not None}
+
+        def find(v):
+            while parent[v] != v:
+                v = parent[v]
+            return v
+
+        for side in (0, 1):
+            first = {}
+            for v in parent:
+                label = labels[v][side]
+                if label is not None:
+                    parent[find(v)] = find(first.setdefault(label, v))
+        classes = {}
+        for v in parent:
+            classes[find(v)] = classes.get(find(v), 0) | 1 << v
+        assert union_blocks(blocks(0), blocks(1)) == tuple(
+            sorted(classes.values()))
 
 
 class TestSharedDriver:

@@ -184,20 +184,9 @@ class TestRuleProtocol:
         # and (1, 5) {1}'s over the "a" state's {0, 1} at the join
         assert cell == {(0, 0): frozenset(), (1, 5): frozenset({1})}
 
-    def test_cells_are_pruned_only_where_two_cells_meet(self, monkeypatch):
-        # 0 introduced and forgotten, then 1, joined with a bare leaf: a
-        # stored cell is already a frontier, so only the forgets, where
-        # the taken and skipped states merge, and the join prune, and
-        # then the finished cell once the walk is over
-        nodes = (DecompNode(LEAF, frozenset(), ()),
-                 DecompNode(INTRODUCE_VERTEX, frozenset({0}), (0,), 0),
-                 DecompNode(FORGET_VERTEX, frozenset(), (1,), 0),
-                 DecompNode(INTRODUCE_VERTEX, frozenset({1}), (2,), 1),
-                 DecompNode(FORGET_VERTEX, frozenset(), (3,), 1),
-                 DecompNode(LEAF, frozenset(), ()),
-                 DecompNode(JOIN, frozenset(), (4, 5)))
-        nd = NiceDecomposition(nodes, 6, frozenset(), 0)
-        inst = make(n=2, edges=(), weight=(1, 2), value=(3, 4))
+    @staticmethod
+    def _pruned_at(monkeypatch, inst, nd, rules):
+        """``run_dp``'s result and the id of the node at each prune."""
         assert validate_nice_decomposition(inst, nd)
         stats = {"nodes_expanded": 0, "states_touched": 0}
         pruned_at = []
@@ -207,10 +196,88 @@ class TestRuleProtocol:
             return prune_pairs(pairs)
 
         monkeypatch.setattr(decomposition, "prune_pairs", spy)
-        cell = run_dp(inst, nd, _SubsetRules, stats)
-        assert pruned_at == [2, 4, 6, 6]
+        return run_dp(inst, nd, rules, stats), pruned_at
+
+    def test_cells_are_pruned_only_where_two_cells_meet(self, monkeypatch):
+        # 0 introduced and forgotten, then 1, joined with a bare leaf: a
+        # stored cell is already a frontier, so only the forgets, where
+        # the taken and skipped states merge, prune, and then the
+        # finished cell once the walk is over.  The join's leaf side is
+        # one pair, so its product is the other side shifted, a frontier
+        nodes = (DecompNode(LEAF, frozenset(), ()),
+                 DecompNode(INTRODUCE_VERTEX, frozenset({0}), (0,), 0),
+                 DecompNode(FORGET_VERTEX, frozenset(), (1,), 0),
+                 DecompNode(INTRODUCE_VERTEX, frozenset({1}), (2,), 1),
+                 DecompNode(FORGET_VERTEX, frozenset(), (3,), 1),
+                 DecompNode(LEAF, frozenset(), ()),
+                 DecompNode(JOIN, frozenset(), (4, 5)))
+        nd = NiceDecomposition(nodes, 6, frozenset(), 0)
+        inst = make(n=2, edges=(), weight=(1, 2), value=(3, 4))
+        cell, pruned_at = self._pruned_at(monkeypatch, inst, nd, _SubsetRules)
+        assert pruned_at == [2, 4, 6]
         assert cell == {(0, 0): frozenset(), (1, 3): frozenset({0}),
                         (2, 4): frozenset({1}), (3, 7): frozenset({0, 1})}
+
+    def test_join_of_two_multi_pair_cells_is_pruned(self, monkeypatch):
+        # 0 introduced and forgotten on one side, 1 on the other: both
+        # join cells hold two pairs, so the product is pruned at the join
+        # (node 6), where (1, 2) falls to (1, 3); the finished cell is
+        # pruned once more after the walk
+        nodes = (DecompNode(LEAF, frozenset(), ()),
+                 DecompNode(INTRODUCE_VERTEX, frozenset({0}), (0,), 0),
+                 DecompNode(FORGET_VERTEX, frozenset(), (1,), 0),
+                 DecompNode(LEAF, frozenset(), ()),
+                 DecompNode(INTRODUCE_VERTEX, frozenset({1}), (3,), 1),
+                 DecompNode(FORGET_VERTEX, frozenset(), (4,), 1),
+                 DecompNode(JOIN, frozenset(), (2, 5)))
+        nd = NiceDecomposition(nodes, 6, frozenset(), 0)
+        inst = make(n=2, edges=(), weight=(1, 1), value=(3, 2))
+        cell, pruned_at = self._pruned_at(monkeypatch, inst, nd, _SubsetRules)
+        assert pruned_at == [2, 5, 6, 6]
+        assert cell == {(0, 0): frozenset(), (1, 3): frozenset({0}),
+                        (2, 5): frozenset({0, 1})}
+
+    def test_state_fed_by_one_cell_shares_it(self):
+        # the forget of 0 maps each state to one of its own, so each
+        # forget cell is its child's cell object, not a copy
+        class Remember(_SubsetRules):
+            @staticmethod
+            def leaf():
+                return ((), ())
+
+            @staticmethod
+            def forget(state, u):  # remember the forgotten taken vertex
+                return [((), state[1] + (u,))]
+
+        nodes = (DecompNode(LEAF, frozenset(), ()),
+                 DecompNode(INTRODUCE_VERTEX, frozenset({0}), (0,), 0),
+                 DecompNode(FORGET_VERTEX, frozenset(), (1,), 0))
+        nd = NiceDecomposition(nodes, 2, frozenset(), 0)
+        inst = make(n=1, edges=(), weight=(1,), value=(3,))
+        assert validate_nice_decomposition(inst, nd)
+        tables = {}
+
+        def tracer(frame, event, arg):  # copy run_dp's node tables
+            if frame.f_code is not run_dp.__code__:
+                return None
+
+            def local(frame, event, arg):
+                tables.update(frame.f_locals.get("tables", {}))
+                return local
+            return local
+
+        old = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            run_dp(inst, nd, Remember,
+                   {"nodes_expanded": 0, "states_touched": 0})
+        finally:
+            sys.settrace(old)
+        assert tables[1] == {((), ()): {(0, 0): 0},
+                             ((1,), ()): {(1, 3): 1}}
+        assert tables[2] == {((), ()): {(0, 0): 0}, ((), (0,)): {(1, 3): 1}}
+        assert tables[2][(), ()] is tables[1][(), ()]
+        assert tables[2][(), (0,)] is tables[1][(1,), ()]
 
 
 class TestParetoOps:
