@@ -103,8 +103,6 @@ def cmd_generate(args) -> int:
         out = _make_reduction(args)
         inst, provenance = out.instance, out.provenance
     else:
-        if args.n < 1:
-            raise errors.BadInstanceJson("--n must be positive")
         from .generators import random_instance
         inst = random_instance(
             Variant(args.variant), args.random, args.n, args.seed,

@@ -2,15 +2,16 @@
 path; the subgraph it induces may hold more edges.
 
 Three routes with very different profiles: the unique-path walk on
-trees, a randomized color-coding search whose one run with k colors
-finds x-y paths of every length up to k, and an exact segment-state
-DP over a nice edge tree decomposition pinned at both terminals.  The
-segment states are vertex bitmasks: the path blocks of the bag and
-the bag vertices at solution degree 1 and 2.  ``decomposition.run_dp``
-derives each state's key from its blocks, calls the segment rules only
-for solution vertices and edges, and returns the frontier of the paths
-they finish with their vertex sets; the tree walk and the color sweep
-give ``build_report`` each path as its x-y vertex tuple.
+trees, a randomized color-coding search whose trials with k colors
+each put x-y paths of every length up to k into one pool, and an
+exact segment-state DP over a nice edge tree decomposition pinned at
+both terminals.  The segment states are vertex bitmasks: the path
+blocks of the bag and the bag vertices at solution degree 1 and 2.
+``decomposition.run_dp`` derives each state's key from its blocks,
+calls the segment rules only for solution vertices and edges, and
+returns the frontier of the paths they finish with their vertex sets;
+the tree walk and the color sweep give ``build_report`` each path as
+its x-y vertex tuple.
 """
 from __future__ import annotations
 
@@ -66,52 +67,6 @@ def solve_path_tree(inst: Instance) -> SolveReport:
 # ---------------------------------------------------------------------
 # Color coding (randomized, one-sided).
 
-def _colorful_trial(inst: Instance, adj: list[list[int]], k: int,
-                    coloring: list[int], stats: dict) -> dict:
-    """One DP run for a fixed coloring with k colors.
-
-    Returns ``{pair: path}`` over the colorful x-y paths, where ``path``
-    is the vertex tuple from x to y of the first such path that reached
-    the pair: levels in order, and within a level in insertion order.
-    Level j maps ``(mask, v)`` to the undominated colorful x-v paths on
-    j vertices whose colors are ``mask``, each pair to its path; only
-    the current level is kept.  A cell is stored only once a pair fits
-    the budget, and in ascending weight.  Cells at y are never expanded:
-    a colorful path cannot leave y and come back to it.
-    """
-    s, x, y = inst.s, inst.x, inst.y
-    weight, value = inst.weight, inst.value
-    start = {(weight[x], value[x]): (x,)} if weight[x] <= s else {}
-    level = {(1 << coloring[x], x): start} if start else {}
-    found = dict(start) if x == y else {}
-    for _ in range(1, k):
-        nxt: dict[tuple[int, int], dict] = {}
-        for (mask, v), cell in level.items():
-            if v == y:
-                continue
-            lightest = next(iter(cell))[0]
-            for u in adj[v]:
-                bit = 1 << coloring[u]
-                wu, au = weight[u], value[u]
-                if mask & bit or lightest + wu > s:
-                    continue
-                dst = nxt.setdefault((mask | bit, u), {})
-                for (w, a), path in cell.items():
-                    if w + wu > s:
-                        break  # every later pair is heavier
-                    dst.setdefault((w + wu, a + au), path + (u,))
-        for key, cell in nxt.items():
-            # a single pair is already its own frontier
-            if len(cell) > 1:
-                nxt[key] = cell = {p: cell[p] for p in prune_pairs(cell)}
-            stats["states_touched"] += len(cell)
-            if key[1] == y:
-                for pair, path in cell.items():
-                    found.setdefault(pair, path)
-        level = nxt
-    return found
-
-
 def default_trials(k: int) -> int:
     """Trial budget that finds a fixed path on at most k vertices with
     probability >= 95% when coloring with k colors: each trial makes it
@@ -129,35 +84,69 @@ def solve_path_color_sweep(inst: Instance, seed: int = 0,
 
     The run uses k colors, where k counts the lightest vertices whose
     weights fit in s together (1 when x == y): no longer path fits the
-    budget.  Each trial reads the x-y cell of every color mask, so it
-    finds colorful paths of every length j <= k.  A fixed j-vertex path
-    is colorful with probability k!/((k-j)! k^j) >= k!/k^k >= e^-k, so
-    the default budget ``default_trials(k)`` still finds each path with
-    probability >= 95%.  ``trials`` overrides that total budget and must
-    be positive.  Each pair keeps the first path found for it.
+    budget.  Each trial colors the vertices at random, and its level j
+    maps ``(mask, v)`` to the undominated colorful x-v paths on j
+    vertices whose colors are ``mask``, each (w, alpha) pair to its x-v
+    vertex tuple, in ascending weight; only the current level is kept.
+    Cells at y are never expanded, as a colorful path cannot leave y and
+    come back to it, and their pairs go into one pool, where each pair
+    keeps its first path in trial, level and insertion order.  So one
+    trial finds colorful x-y paths of every length j <= k.  A fixed
+    j-vertex path is colorful with probability k!/((k-j)! k^j) >=
+    k!/k^k >= e^-k, so the default budget ``default_trials(k)`` =
+    ceil(3e^k) trials still finds each path with probability >= 95%.
+    That is about 1.97e8 trials at k = 18, and until ROADMAP item 10's
+    budget lands only ``trials`` (``--trials``) caps it: it replaces the
+    default budget and must be positive.
 
     One-sided: a feasible report carries a verified witness; an
     infeasible report only means no colorful hit within the trial
-    budget.  Decision instances stop after the first trial that reaches
-    the target value.  Shortest-Path instances are refused: the search
-    ignores dist(x, y).
+    budget.  Decision instances stop after the first trial whose pool
+    reaches the target value.  Shortest-Path instances are refused: the
+    search ignores dist(x, y).
     """
     require_variant(inst, Variant.PATH)
     if trials is not None and trials < 1:
         raise errors.GraphsackError("trials must be positive")
-    k = 1 if inst.x == inst.y else max(1, sum(
-        total <= inst.s for total in accumulate(sorted(inst.weight))))
+    s, x, y = inst.s, inst.x, inst.y
+    weight, value = inst.weight, inst.value
+    k = 1 if x == y else max(1, sum(
+        total <= s for total in accumulate(sorted(weight))))
     stats = {"nodes_expanded": 0, "states_touched": 0, "trials_run": 0}
     rng = random.Random(seed)
     adj = inst.adjacency()
-    pool: dict[tuple[int, int], tuple[int, ...]] = {}
+    start = {(weight[x], value[x]): (x,)} if weight[x] <= s else {}
+    pool = dict(start) if x == y else {}
     for _ in range(trials or default_trials(k)):
         coloring = [rng.randrange(k) for _ in range(inst.n)]
         stats["trials_run"] += 1
         stats["nodes_expanded"] += 1
-        for pair, path in _colorful_trial(inst, adj, k, coloring,
-                                          stats).items():
-            pool.setdefault(pair, path)
+        level = {(1 << coloring[x], x): start} if start else {}
+        for _ in range(1, k):
+            nxt: dict[tuple[int, int], dict] = {}
+            for (mask, v), cell in level.items():
+                if v == y:
+                    continue
+                lightest = next(iter(cell))[0]
+                for u in adj[v]:
+                    bit = 1 << coloring[u]
+                    wu, au = weight[u], value[u]
+                    if mask & bit or lightest + wu > s:
+                        continue
+                    dst = nxt.setdefault((mask | bit, u), {})
+                    for (w, a), path in cell.items():
+                        if w + wu > s:
+                            break  # every later pair is heavier
+                        dst.setdefault((w + wu, a + au), path + (u,))
+            for key, cell in nxt.items():
+                # a single pair is already its own frontier
+                if len(cell) > 1:
+                    nxt[key] = cell = {p: cell[p] for p in prune_pairs(cell)}
+                stats["states_touched"] += len(cell)
+                if key[1] == y:
+                    for pair, path in cell.items():
+                        pool.setdefault(pair, path)
+            level = nxt
         if inst.d is not None and any(a >= inst.d for _, a in pool):
             break
     return build_report(inst, pool, stats)

@@ -376,8 +376,13 @@ class TestGenerate:
         assert first == second
 
     def test_bad_n_exit_two(self, capsys):
-        code, _ = run(capsys, "generate", "--random", "gnp", "--n", "-1")
-        assert code == 2
+        # the generator's own ValueError is the only check on --n
+        for n in ("0", "-1"):
+            assert main(["generate", "--random", "gnp", "--n", n]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            lines = captured.err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:"), n
 
     def test_ladder_reduction_with_sidecar(self, capsys, tmp_path):
         items = tmp_path / "items.json"

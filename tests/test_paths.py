@@ -125,6 +125,32 @@ class TestColorCoding:
         assert report.stats["trials_run"] == default_trials(3)
         assert report.frontier.pairs == ((2, 2), (3, 3))
 
+    def test_decision_yes_stops_at_first_trial_reaching_d(self):
+        # k = 3; the one x-y path is colorful in trial 6 of seed 1
+        inst = make(**P3, s=3, x=0, y=2, d=3)
+        report = solve_path_color_sweep(inst, seed=1)
+        assert report.feasible and report.best_value == 3
+        assert report.stats["trials_run"] == 6 < default_trials(3)
+        assert not solve_path_color_sweep(inst, seed=1, trials=5).feasible
+
+    def test_decision_above_optimum_runs_full_budget(self):
+        # the exact optimum is 3 at k = 3 colors, so d = 4 never stops
+        inst = make(5, ((0, 1), (0, 4), (1, 4), (1, 2), (2, 3)),
+                    (1, 1, 5, 5, 1), (1, 1, 1, 1, 1), 3, x=0, y=1, d=4)
+        assert max(a for _, a in solve_path_treewidth(
+            dataclasses.replace(inst, d=None)).frontier) == 3
+        report = solve_path_color_sweep(inst, seed=2)
+        assert not report.feasible
+        assert report.stats["trials_run"] == default_trials(3)
+
+    def test_same_terminal_over_budget_is_infeasible(self):
+        # w(x) = 1 > s = 0, so the pool is never seeded with (x,), and
+        # d = 0 would stop at the first trial if it were
+        for d in (None, 0):
+            report = solve_path_color_sweep(make(**P3, s=0, x=1, y=1, d=d))
+            assert not report.feasible and not report.frontier
+            assert report.stats["trials_run"] == default_trials(1)
+
     def test_default_budget_overflow_names_k(self):
         # all 720 zero-weight vertices fit s, so k = 720 and 3e^k is past
         # every float; an explicit budget still runs
