@@ -126,10 +126,9 @@ def _load_source_graph(path: str) -> tuple[int, tuple]:
     doc = json_object(_read(path), {"n", "edges"})
     n, edges = doc["n"], doc["edges"]
     if not (type(n) is int and type(edges) is list and all(
-            is_int_list(e) and len(e) == 2 and 0 <= min(e) <= max(e) < n
-            for e in edges)):
+            is_int_list(e) and len(e) == 2 for e in edges)):
         raise errors.BadInstanceJson(
-            "n must be an integer and each edge a pair of ids below n")
+            "n must be an integer and each edge a pair of integers")
     return n, tuple(map(tuple, edges))
 
 
@@ -138,11 +137,10 @@ def _load_items(path: str) -> tuple[tuple, tuple, int, int]:
                                     "target"})
     sizes, profits = doc["sizes"], doc["profits"]
     if not (is_int_list(sizes) and is_int_list(profits)
-            and len(sizes) == len(profits)
             and is_int_list([doc["capacity"], doc["target"]])):
         raise errors.BadInstanceJson(
-            "sizes and profits must be integer lists of one length, and "
-            "capacity and target integers")
+            "sizes and profits must be integer lists, and capacity and "
+            "target integers")
     return tuple(sizes), tuple(profits), doc["capacity"], doc["target"]
 
 

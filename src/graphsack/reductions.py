@@ -9,9 +9,9 @@ the source item/vertex/edge it came from.
 Vertex numbering is fixed so generated files are byte-reproducible:
 
 - vertex_cover_to_connected: cover vertex u_i = i (0 <= i < n), spine
-  vertex g_i = n + i, edge vertex h_e = 2n + j where j indexes the
+  vertex g_i = n + i, edge vertex h_j = 2n + j where j indexes the
   sorted source edge list.
-- partial_vc_to_connected: u_i = i, h_e = n + j, hub g = n + m.
+- partial_vc_to_connected: u_i = i, h_j = n + j, hub g = n + m.
 - knapsack_to_star_connected: center 0, item i at vertex i + 1.
 - knapsack_to_path_gadget: u_i = 3i (0 <= i <= n), item rung
   v_i = 3i - 2, bypass rung w_i = 3i - 1 (1 <= i <= n).
@@ -26,9 +26,13 @@ from .model import Instance, Variant, validate_instance
 
 @dataclass(frozen=True)
 class SourceGraph:
-    """A plain graph used as reduction input."""
+    """A plain graph used as reduction input; edge ids lie in range(n)."""
     n: int
     edges: tuple[tuple[int, int], ...]
+
+    def __post_init__(self):
+        if not all(0 <= min(e) and max(e) < self.n for e in self.edges):
+            raise ValueError("source edge ids must lie in range(n)")
 
     def sorted_edges(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted((min(u, v), max(u, v)) for u, v in self.edges))
@@ -42,6 +46,10 @@ class KnapsackItems:
     capacity: int
     target: int
 
+    def __post_init__(self):
+        if len(self.sizes) != len(self.profits):
+            raise ValueError("sizes and profits must have one length")
+
 
 @dataclass(frozen=True)
 class ReductionOutput:
@@ -49,42 +57,53 @@ class ReductionOutput:
     provenance: dict
 
 
+def _edge_vertices(edges, first: int, vertex_of: dict) -> list:
+    """Name edge vertex h_j = first + j in ``vertex_of`` for each sorted
+    source edge j, and return the gadget edges joining it to both ends."""
+    joins = []
+    for j, (a, b) in enumerate(edges):
+        vertex_of[f"h{j}"] = first + j
+        joins += [(a, first + j), (b, first + j)]
+    return joins
+
+
+def _cover_provenance(reduction: str, n: int, edges, vertex_of: dict,
+                      **params) -> dict:
+    return {
+        "reduction": reduction,
+        "source": {"n": n, "edges": [list(e) for e in edges], **params},
+        "vertex_of": vertex_of,
+        "edge_vertex_for": {f"h{j}": list(e) for j, e in enumerate(edges)},
+    }
+
+
 def reduce_vertex_cover_to_connected(graph: SourceGraph,
                                      k: int) -> ReductionOutput:
     """Vertex Cover (G, k) -> Connected Knapsack with s=k, d=m.
 
     Cover vertices cost 1 and are worth 0; the free g-spine keeps
-    them connected; each edge vertex h_e (worth 1, free) hangs off
-    both endpoints' cover vertices.  Equivalence needs m != 1: with a
-    single edge, {h_e} alone is connected and already meets d.
+    them connected; each edge vertex h_j (worth 1, free) hangs off
+    both endpoints' cover vertices.  One source edge at k = 0 raises
+    ValueError: {h_0} alone is connected and meets d = 1, a yes where
+    the source says no.  Every other input keeps its answer.
     """
     n, edges = graph.n, graph.sorted_edges()
     m = len(edges)
-    gadget_edges = []
+    if m == 1 and k == 0:
+        raise ValueError("vertex cover gadget refuses one source edge at "
+                         "k = 0: its lone edge vertex meets d = 1")
     vertex_of = {}
     for i in range(n):
-        vertex_of[f"u{i}"] = i
-        vertex_of[f"g{i}"] = n + i
-        gadget_edges.append((i, n + i))
-    for i in range(n - 1):
-        gadget_edges.append((n + i, n + i + 1))
-    for j, (a, bb) in enumerate(edges):
-        h = 2 * n + j
-        vertex_of[f"h{j}"] = h
-        gadget_edges.append((a, h))
-        gadget_edges.append((bb, h))
-    weight = [1] * n + [0] * n + [0] * m
-    value = [0] * n + [0] * n + [1] * m
+        vertex_of.update({f"u{i}": i, f"g{i}": n + i})
+    gadget_edges = ([(i, n + i) for i in range(n)]
+                    + [(n + i, n + i + 1) for i in range(n - 1)]
+                    + _edge_vertices(edges, 2 * n, vertex_of))
     inst = validate_instance(Instance(
         variant=Variant.CONNECTED, n=2 * n + m, edges=tuple(gadget_edges),
-        weight=tuple(weight), value=tuple(value), s=k, d=m))
-    provenance = {
-        "reduction": "vertex_cover_to_connected",
-        "source": {"n": n, "edges": [list(e) for e in edges], "k": k},
-        "vertex_of": vertex_of,
-        "edge_vertex_for": {f"h{j}": list(e) for j, e in enumerate(edges)},
-    }
-    return ReductionOutput(inst, provenance)
+        weight=(1,) * n + (0,) * (n + m), value=(0,) * (2 * n) + (1,) * m,
+        s=k, d=m))
+    return ReductionOutput(inst, _cover_provenance(
+        "vertex_cover_to_connected", n, edges, vertex_of, k=k))
 
 
 def reduce_knapsack_to_star_connected(items: KnapsackItems) -> ReductionOutput:
@@ -113,35 +132,25 @@ def reduce_partial_vc_to_connected(graph: SourceGraph, k: int,
     """Partial Vertex Cover (G, k, l) -> Connected Knapsack, s=k, d=l.
 
     Like the Vertex Cover gadget but with a single free hub g instead
-    of the spine; only covered edges' h_e need joining.  Equivalence
-    needs l != 1 for the same single-h_e corner as above.
+    of the spine; only covered edges' h_j need joining.  l = 1 at k = 0
+    with a source edge raises ValueError for the same lone-h_j reason
+    as above.
     """
     n, edges = graph.n, graph.sorted_edges()
     m = len(edges)
-    gadget_edges = []
-    vertex_of = {f"u{i}": i for i in range(n)}
-    g = n + m
-    vertex_of["g"] = g
-    for j, (a, bb) in enumerate(edges):
-        h = n + j
-        vertex_of[f"h{j}"] = h
-        gadget_edges.append((a, h))
-        gadget_edges.append((bb, h))
-    for i in range(n):
-        gadget_edges.append((i, g))
-    weight = [1] * n + [0] * m + [0]
-    value = [0] * n + [1] * m + [0]
+    if ell == 1 and k == 0 and m:
+        raise ValueError("partial vertex cover gadget refuses l = 1 at "
+                         "k = 0 with a source edge: a lone edge vertex "
+                         "meets d = 1")
+    vertex_of = {**{f"u{i}": i for i in range(n)}, "g": n + m}
+    gadget_edges = (_edge_vertices(edges, n, vertex_of)
+                    + [(i, n + m) for i in range(n)])
     inst = validate_instance(Instance(
         variant=Variant.CONNECTED, n=n + m + 1, edges=tuple(gadget_edges),
-        weight=tuple(weight), value=tuple(value), s=k, d=ell))
-    provenance = {
-        "reduction": "partial_vc_to_connected",
-        "source": {"n": n, "edges": [list(e) for e in edges],
-                   "k": k, "ell": ell},
-        "vertex_of": vertex_of,
-        "edge_vertex_for": {f"h{j}": list(e) for j, e in enumerate(edges)},
-    }
-    return ReductionOutput(inst, provenance)
+        weight=(1,) * n + (0,) * (m + 1), value=(0,) * n + (1,) * m + (0,),
+        s=k, d=ell))
+    return ReductionOutput(inst, _cover_provenance(
+        "partial_vc_to_connected", n, edges, vertex_of, k=k, ell=ell))
 
 
 def reduce_hamiltonian_to_path(graph: SourceGraph, x: int,
@@ -182,43 +191,18 @@ def reduce_knapsack_to_path_gadget(items: KnapsackItems,
     if variant not in (Variant.PATH, Variant.SHORTEST_PATH):
         raise ValueError("gadget variant must be path or shortest_path")
     n = len(items.sizes)
-
-    def u(i):
-        return 3 * i
-
-    def v(i):
-        return 3 * i - 2
-
-    def w(i):
-        return 3 * i - 1
-
-    edges = []
-    for i in range(n):
-        edges.append((u(i), v(i + 1)))
-        edges.append((u(i), w(i + 1)))
+    edges, bags, vertex_of = [], [], {"u0": 0}
+    weight, value = [0] * (3 * n + 1), [0] * (3 * n + 1)
     for i in range(1, n + 1):
-        edges.append((u(i), v(i)))
-        edges.append((u(i), w(i)))
-    weight = [0] * (3 * n + 1)
-    value = [0] * (3 * n + 1)
-    for i in range(1, n + 1):
-        weight[v(i)] = items.sizes[i - 1]
-        value[v(i)] = items.profits[i - 1]
+        u, v, w = 3 * i, 3 * i - 2, 3 * i - 1
+        edges += [(u - 3, v), (u - 3, w), (u, v), (u, w)]
+        weight[v], value[v] = items.sizes[i - 1], items.profits[i - 1]
+        bags += [[u - 3, v, w], [v, w, u]]
+        vertex_of.update({f"u{i}": u, f"v{i}": v, f"w{i}": w})
     inst = validate_instance(Instance(
         variant=variant, n=3 * n + 1, edges=tuple(edges),
         weight=tuple(weight), value=tuple(value),
-        s=items.capacity, d=items.target, x=u(0), y=u(n),
-        edge_cost=tuple(1 for _ in edges)
-        if variant is Variant.SHORTEST_PATH else None))
-    bags = []
-    for i in range(1, n + 1):
-        bags.append([u(i - 1), v(i), w(i)])
-        bags.append([v(i), w(i), u(i)])
-    vertex_of = {"u0": 0}
-    for i in range(1, n + 1):
-        vertex_of[f"u{i}"] = u(i)
-        vertex_of[f"v{i}"] = v(i)
-        vertex_of[f"w{i}"] = w(i)
+        s=items.capacity, d=items.target, x=0, y=3 * n))
     provenance = {
         "reduction": "knapsack_to_path_gadget",
         "source": {"sizes": list(items.sizes), "profits": list(items.profits),

@@ -34,6 +34,15 @@ def random_source_graph(rng: random.Random, n: int,
     return SourceGraph(n, edges)
 
 
+def refused_corner(m, k, ell=None):
+    """True on the inputs the cover gadgets refuse: one source edge at
+    k = 0 for Vertex Cover, and l = 1 at k = 0 with an edge for Partial
+    Vertex Cover, where a lone edge vertex would meet d on its own."""
+    if ell is None:
+        return m == 1 and k == 0
+    return ell == 1 and k == 0 and m >= 1
+
+
 def random_items(rng: random.Random, n: int) -> KnapsackItems:
     return KnapsackItems(tuple(rng.randint(0, 6) for _ in range(n)),
                          tuple(rng.randint(0, 6) for _ in range(n)),

@@ -34,8 +34,8 @@ from graphsack.reductions import (reduce_hamiltonian_to_path,
                                   reduce_vertex_cover_to_connected)
 from conftest import (hamiltonian_path_exists, instance_stream,
                       knapsack_exists, partial_vertex_cover_exists,
-                      random_items, random_source_graph, reroute,
-                      vertex_cover_exists)
+                      random_items, random_source_graph, refused_corner,
+                      reroute, vertex_cover_exists)
 
 
 def test_connected_oracle_equivalence_300():
@@ -103,9 +103,9 @@ def test_reduction_yes_no_preservation_100_each():
     done = 0
     while done < 100:
         g = random_source_graph(rng, 4 + done % 5)
-        if len(g.edges) < 2:
-            continue
         k = rng.randint(0, g.n)
+        if refused_corner(len(g.edges), k):
+            continue
         inst = reduce_vertex_cover_to_connected(g, k).instance
         assert (solve_connected(inst, early_stop=True).feasible
                 == vertex_cover_exists(g, k)), (g, k)
@@ -117,7 +117,7 @@ def test_reduction_yes_no_preservation_100_each():
         g = random_source_graph(rng, 4 + done % 5)
         k = rng.randint(0, 3)
         ell = rng.randint(0, len(g.edges))
-        if ell == 1:
+        if refused_corner(len(g.edges), k, ell):
             continue
         inst = reduce_partial_vc_to_connected(g, k, ell).instance
         assert (solve_connected(inst, early_stop=True).feasible

@@ -423,6 +423,20 @@ class TestGenerate:
                         str(src), "--k", "1")
         assert code == 2 and out == ""
 
+    @pytest.mark.parametrize("reduction, k, ell", [
+        ("vc", "0", "0"), ("pvc", "0", "1")], ids=["vc", "pvc"])
+    def test_one_edge_corner_exit_two(self, capsys, tmp_path, reduction,
+                                      k, ell):
+        # one source edge: the lone edge vertex meets d on its own
+        src = tmp_path / "edge.json"
+        src.write_text(json.dumps({"n": 2, "edges": [[0, 1]]}))
+        code = main(["generate", "--reduction", reduction, "--source-graph",
+                     str(src), "--k", k, "--ell", ell])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
     def test_vc_reduction(self, capsys, tmp_path):
         src = tmp_path / "g.json"
         src.write_text(json.dumps(

@@ -1,10 +1,13 @@
 """Reduction gadgets: structure audits and yes/no preservation."""
+import hashlib
+import json
 import random
 
 import pytest
 
 from graphsack import (Variant, solve_connected, solve_path_treewidth,
                        solve_shortest_path)
+from graphsack.model import instance_to_json
 from graphsack.oracles import _all_simple_paths
 from graphsack.reductions import (KnapsackItems, SourceGraph,
                                   reduce_hamiltonian_to_path,
@@ -14,10 +17,27 @@ from graphsack.reductions import (KnapsackItems, SourceGraph,
                                   reduce_vertex_cover_to_connected)
 from conftest import (hamiltonian_path_exists, knapsack_exists,
                       partial_vertex_cover_exists, random_items,
-                      random_source_graph, vertex_cover_exists)
+                      random_source_graph, refused_corner,
+                      vertex_cover_exists)
 
 K3 = SourceGraph(3, ((0, 1), (1, 2), (0, 2)))
 TWO_ITEMS = KnapsackItems((2, 3), (3, 4), 5, 7)
+P4 = SourceGraph(4, ((0, 1), (1, 2), (2, 3)))
+ONE_EDGE = SourceGraph(2, ((0, 1),))
+
+
+class TestSourceInputs:
+    def test_edge_id_out_of_range_rejected(self):
+        with pytest.raises(ValueError):
+            SourceGraph(2, ((0, 3),))
+        with pytest.raises(ValueError):
+            SourceGraph(2, ((-1, 1),))
+
+    def test_item_lengths_must_match(self):
+        with pytest.raises(ValueError):
+            KnapsackItems((1,), (5, 7), 1, 5)
+        with pytest.raises(ValueError):
+            KnapsackItems((1, 2), (5,), 1, 5)
 
 
 class TestVertexCoverGadget:
@@ -50,6 +70,15 @@ class TestVertexCoverGadget:
         out = reduce_vertex_cover_to_connected(K3, 2)
         assert sorted(out.provenance["vertex_of"].values()) == list(
             range(out.instance.n))
+
+    def test_one_edge_at_k0_refused(self):
+        # {h_0} alone is connected, free and worth d = 1: a false yes
+        with pytest.raises(ValueError, match="k = 0"):
+            reduce_vertex_cover_to_connected(ONE_EDGE, 0)
+
+    def test_one_edge_at_k1_is_yes(self):
+        out = reduce_vertex_cover_to_connected(ONE_EDGE, 1)
+        assert solve_connected(out.instance, early_stop=True).feasible
 
 
 class TestStarGadget:
@@ -84,6 +113,15 @@ class TestPartialVcGadget:
 
     def test_zero_edges_required(self):
         out = reduce_partial_vc_to_connected(K3, 0, 0)
+        assert solve_connected(out.instance, early_stop=True).feasible
+
+    @pytest.mark.parametrize("graph", [ONE_EDGE, K3], ids=["one-edge", "k3"])
+    def test_ell_one_at_k0_refused(self, graph):
+        with pytest.raises(ValueError, match="k = 0"):
+            reduce_partial_vc_to_connected(graph, 0, 1)
+
+    def test_ell_one_at_k1_is_yes(self):
+        out = reduce_partial_vc_to_connected(K3, 1, 1)
         assert solve_connected(out.instance, early_stop=True).feasible
 
 
@@ -162,9 +200,9 @@ class TestYesNoPreservation:
         done = 0
         while done < 20:
             g = random_source_graph(rng, 4 + done % 4)
-            if len(g.edges) < 2:
-                continue
             k = rng.randint(0, g.n)
+            if refused_corner(len(g.edges), k):
+                continue
             out = reduce_vertex_cover_to_connected(g, k)
             assert (solve_connected(out.instance, early_stop=True).feasible
                     == vertex_cover_exists(g, k)), (g, k)
@@ -177,7 +215,7 @@ class TestYesNoPreservation:
             g = random_source_graph(rng, 4 + done % 4)
             k = rng.randint(0, 3)
             ell = rng.randint(0, len(g.edges))
-            if ell == 1:
+            if refused_corner(len(g.edges), k, ell):
                 continue
             out = reduce_partial_vc_to_connected(g, k, ell)
             assert (solve_connected(out.instance, early_stop=True).feasible
@@ -202,3 +240,36 @@ class TestYesNoPreservation:
             out = reduce_hamiltonian_to_path(g, 0, 1)
             assert (solve_path_treewidth(out.instance).feasible
                     == hamiltonian_path_exists(g, 0, 1)), g
+
+
+# One SHA-256 per gadget over ``instance_to_json`` of its instance and
+# its provenance dumped with sorted keys: a rewrite of a gadget builder
+# keeps every vertex id, edge and provenance record.
+GADGET_DIGESTS = {
+    "vc-k3": "954c6d37d7672652f3fa26e089cc49b3ae6af49a3f9c63f1b73fbd146fe38c1e",
+    "pvc-k3": "888c4a7deb31c8e1e142453d15263e938e3f927450fc815fb8d0da5756c28867",
+    "star": "2d7ca2ac4538566c25eacc4b1ede7285bfef907e8c6bc1b3095c954a57931905",
+    "ladder": "cfd31dc7b832cb2dcad187a4c03331b6fb2f1f8f7a7388d637bace50c922ee33",
+    "ladder-sp": "ec5e12222c0ed4abcd35b6d4d08505ac89102da103db013d303a355d70f6e7ce",
+    "ham-p4": "93639d1579e15e40b1eee013d24beca36abffb5c7813eea580c7b02f8c50f95b",
+}
+
+GADGETS = {
+    "vc-k3": lambda: reduce_vertex_cover_to_connected(K3, 2),
+    "pvc-k3": lambda: reduce_partial_vc_to_connected(K3, 1, 2),
+    "star": lambda: reduce_knapsack_to_star_connected(TWO_ITEMS),
+    "ladder": lambda: reduce_knapsack_to_path_gadget(TWO_ITEMS),
+    "ladder-sp": lambda: reduce_knapsack_to_path_gadget(
+        TWO_ITEMS, Variant.SHORTEST_PATH),
+    "ham-p4": lambda: reduce_hamiltonian_to_path(P4, 0, 3),
+}
+
+
+class TestGadgetDigests:
+    @pytest.mark.parametrize("name", sorted(GADGET_DIGESTS))
+    def test_gadget_bytes(self, name):
+        out = GADGETS[name]()
+        text = (instance_to_json(out.instance)
+                + json.dumps(out.provenance, sort_keys=True))
+        assert (hashlib.sha256(text.encode()).hexdigest()
+                == GADGET_DIGESTS[name])
