@@ -13,7 +13,10 @@ value) frontiers and their witnesses, and derives each state's key
 from its blocks; this module only supplies the rules for solution
 vertices: an edge or a join merges blocks, and forgetting a vertex
 shrinks its block, finishes the solution, or drops a component cut off
-from the rest.
+from the rest.  A state whose block has no edge to come at any of its
+vertices, beside another block, is cut off already: that block is
+sealed and can never meet the others, and ``run_dp`` drops the state
+where it becomes so.
 """
 from __future__ import annotations
 
@@ -37,6 +40,11 @@ class _ConnectedRules:
             return [(tuple(sorted(b & ~bit for b in blocks)),)]
         # u's component left the bag: done, or cut off from the others
         return [DONE] if len(blocks) == 1 else []
+
+    @staticmethod
+    def alive(state, none_left, one_left):
+        blocks = state[0]
+        return len(blocks) < 2 or all(b & ~none_left for b in blocks)
 
     @staticmethod
     def edge(state, u, v):

@@ -11,9 +11,12 @@ the first leaf when both ends are pinned.
 ``run_dp`` is the Pareto DP over these decompositions that both exact
 solvers share: it walks the nodes in id order, owns the pairs, the
 introduce step and each state's key (the union of its blocks), and each
-solver supplies only the rules for its solution vertices.  Every stored
-pair carries the vertex bitmask of the first partial solution that
-reached it, so no child table outlives its parent.  Stored cells are
+solver supplies only the rules for its solution vertices.  The walk
+also counts each bag vertex's edges still to come, and drops a state
+that its rules say can no longer finish, as a vertex of it cannot get
+the edges it needs, at the node where that first becomes so.  Every
+stored pair carries the vertex bitmask of the first partial solution
+that reached it, so no child table outlives its parent.  Stored cells are
 frontiers and never change, so a state that one cell feeds shares it,
 and only a state where two cells meet is pruned.  A rule marks a
 finished solution by returning ``DONE``; it leaves the walk for one
@@ -113,6 +116,18 @@ def _key(state) -> int:
     return sum(state[0])
 
 
+def _left_masks(left: dict) -> tuple[int, int]:
+    """``none_left`` and ``one_left``: the masks of the vertices with
+    no edge and with one edge to come in ``{vertex: edges to come}``."""
+    none_left = one_left = 0
+    for v, count in left.items():
+        if count == 0:
+            none_left |= 1 << v
+        elif count == 1:
+            one_left |= 1 << v
+    return none_left, one_left
+
+
 # maps the binary digits of a decided mask to undecided flags
 _UNDECIDED = bytes.maketrans(b"01", b"\x01\x00")
 
@@ -193,7 +208,21 @@ def run_dp(inst: Instance, nd: NiceDecomposition, rules, stats: dict) -> dict:
     - ``edge(state, u, v) -> states``: once edge uv between two solution
       vertices is in;
     - ``join(state1, state2) -> states``: the merged states of two
-      states with the same key.
+      states with the same key;
+    - ``alive(state, none_left, one_left) -> bool``: whether the state
+      can still finish, where ``none_left`` and ``one_left`` mask the
+      bag vertices with no edge and with one edge to come.
+
+    The walk counts, for each bag vertex, its edges not yet introduced
+    below the node: deg(v) at a leaf or at the introduce of v, one less
+    for each end at an introduce-edge node, left1 + left2 - deg(v) at a
+    join, and a forget drops the vertex, whose edges are then all in.
+    A state that ``alive`` refuses is dropped, and every state made
+    from it would be refused too, so no finished cell changes.  It is
+    asked only where a state can newly lose the edges it needs: about
+    each state leaving an introduce-edge node that takes an end now at
+    one edge to come or none, and about each merged join state whose
+    key meets either mask, before its pairs are made.
 
     Forget and introduce-edge nodes share one loop, which runs the rule
     on a state whose key holds every vertex it names and passes any
@@ -232,9 +261,15 @@ def run_dp(inst: Instance, nd: NiceDecomposition, rules, stats: dict) -> dict:
     """
     s, d = inst.s, inst.d
     weight, value = inst.weight, inst.value
+    deg = [0] * inst.n  # edges to come at a leaf or an introduce
+    for u, v in inst.edges:
+        deg[u] += 1
+        deg[v] += 1
     tables: dict[int, dict] = {}
+    lefts: dict[int, dict] = {}  # per node: {bag vertex: edges to come}
     finished: dict = {}  # {pair: mask} of every finished solution
     rule_of = {FORGET_VERTEX: rules.forget, INTRODUCE_EDGE: rules.edge}
+    alive = rules.alive
     if d is not None:
         bound = _Bound(inst, nd)
         stats["pairs_cut"] = 0
@@ -244,12 +279,15 @@ def run_dp(inst: Instance, nd: NiceDecomposition, rules, stats: dict) -> dict:
         out: dict = {}
         meet = set()  # the states where two cells meet: only these prune
         if node.kind == LEAF:
+            left = {v: deg[v] for v in node.bag}
             pair = (inst.total_weight(node.bag), inst.total_value(node.bag))
             if pair[0] <= s:
                 out = {rules.leaf(): {pair: sum(1 << v for v in node.bag)}}
 
         elif node.kind == INTRODUCE_VERTEX:
             u = node.vertex
+            left = lefts.pop(node.children[0])
+            left[u] = deg[u]
             wu, au, bit = weight[u], value[u], 1 << u
             for state, cell in tables.pop(node.children[0]).items():
                 # skip before take: the order of the states in a table
@@ -263,18 +301,29 @@ def run_dp(inst: Instance, nd: NiceDecomposition, rules, stats: dict) -> dict:
 
         elif node.kind == JOIN:
             c1, c2 = node.children
+            left1, left2 = lefts.pop(c1), lefts.pop(c2)
+            left = {v: left1[v] + left2[v] - deg[v] for v in left1}
+            none_left, one_left = _left_masks(left)
             by_key: dict[int, list] = {}
             for state, cell in tables.pop(c2).items():
                 by_key.setdefault(_key(state), []).append((state, cell))
+            offsets = {}  # per key: its vertices' weight and value
             for state1, cell1 in tables.pop(c1).items():
                 key = _key(state1)
                 partners = by_key.get(key)
                 if not partners:
                     continue
-                w_off = sum(weight[v] for v in node.bag if key >> v & 1)
-                a_off = sum(value[v] for v in node.bag if key >> v & 1)
+                if key not in offsets:
+                    vs = [*_bits(key)]
+                    offsets[key] = (sum(map(weight.__getitem__, vs)),
+                                    sum(map(value.__getitem__, vs)))
+                w_off, a_off = offsets[key]
+                low = key & (none_left | one_left)  # its vertices low on edges
                 for state2, cell2 in partners:
                     for merged in rules.join(state1, state2):
+                        if low and merged is not DONE and not alive(
+                                merged, none_left, one_left):
+                            continue  # it can no longer finish
                         # a product with a one-pair side is a shifted
                         # frontier, ascending in weight
                         if merged in out or len(cell1) > 1 and len(cell2) > 1:
@@ -290,10 +339,27 @@ def run_dp(inst: Instance, nd: NiceDecomposition, rules, stats: dict) -> dict:
             out = {st: cell for st, cell in out.items() if cell}
         else:  # forget u or introduce edge uv
             ends, rule = node.edge or (node.vertex,), rule_of[node.kind]
-            need = sum(1 << v for v in ends)
+            left = lefts.pop(node.children[0])
+            if node.edge:
+                u, v = ends
+                need = 1 << u | 1 << v
+                left[u] -= 1
+                left[v] -= 1
+                # only a state that takes an end now low on edges can
+                # newly be doomed; an edge keeps a state's key
+                low = (left[u] <= 1) << u | (left[v] <= 1) << v
+                if low:
+                    none_left, one_left = _left_masks(left)
+            else:
+                need, low = 1 << node.vertex, 0
+                del left[node.vertex]  # its edges are all in
             for state, cell in tables.pop(node.children[0]).items():
+                key = _key(state)
                 for new_state in (rule(state, *ends)
-                                  if _key(state) & need == need else (state,)):
+                                  if key & need == need else (state,)):
+                    if key & low and new_state is not DONE and not alive(
+                            new_state, none_left, one_left):
+                        continue  # it can no longer finish
                     dst = out.get(new_state)
                     if dst is None:
                         out[new_state] = cell
@@ -320,8 +386,9 @@ def run_dp(inst: Instance, nd: NiceDecomposition, rules, stats: dict) -> dict:
                     else {p: m for p, m in cell.items() if p not in cut})}
                 stats["pairs_cut"] += before - sum(
                     len(c) for c in out.values())
-        stats["states_touched"] += sum(len(c) for c in out.values())
+        stats["states_touched"] += sum(map(len, out.values()))
         tables[nid] = out
+        lefts[nid] = left
     return {p: frozenset(_bits(finished[p])) for p in prune_pairs(finished)}
 
 

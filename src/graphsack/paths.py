@@ -8,8 +8,10 @@ exact segment-state DP over a nice edge tree decomposition pinned at
 both terminals.  The segment states are vertex bitmasks: the path
 blocks of the bag and the bag vertices at solution degree 1 and 2.
 ``decomposition.run_dp`` derives each state's key from its blocks,
-calls the segment rules only for solution vertices and edges, and
-returns the frontier of the paths they finish with their vertex sets;
+calls the segment rules only for solution vertices and edges, drops a
+state once a vertex of it is short of the edges its degree still needs
+(a non-terminal needs degree 2, a terminal 1), and returns the frontier
+of the paths they finish with their vertex sets;
 the tree walk and the color sweep give ``build_report`` each path as
 its x-y vertex tuple.
 """
@@ -162,7 +164,11 @@ class _PathRules:
     degree 1 and 2; all are vertex bitmasks (bit v = vertex v).  A
     terminal may reach degree 1, any other vertex 2, and a vertex leaves
     the bag only at degree 2.  Rules return ``DONE`` for a finished x-y
-    path: one block whose degree-1 vertices are x and y, or x == y."""
+    path: one block whose degree-1 vertices are x and y, or x == y.  A
+    state cannot finish once a vertex has fewer edges to come than its
+    degree lacks: a non-terminal at degree 0 with at most one, a
+    non-terminal at degree 1 with none, a terminal at degree 0 with
+    none."""
 
     def __init__(self, inst: Instance):
         self.ends = sorted({inst.x, inst.y})
@@ -172,6 +178,12 @@ class _PathRules:
         # every bag of the decomposition is pinned at both terminals
         return ((tuple(1 << v for v in self.ends), 0, 0)
                 if len(self.ends) == 2 else DONE)
+
+    def alive(self, state, none_left, one_left):
+        blocks, one, two = state
+        zero = sum(blocks) & ~(one | two)  # taken, at degree 0
+        return not (zero & none_left
+                    | (zero & one_left | one & none_left) & ~self.lim1)
 
     def _done(self, *state):
         return DONE if len(state[0]) == 1 and state[1] == self.lim1 else state

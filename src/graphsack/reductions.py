@@ -26,13 +26,19 @@ from .model import Instance, Variant, validate_instance
 
 @dataclass(frozen=True)
 class SourceGraph:
-    """A plain graph used as reduction input; edge ids lie in range(n)."""
+    """A plain simple graph used as reduction input: edge ids lie in
+    range(n), and no edge is a self-loop or given twice, in either
+    orientation."""
     n: int
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
         if not all(0 <= min(e) and max(e) < self.n for e in self.edges):
             raise ValueError("source edge ids must lie in range(n)")
+        if any(u == v for u, v in self.edges):
+            raise ValueError("a source edge is a self-loop")
+        if len(set(self.sorted_edges())) < len(self.edges):
+            raise ValueError("a source edge is given twice")
 
     def sorted_edges(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted((min(u, v), max(u, v)) for u, v in self.edges))

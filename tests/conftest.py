@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -55,6 +56,31 @@ def path_dp(inst, nd):
     builds."""
     stats = {"nodes_expanded": 0, "states_touched": 0}
     return build_report(inst, run_dp(inst, nd, _PathRules(inst), stats), stats)
+
+
+def node_tables(inst, nd, rules):
+    """``run_dp``'s result on an optimize instance, and every node table
+    the walk filled, read through ``sys.settrace`` before it drops
+    them."""
+    tables = {}
+
+    def tracer(frame, event, arg):
+        if frame.f_code is not run_dp.__code__:
+            return None
+
+        def local(frame, event, arg):
+            tables.update(frame.f_locals.get("tables", {}))
+            return local
+        return local
+
+    old = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        found = run_dp(inst, nd, rules,
+                       {"nodes_expanded": 0, "states_touched": 0})
+    finally:
+        sys.settrace(old)
+    return found, tables
 
 
 def reroute(nd: NiceDecomposition, drop: int | None = None,

@@ -437,6 +437,21 @@ class TestGenerate:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
 
+    @pytest.mark.parametrize("reduction", ["vc", "pvc", "ham"])
+    @pytest.mark.parametrize("edges", [[[0, 1], [1, 0]], [[0, 0], [0, 1]]],
+                             ids=["repeated", "self-loop"])
+    def test_non_simple_source_graph_exit_two(self, capsys, tmp_path,
+                                              reduction, edges):
+        # the error names the source edge, not a gadget edge made from it
+        src = tmp_path / "g.json"
+        src.write_text(json.dumps({"n": 3, "edges": edges}))
+        code = main(["generate", "--reduction", reduction, "--source-graph",
+                     str(src), "--k", "1", "--ell", "2"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: a source edge")
+
     def test_vc_reduction(self, capsys, tmp_path):
         src = tmp_path / "g.json"
         src.write_text(json.dumps(
@@ -601,11 +616,11 @@ class TestDecompose:
 # mode, in decision mode and under the FPTAS at eps = 1/3; an engine's
 # GraphsackError is hashed by its class name.
 REPORT_DIGESTS = {
-    ("auto", "connected"): "086c821816b30b90cdf53efe4c3cfbd46f3c08bac657e92c0ac689f63f07dcc0",
-    ("auto", "path"): "90e9f9ca363ba4adde6a7c2e7f8d8b81aff8cffcde067bf9f097c7fcce9855cb",
+    ("auto", "connected"): "a64a660c8f6109f70be5527b21cf40ed2f636ad50df47b7bcac75b4e08d8e135",
+    ("auto", "path"): "4c4e316834fb2223fefee5672b672509b1b52655ac2b188f5584d7b34d8eeb3e",
     ("auto", "shortest_path"): "761297690811164cefb765b074483ae56e08110ddacb264c4488ce2b648e28e5",
-    ("treewidth", "connected"): "086c821816b30b90cdf53efe4c3cfbd46f3c08bac657e92c0ac689f63f07dcc0",
-    ("treewidth", "path"): "9296c045990d983328d90f6652f653ef22eb03f2d156d501526c989eeb47400d",
+    ("treewidth", "connected"): "a64a660c8f6109f70be5527b21cf40ed2f636ad50df47b7bcac75b4e08d8e135",
+    ("treewidth", "path"): "e1d27ea7bd22994b243044e921ac63578078943aba843cb5937e81dc30174cda",
     ("color", "path"): "5e00d0f88fb67e7426611e7229f3fbb8263b64307deab1eb6f1619f4cd968542",
     ("labels", "shortest_path"): "761297690811164cefb765b074483ae56e08110ddacb264c4488ce2b648e28e5",
     ("tree", "path"): "f220f7c0466bf75cd0fe64fced596790fd284ecdbb40126d3f344e3183d29810",

@@ -20,7 +20,7 @@ from graphsack.decomposition import (DONE, FORGET_VERTEX, INTRODUCE_EDGE,
                                      NiceDecomposition, run_dp,
                                      validate_nice_decomposition)
 from graphsack.model import prune_pairs
-from conftest import instance_stream
+from conftest import instance_stream, node_tables
 
 
 def make(variant=Variant.CONNECTED, n=3, edges=((0, 1), (1, 2)),
@@ -94,6 +94,10 @@ class _SubsetRules:
     def join(state1, state2):
         return [DONE]
 
+    @staticmethod
+    def alive(state, none_left, one_left):
+        return True
+
 
 class _TagRules:
     """``run_dp`` states ``(blocks, tag)``, one block per bag vertex
@@ -120,6 +124,9 @@ class _TagRules:
     def join(self, state1, state2):
         self.calls.append(("join", state1))
         return [DONE]
+
+    def alive(self, state, none_left, one_left):
+        return True
 
 
 def join_frontiers(weight, value, s, side1, side2, shared=()):
@@ -278,6 +285,37 @@ class TestRuleProtocol:
         assert tables[2] == {((), ()): {(0, 0): 0}, ((), (0,)): {(1, 3): 1}}
         assert tables[2][(), ()] is tables[1][(), ()]
         assert tables[2][(), (0,)] is tables[1][(1,), ()]
+
+    def test_state_refused_by_alive_leaves_the_introduce_edge_table(self):
+        # edge 0-1 comes in once 0 and 1 are in the bag, and neither has
+        # an edge to come after it, so the driver asks ``alive`` about
+        # each state that takes an end, and the one taking only 0 goes
+        class Refuse(_SubsetRules):
+            asked = []
+
+            @classmethod
+            def alive(cls, state, none_left, one_left):
+                cls.asked.append((state, none_left, one_left))
+                return state != ((0b01,),)
+
+        nodes = (DecompNode(LEAF, frozenset(), ()),
+                 DecompNode(INTRODUCE_VERTEX, frozenset({0}), (0,), 0),
+                 DecompNode(INTRODUCE_VERTEX, frozenset({0, 1}), (1,), 1),
+                 DecompNode(INTRODUCE_EDGE, frozenset({0, 1}), (2,),
+                            edge=(0, 1)),
+                 DecompNode(FORGET_VERTEX, frozenset({1}), (3,), 0),
+                 DecompNode(FORGET_VERTEX, frozenset(), (4,), 1))
+        nd = NiceDecomposition(nodes, 5, frozenset(), 1)
+        inst = make(n=2, edges=((0, 1),), weight=(1, 2), value=(3, 4))
+        assert validate_nice_decomposition(inst, nd)
+        _, tables = node_tables(inst, nd, Refuse)
+        taken = [((0b10,),), ((0b01,),), ((0b01, 0b10),)]
+        assert tables[2].keys() == {((),), *taken}
+        assert tables[3].keys() == tables[2].keys() - {((0b01,),)}
+        assert sorted(Refuse.asked) == [(st, 0b11, 0) for st in sorted(taken)]
+        # the states it keeps carry their cells on unchanged
+        for state in tables[3]:
+            assert tables[3][state] is tables[2][state]
 
 
 class TestParetoOps:

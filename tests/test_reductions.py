@@ -33,6 +33,14 @@ class TestSourceInputs:
         with pytest.raises(ValueError):
             SourceGraph(2, ((-1, 1),))
 
+    @pytest.mark.parametrize("edges", [((0, 0),), ((0, 1), (1, 1)),
+                                       ((0, 1), (0, 1)), ((0, 1), (1, 0))])
+    def test_self_loop_or_repeated_edge_rejected(self, edges):
+        # a repeated edge would count twice in the cover gadgets, and a
+        # self-loop would surface as an error about a gadget edge
+        with pytest.raises(ValueError):
+            SourceGraph(2, edges)
+
     def test_item_lengths_must_match(self):
         with pytest.raises(ValueError):
             KnapsackItems((1,), (5, 7), 1, 5)
