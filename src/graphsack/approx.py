@@ -56,8 +56,11 @@ def scale_values(inst: Instance, epsilon) -> tuple[Instance, int]:
     eps = parse_epsilon(epsilon)
     light = [w <= inst.s for w in inst.weight]
     alpha_max = max((a for a, ok in zip(inst.value, light) if ok), default=0)
-    factor = Fraction(sum(light)) / (eps * alpha_max) if alpha_max else 0
-    scaled_values = tuple(int(a * factor) if ok else 0
+    # floor(n * a / (eps * alpha_max)) in integers, eps = num / den; if
+    # alpha_max is 0, so is every light value
+    top = sum(light) * eps.denominator
+    bottom = eps.numerator * alpha_max or 1
+    scaled_values = tuple(a * top // bottom if ok else 0
                           for a, ok in zip(inst.value, light))
     edges = inst.edges
     if inst.variant is not Variant.SHORTEST_PATH:

@@ -14,7 +14,8 @@ introduce step and each state's key (the union of its blocks), and each
 solver supplies only the rules for its solution vertices.  The walk
 also counts each bag vertex's edges still to come, and drops a state
 that its rules say can no longer finish, as a vertex of it cannot get
-the edges it needs, at the node where that first becomes so.  Every
+the edges it needs, at the node where that first becomes so.  A walk
+ends at its first empty table: no later solution can finish.  Every
 stored pair carries the vertex bitmask of the first partial solution
 that reached it, so no child table outlives its parent.  Stored cells are
 frontiers and never change, so a state that one cell feeds shares it,
@@ -34,7 +35,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from . import errors
 from .model import Instance, prune_pairs
@@ -49,8 +50,7 @@ _ARITY = {LEAF: 0, INTRODUCE_VERTEX: 1, FORGET_VERTEX: 1,
           INTRODUCE_EDGE: 1, JOIN: 2}
 
 
-@dataclass(frozen=True)
-class DecompNode:
+class DecompNode(NamedTuple):
     kind: str
     bag: frozenset[int]
     children: tuple[int, ...]
@@ -107,6 +107,17 @@ def _bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+# maps the binary digits of a mask to set flags
+_SET = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _vertex_set(mask: int, ids: tuple[int, ...]) -> frozenset[int]:
+    """The vertices whose bits are set in ``mask``, where ``ids`` is
+    ``tuple(range(n))``: one pass in C over its binary digits, lowest
+    first, that makes no new int."""
+    return frozenset(compress(ids, bin(mask)[:1:-1].encode().translate(_SET)))
 
 
 def _key(state) -> int:
@@ -219,10 +230,12 @@ def run_dp(inst: Instance, nd: NiceDecomposition, rules, stats: dict) -> dict:
     join, and a forget drops the vertex, whose edges are then all in.
     A state that ``alive`` refuses is dropped, and every state made
     from it would be refused too, so no finished cell changes.  It is
-    asked only where a state can newly lose the edges it needs: about
-    each state leaving an introduce-edge node that takes an end now at
-    one edge to come or none, and about each merged join state whose
-    key meets either mask, before its pairs are made.
+    asked only where a state can newly lose the edges it needs: about a
+    leaf state whose bag meets either mask, about the take state of an
+    introduce of a vertex with no edges at all, about each state
+    leaving an introduce-edge node that takes an end now at one edge to
+    come or none, and about each merged join state whose key meets
+    either mask, before its pairs are made.
 
     Forget and introduce-edge nodes share one loop, which runs the rule
     on a state whose key holds every vertex it names and passes any
@@ -248,6 +261,26 @@ def run_dp(inst: Instance, nd: NiceDecomposition, rules, stats: dict) -> dict:
     changes.  After the root the finished cell is pruned and each
     witness mask becomes its vertex set.  It counts ``nodes_expanded``
     and ``states_touched`` (pairs kept in node tables) in ``stats``.
+
+    The walk ends at the first node whose table is empty once its
+    ``DONE`` cell, its prune and the bound's cut are done, and returns
+    what has finished: the pruned finished cell, ``{}`` in decision
+    mode.  The outputs cannot change:
+
+    - every state made later is dead: each node's table is made from
+      its children's, a join pairing states of both, so an empty table
+      at t makes every ancestor's table empty, the root's too;
+    - Path: x and y lie in every bag, so a path that would finish at a
+      node not below t restricts to a partial solution of t's subtree.
+      ``alive`` keeps its state at t, as the path finishes, and the
+      bound keeps its pair, as the path reaches d, or a pair that
+      dominates it is kept, so t's table would not be empty;
+    - Connected, optimize mode: the all-skip state with pair (0, 0)
+      survives every node, so no table empties;
+    - Connected, decision mode: an empty table means the all-skip pair
+      was cut too, so no solution outside t's subtree reaches d, and
+      every solution inside it either finished below t, where the
+      ``DONE`` check already returned it, or has a live state at t.
 
     Decision mode (``inst.d`` set) keeps no finished cell.  After a
     node's prune, the first pair of its ``DONE`` cell with value >= d
@@ -281,14 +314,20 @@ def run_dp(inst: Instance, nd: NiceDecomposition, rules, stats: dict) -> dict:
         if node.kind == LEAF:
             left = {v: deg[v] for v in node.bag}
             pair = (inst.total_weight(node.bag), inst.total_value(node.bag))
-            if pair[0] <= s:
-                out = {rules.leaf(): {pair: sum(1 << v for v in node.bag)}}
+            key, state = sum(1 << v for v in node.bag), rules.leaf()
+            none_left, one_left = _left_masks(left)
+            low = key & (none_left | one_left)  # its vertices low on edges
+            if pair[0] <= s and (not low or state is DONE
+                                 or alive(state, none_left, one_left)):
+                out = {state: {pair: key}}
 
         elif node.kind == INTRODUCE_VERTEX:
             u = node.vertex
             left = lefts.pop(node.children[0])
             left[u] = deg[u]
             wu, au, bit = weight[u], value[u], 1 << u
+            if not deg[u]:  # u taken can newly doom a state
+                none_left, one_left = _left_masks(left)
             for state, cell in tables.pop(node.children[0]).items():
                 # skip before take: the order of the states in a table
                 # decides which of two equal pairs keeps its witness
@@ -297,7 +336,8 @@ def run_dp(inst: Instance, nd: NiceDecomposition, rules, stats: dict) -> dict:
                            for (w, a), mask in cell.items() if w + wu <= s}
                 if shifted:
                     take = (tuple(sorted(state[0] + (bit,))), *state[1:])
-                    out[take] = shifted
+                    if deg[u] or alive(take, none_left, one_left):
+                        out[take] = shifted
 
         elif node.kind == JOIN:
             c1, c2 = node.children
@@ -374,9 +414,10 @@ def run_dp(inst: Instance, nd: NiceDecomposition, rules, stats: dict) -> dict:
             if d is None:
                 finished.setdefault(p, mask)
             elif p[1] >= d:
-                return {p: frozenset(_bits(mask))}
+                return {p: _vertex_set(mask, tuple(range(inst.n)))}
         # only these kinds shrink the undecided vertices
-        if d is not None and node.kind in (LEAF, INTRODUCE_VERTEX, JOIN):
+        if out and d is not None and node.kind in (LEAF, INTRODUCE_VERTEX,
+                                                    JOIN):
             keep = bound.test(bound.decided[nid])
             pairs = {p for cell in out.values() for p in cell}
             if cut := {p for p in pairs if not keep(*p)}:
@@ -386,10 +427,13 @@ def run_dp(inst: Instance, nd: NiceDecomposition, rules, stats: dict) -> dict:
                     else {p: m for p, m in cell.items() if p not in cut})}
                 stats["pairs_cut"] += before - sum(
                     len(c) for c in out.values())
+        if not out:
+            break  # every later table is empty: nothing more can finish
         stats["states_touched"] += sum(map(len, out.values()))
         tables[nid] = out
         lefts[nid] = left
-    return {p: frozenset(_bits(finished[p])) for p in prune_pairs(finished)}
+    ids = tuple(range(inst.n))
+    return {p: _vertex_set(finished[p], ids) for p in prune_pairs(finished)}
 
 
 def _adjacency_masks(inst: Instance) -> list[int]:
@@ -434,8 +478,12 @@ def elimination_order_minfill(inst: Instance,
     adj = [nbrs & ~pins for nbrs in _adjacency_masks(inst)]
 
     def fill(u: int) -> int:
-        nbrs = adj[u]
-        linked = sum((adj[a] & nbrs).bit_count() for a in _bits(nbrs))
+        nbrs = rest = adj[u]
+        linked = 0
+        while rest:  # the bits of nbrs, walked inline
+            low = rest & -rest
+            linked += (adj[low.bit_length() - 1] & nbrs).bit_count()
+            rest ^= low
         degree = nbrs.bit_count()
         return (degree * (degree - 1) - linked) // 2
 
@@ -448,14 +496,19 @@ def elimination_order_minfill(inst: Instance,
         if score[v] != f:
             continue  # stale entry, or v already eliminated
         score[v] = None
-        touched = nbrs = _eliminate(adj, v)
-        for a in _bits(nbrs):
-            touched |= adj[a]
-        for u in _bits(touched):
+        touched = rest = _eliminate(adj, v)
+        while rest:
+            low = rest & -rest
+            touched |= adj[low.bit_length() - 1]
+            rest ^= low
+        while touched:
+            low = touched & -touched
+            u = low.bit_length() - 1
             f = fill(u)
             if score[u] != f:
                 score[u] = f
                 heapq.heappush(heap, (f, u))
+            touched ^= low
         order.append(v)
     return (*order, *pinned)
 
@@ -481,13 +534,16 @@ def build_nice_decomposition(inst: Instance, order: tuple[int, ...],
 
     nodes: list[DecompNode] = []
     todo = set(inst.edges)  # normalized edges not yet introduced
+    neighbours = [*map(frozenset, inst.adjacency())]
 
     def add(node: DecompNode) -> int:
         nodes.append(node)
         return len(nodes) - 1
 
     def add_edges(nid: int, bag: frozenset[int], v: int) -> int:
-        for w in sorted(bag):
+        # a set intersection walks the smaller side: v's neighbours or
+        # the bag
+        for w in sorted(bag & neighbours[v]):
             e = (min(v, w), max(v, w))
             if e in todo:
                 todo.remove(e)

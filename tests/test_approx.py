@@ -45,6 +45,27 @@ class TestScaleValues:
             scaled, _ = scale_values(inst, eps)
             assert sum(scaled.value) <= math.ceil(inst.n ** 2 / eps)
 
+    @pytest.mark.parametrize("eps", [
+        Fraction(1), Fraction(1, 3), Fraction(1, 4),
+        Fraction(10 ** 998 + 1, 3 * 10 ** 998 + 7),  # 999-digit terms
+    ])
+    def test_integer_floor_is_the_fraction_floor(self, eps):
+        # scale_values floors in integers; the textbook form multiplies
+        # each value by the Fraction n / (eps * alpha_max)
+        checked = 0
+        for variant in Variant:
+            for inst in instance_stream(variant, 24, 20000, 12,
+                                        max_value=1000):
+                scaled, alpha_max = scale_values(inst, eps)
+                light = [w <= inst.s for w in inst.weight]
+                factor = (Fraction(sum(light)) / (eps * alpha_max)
+                          if alpha_max else 0)
+                assert scaled.value == tuple(
+                    int(a * factor) if ok else 0
+                    for a, ok in zip(inst.value, light)), (inst, eps)
+                checked += alpha_max > 0
+        assert checked > 0
+
     def test_bad_epsilon(self):
         inst = make(Variant.CONNECTED, 1, (), (0,), (1,), 0)
         for bad in (0, 2, "-1/2", "nonsense"):

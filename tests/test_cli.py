@@ -616,11 +616,11 @@ class TestDecompose:
 # mode, in decision mode and under the FPTAS at eps = 1/3; an engine's
 # GraphsackError is hashed by its class name.
 REPORT_DIGESTS = {
-    ("auto", "connected"): "a64a660c8f6109f70be5527b21cf40ed2f636ad50df47b7bcac75b4e08d8e135",
-    ("auto", "path"): "4c4e316834fb2223fefee5672b672509b1b52655ac2b188f5584d7b34d8eeb3e",
+    ("auto", "connected"): "a8dfc077859defdd70431260e2b00fb36dd39d8a91a7bac39ab805a9f1ace6d6",
+    ("auto", "path"): "e1df65f4527547405b8a953365297d58a28215ad104f12ac2fca6117c3f50d7b",
     ("auto", "shortest_path"): "761297690811164cefb765b074483ae56e08110ddacb264c4488ce2b648e28e5",
-    ("treewidth", "connected"): "a64a660c8f6109f70be5527b21cf40ed2f636ad50df47b7bcac75b4e08d8e135",
-    ("treewidth", "path"): "e1d27ea7bd22994b243044e921ac63578078943aba843cb5937e81dc30174cda",
+    ("treewidth", "connected"): "a8dfc077859defdd70431260e2b00fb36dd39d8a91a7bac39ab805a9f1ace6d6",
+    ("treewidth", "path"): "c9a9fc5d54b996de887dd89de14c361f380299985fcb88785cdd812593f0c252",
     ("color", "path"): "5e00d0f88fb67e7426611e7229f3fbb8263b64307deab1eb6f1619f4cd968542",
     ("labels", "shortest_path"): "761297690811164cefb765b074483ae56e08110ddacb264c4488ce2b648e28e5",
     ("tree", "path"): "f220f7c0466bf75cd0fe64fced596790fd284ecdbb40126d3f344e3183d29810",

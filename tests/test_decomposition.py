@@ -385,14 +385,16 @@ class TestSharedDriver:
     min-fill order of the whole graph, x and y included, so that they
     pin the driver and not the solver's pin-aware order.  Odd seeds are
     decision instances: the walk stops at the first finished solution
-    that reaches d, and ``pairs_cut`` counts the pairs the bound cut."""
+    that reaches d, and ``pairs_cut`` counts the pairs the bound cut.
+    Any walk also stops at its first empty table: the Path 3x3 grid of
+    seed 4 has 38 nodes, and its table empties at node 34."""
 
     @pytest.mark.parametrize("variant, kind, n, seed, witness, counts", [
         (Variant.CONNECTED, "tree", 12, 5, {1, 2, 3}, (52, 191, 9)),
         (Variant.CONNECTED, "gnp", 16, 0, {0, 4, 5, 6, 7, 11, 13, 14},
          (82, 2009)),
         (Variant.PATH, "grid", 9, 1, {0, 1, 4, 5}, (14, 56, 0)),
-        (Variant.PATH, "grid", 9, 4, {0, 1, 2, 3, 5, 6, 7, 8}, (38, 168)),
+        (Variant.PATH, "grid", 9, 4, {0, 1, 2, 3, 5, 6, 7, 8}, (35, 168)),
     ])
     def test_witness_and_counters_pinned(self, variant, kind, n, seed,
                                          witness, counts):
@@ -477,11 +479,14 @@ def edges_to_come(inst, nd):
 
 class TestDoomedStates:
     """``run_dp`` asks ``alive`` where a state can newly lose the edges
-    it needs: at a join, and at an introduce-edge node about each state
-    that takes an end left with at most one edge to come.  So under a
-    recount of the edges to come, no state in a join table and none
-    taking such an end may be refused, and the states it dropped must
-    cost no solution: the frontier stays the oracle's."""
+    it needs: at a join, at a leaf whose bag holds a vertex left with at
+    most one edge to come, at the introduce of a vertex with no edges
+    about the states that take it, and at an introduce-edge node about
+    each state that takes an end left with at most one edge to come.
+    So under a recount of the edges to come, no such state may be
+    refused in the tables the walk filled before it stopped, and the
+    states it dropped must cost no solution: the frontier stays the
+    oracle's."""
 
     @pytest.mark.parametrize("variant", [Variant.CONNECTED, Variant.PATH])
     def test_checked_tables_hold_no_doomed_state(self, variant):
@@ -505,12 +510,18 @@ class TestDoomedStates:
                                        if c == 1)
                         if node.kind == JOIN:
                             low = -1  # every state that takes a vertex
+                        elif node.kind == LEAF:
+                            low = none_left | one_left
                         elif node.kind == INTRODUCE_EDGE:
                             low = (none_left | one_left) & sum(
                                 1 << v for v in node.edge)
+                        elif (node.kind == INTRODUCE_VERTEX
+                              and not inst.adjacency()[node.vertex]):
+                            low = 1 << node.vertex
                         else:
                             continue
-                        for state in tables[nid]:
+                        # no table past the node where the walk stopped
+                        for state in tables.get(nid, ()):
                             if sum(state[0]) & low:
                                 assert rules.alive(
                                     state, none_left, one_left), (
@@ -521,6 +532,45 @@ class TestDoomedStates:
                         pairs.append((0, 0))  # the empty solution
                     assert prune_pairs(pairs) == oracle_for(inst).pairs, inst
         assert checked > 0
+
+
+class TestEarlyStop:
+    """``run_dp`` ends its walk at the first empty table and returns what
+    has finished.  On a seeded stream, optimize and decision, at the
+    generated budget s and at s // 4, with a y = x copy of each Path
+    instance, the frontier and the feasibility must equal the oracle's.
+    Some "no" walks must stop early, and on Path some optimize walks
+    must stop after a path has finished, so that a walk that dropped
+    its finished cell at the stop fails here."""
+
+    @pytest.mark.parametrize("variant", [Variant.CONNECTED, Variant.PATH])
+    def test_reports_match_the_oracle(self, variant):
+        solve = (solve_connected if variant is Variant.CONNECTED
+                 else solve_path_treewidth)
+        stopped_no = stopped_found = 0
+        for base in instance_stream(variant, 60, 8800, 10, decision=True):
+            copies = [base]
+            if variant is Variant.PATH:
+                copies.append(dataclasses.replace(base, y=base.x))
+            for inst in copies:
+                pins = () if variant is Variant.CONNECTED else {inst.x, inst.y}
+                for s in (inst.s, inst.s // 4):
+                    optimize = dataclasses.replace(inst, s=s, d=None)
+                    pairs = oracle_for(optimize).pairs
+                    walk = len(decompose(optimize, pins).nodes)
+                    for d in (None, inst.d):
+                        report = solve(dataclasses.replace(optimize, d=d))
+                        early = report.stats["nodes_expanded"] < walk
+                        if d is None:
+                            assert report.frontier.pairs == pairs, inst
+                            stopped_found += early and bool(pairs)
+                        else:
+                            yes = bool(pairs) and pairs[-1][1] >= d
+                            assert report.feasible == yes, inst
+                            stopped_no += early and not yes
+        assert stopped_no > 0
+        if variant is Variant.PATH:
+            assert stopped_found > 0
 
 
 class TestDecisionMode:

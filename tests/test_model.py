@@ -317,6 +317,41 @@ class TestRuleProtocol:
         for state in tables[3]:
             assert tables[3][state] is tables[2][state]
 
+    def test_walk_ends_at_its_first_empty_table(self):
+        # 0 and 1 sit in every bag.  The forget of 2 finishes each state
+        # that took 2 and passes it on, and edge 0-1 then drops every
+        # state, so the table of node k = 4 is empty: the walk ends
+        # there, never expands nodes 5 and 6, and returns the solution
+        # finished before it
+        class Drop(_SubsetRules):
+            @staticmethod
+            def leaf():
+                return ((0b01, 0b10),)
+
+            @staticmethod
+            def forget(state, u):
+                return [DONE, (tuple(b for b in state[0] if b != 1 << u),)]
+
+            @staticmethod
+            def edge(state, u, v):
+                return [] if (u, v) == (0, 1) else [state]
+
+        pins = frozenset({0, 1})
+        nodes = (DecompNode(LEAF, pins, ()),
+                 DecompNode(INTRODUCE_VERTEX, pins | {2}, (0,), 2),
+                 DecompNode(INTRODUCE_EDGE, pins | {2}, (1,), edge=(1, 2)),
+                 DecompNode(FORGET_VERTEX, pins, (2,), 2),
+                 DecompNode(INTRODUCE_EDGE, pins, (3,), edge=(0, 1)),
+                 DecompNode(INTRODUCE_VERTEX, pins | {3}, (4,), 3),
+                 DecompNode(FORGET_VERTEX, pins, (5,), 3))
+        nd = NiceDecomposition(nodes, 6, pins, 2)
+        inst = make(n=4, edges=((0, 1), (1, 2)), weight=(1, 1, 2, 1),
+                    value=(1, 1, 5, 1))
+        assert validate_nice_decomposition(inst, nd)
+        stats = {"nodes_expanded": 0, "states_touched": 0}
+        assert run_dp(inst, nd, Drop, stats) == {(4, 7): frozenset({0, 1, 2})}
+        assert stats == {"nodes_expanded": 4 + 1, "states_touched": 7}
+
 
 class TestParetoOps:
     def test_insert_no_dominance(self):
