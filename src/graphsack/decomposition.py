@@ -120,13 +120,6 @@ def _vertex_set(mask: int, ids: tuple[int, ...]) -> frozenset[int]:
     return frozenset(compress(ids, bin(mask)[:1:-1].encode().translate(_SET)))
 
 
-def _key(state) -> int:
-    """The bitmask of the bag vertices in a state's partial solution: a
-    state's first entry is its sorted tuple of block masks, and the
-    blocks are disjoint, so their sum is their union."""
-    return sum(state[0])
-
-
 def _left_masks(left: dict) -> tuple[int, int]:
     """``none_left`` and ``one_left``: the masks of the vertices with
     no edge and with one edge to come in ``{vertex: edges to come}``."""
@@ -149,14 +142,11 @@ class _Bound:
     below the node, with capacity s - w (the Dantzig bound), is at
     least d.  It ranks the vertices once by falling value/weight
     density, zero-weight vertices first, the greedy order of the
-    fractional knapsack.  ``decided[nid]``, an int mask over those
-    ranks, holds the vertices in some bag at or below node nid: a
-    leaf's bag, the child's plus u at introduce-vertex u, the union at
-    a join, the child's elsewhere.  The bound never falls as w falls or
-    a rises, so a pair that dominates a kept pair is kept, and it never
-    rises up the walk, so a pair cut stays cut."""
+    fractional knapsack; ``bit[v]`` is v's rank bit.  The bound never
+    falls as w falls or a rises, so a pair that dominates a kept pair is
+    kept, and it never rises up the walk, so a pair cut stays cut."""
 
-    def __init__(self, inst: Instance, nd: NiceDecomposition):
+    def __init__(self, inst: Instance):
         weight, value = inst.weight, inst.value
         order = sorted(range(inst.n), key=lambda v: (1, Fraction(
             -value[v], weight[v])) if weight[v] else (0, 0))
@@ -166,15 +156,6 @@ class _Bound:
         self.weight = [weight[v] for v in order]
         self.value = [value[v] for v in order]
         self.n, self.s, self.d = inst.n, inst.s, inst.d
-        decided = self.decided = []  # per node id
-        for node in nd.nodes:
-            if node.kind == LEAF:
-                mask = sum(self.bit[v] for v in node.bag)
-            else:
-                mask = decided[node.children[0]] | decided[node.children[-1]]
-                if node.kind == INTRODUCE_VERTEX:
-                    mask |= self.bit[node.vertex]
-            decided.append(mask)
 
     def test(self, decided: int) -> Callable[[int, int], bool]:
         """``keep(w, a)``: whether a + the bound with capacity s - w is
@@ -228,8 +209,12 @@ def run_dp(inst: Instance, nd: NiceDecomposition, rules, stats: dict) -> dict:
     below the node: deg(v) at a leaf or at the introduce of v, one less
     for each end at an introduce-edge node, left1 + left2 - deg(v) at a
     join, and a forget drops the vertex, whose edges are then all in.
-    A state that ``alive`` refuses is dropped, and every state made
-    from it would be refused too, so no finished cell changes.  It is
+    Beside them, each node's record in ``lefts`` holds its decided
+    mask, the rank bits (``_Bound.bit``, 0 in optimize mode) of the
+    vertices in some bag at or below it: the leaf's bag, plus u at the
+    introduce of u, the union at a join.  A state that ``alive``
+    refuses is dropped, and every state made from it would be refused
+    too, so no finished cell changes.  It is
     asked only where a state can newly lose the edges it needs: about a
     leaf state whose bag meets either mask, about the take state of an
     introduce of a vertex with no edges at all, about each state
@@ -287,10 +272,11 @@ def run_dp(inst: Instance, nd: NiceDecomposition, rules, stats: dict) -> dict:
     is returned at once, alone with its vertex set; a walk that finds
     none returns an empty dict.  And at each leaf, introduce-vertex and
     join node, the only nodes that decide vertices, ``_Bound`` tests
-    each distinct pair of the pruned table once, and the pairs it shows
-    cannot reach d are dropped from every cell that holds one and
-    counted in ``stats["pairs_cut"]``.  The kept pairs keep their masks,
-    and a cell that loses none is kept as it is.
+    each distinct pair of the pruned table once against the node's
+    decided mask, and the pairs it shows cannot reach d are dropped from
+    every cell that holds one and counted in ``stats["pairs_cut"]``.
+    The kept pairs keep their masks, and a cell that loses none is kept
+    as it is.
     """
     s, d = inst.s, inst.d
     weight, value = inst.weight, inst.value
@@ -299,12 +285,14 @@ def run_dp(inst: Instance, nd: NiceDecomposition, rules, stats: dict) -> dict:
         deg[u] += 1
         deg[v] += 1
     tables: dict[int, dict] = {}
-    lefts: dict[int, dict] = {}  # per node: {bag vertex: edges to come}
+    lefts: dict[int, tuple] = {}  # per node: (edges to come, decided)
     finished: dict = {}  # {pair: mask} of every finished solution
     rule_of = {FORGET_VERTEX: rules.forget, INTRODUCE_EDGE: rules.edge}
     alive = rules.alive
+    rank = [0] * inst.n  # optimize mode decides nothing
     if d is not None:
-        bound = _Bound(inst, nd)
+        bound = _Bound(inst)
+        rank = bound.bit
         stats["pairs_cut"] = 0
 
     for nid, node in enumerate(nd.nodes):
@@ -313,6 +301,7 @@ def run_dp(inst: Instance, nd: NiceDecomposition, rules, stats: dict) -> dict:
         meet = set()  # the states where two cells meet: only these prune
         if node.kind == LEAF:
             left = {v: deg[v] for v in node.bag}
+            decided = sum(rank[v] for v in node.bag)
             pair = (inst.total_weight(node.bag), inst.total_value(node.bag))
             key, state = sum(1 << v for v in node.bag), rules.leaf()
             none_left, one_left = _left_masks(left)
@@ -323,8 +312,9 @@ def run_dp(inst: Instance, nd: NiceDecomposition, rules, stats: dict) -> dict:
 
         elif node.kind == INTRODUCE_VERTEX:
             u = node.vertex
-            left = lefts.pop(node.children[0])
+            left, decided = lefts.pop(node.children[0])
             left[u] = deg[u]
+            decided |= rank[u]
             wu, au, bit = weight[u], value[u], 1 << u
             if not deg[u]:  # u taken can newly doom a state
                 none_left, one_left = _left_masks(left)
@@ -341,15 +331,16 @@ def run_dp(inst: Instance, nd: NiceDecomposition, rules, stats: dict) -> dict:
 
         elif node.kind == JOIN:
             c1, c2 = node.children
-            left1, left2 = lefts.pop(c1), lefts.pop(c2)
+            (left1, decided1), (left2, decided2) = lefts.pop(c1), lefts.pop(c2)
             left = {v: left1[v] + left2[v] - deg[v] for v in left1}
+            decided = decided1 | decided2
             none_left, one_left = _left_masks(left)
             by_key: dict[int, list] = {}
             for state, cell in tables.pop(c2).items():
-                by_key.setdefault(_key(state), []).append((state, cell))
+                by_key.setdefault(sum(state[0]), []).append((state, cell))
             offsets = {}  # per key: its vertices' weight and value
             for state1, cell1 in tables.pop(c1).items():
-                key = _key(state1)
+                key = sum(state1[0])
                 partners = by_key.get(key)
                 if not partners:
                     continue
@@ -379,7 +370,7 @@ def run_dp(inst: Instance, nd: NiceDecomposition, rules, stats: dict) -> dict:
             out = {st: cell for st, cell in out.items() if cell}
         else:  # forget u or introduce edge uv
             ends, rule = node.edge or (node.vertex,), rule_of[node.kind]
-            left = lefts.pop(node.children[0])
+            left, decided = lefts.pop(node.children[0])
             if node.edge:
                 u, v = ends
                 need = 1 << u | 1 << v
@@ -394,7 +385,7 @@ def run_dp(inst: Instance, nd: NiceDecomposition, rules, stats: dict) -> dict:
                 need, low = 1 << node.vertex, 0
                 del left[node.vertex]  # its edges are all in
             for state, cell in tables.pop(node.children[0]).items():
-                key = _key(state)
+                key = sum(state[0])
                 for new_state in (rule(state, *ends)
                                   if key & need == need else (state,)):
                     if key & low and new_state is not DONE and not alive(
@@ -418,7 +409,7 @@ def run_dp(inst: Instance, nd: NiceDecomposition, rules, stats: dict) -> dict:
         # only these kinds shrink the undecided vertices
         if out and d is not None and node.kind in (LEAF, INTRODUCE_VERTEX,
                                                     JOIN):
-            keep = bound.test(bound.decided[nid])
+            keep = bound.test(decided)
             pairs = {p for cell in out.values() for p in cell}
             if cut := {p for p in pairs if not keep(*p)}:
                 before = sum(len(c) for c in out.values())
@@ -431,13 +422,9 @@ def run_dp(inst: Instance, nd: NiceDecomposition, rules, stats: dict) -> dict:
             break  # every later table is empty: nothing more can finish
         stats["states_touched"] += sum(map(len, out.values()))
         tables[nid] = out
-        lefts[nid] = left
+        lefts[nid] = left, decided
     ids = tuple(range(inst.n))
     return {p: _vertex_set(finished[p], ids) for p in prune_pairs(finished)}
-
-
-def _adjacency_masks(inst: Instance) -> list[int]:
-    return [sum(1 << a for a in nbrs) for nbrs in inst.adjacency()]
 
 
 def _eliminate(adj: list[int], v: int) -> int:
@@ -475,7 +462,7 @@ def elimination_order_minfill(inst: Instance,
     """
     pinned = _check_pins(inst, pinned)
     pins = sum(1 << v for v in pinned)
-    adj = [nbrs & ~pins for nbrs in _adjacency_masks(inst)]
+    adj = [sum(1 << a for a in nbrs) & ~pins for nbrs in inst.adjacency()]
 
     def fill(u: int) -> int:
         nbrs = rest = adj[u]
@@ -561,7 +548,7 @@ def build_nice_decomposition(inst: Instance, order: tuple[int, ...],
         return nid
 
     pos = {v: i for i, v in enumerate(order)}
-    adj = _adjacency_masks(inst)
+    adj = [sum(1 << a for a in nbrs) for nbrs in neighbours]
     children: list[list[int]] = [[] for _ in order]
     tops: list[tuple[int, frozenset[int]]] = []  # (top node, bag)
     for i, v in enumerate(order):

@@ -51,6 +51,8 @@ def random_instance(variant: Variant, kind: str, n: int, seed: int,
     """
     if n < 1:
         raise ValueError("n must be positive")
+    if not 0 <= p <= 1:  # NaN included
+        raise ValueError(f"p must be in [0, 1], got {p}")
     rng = random.Random(seed)
     if kind == "tree":
         edges = tree_edges(n, rng)

@@ -59,10 +59,12 @@ def path_dp(inst, nd):
 
 
 def node_tables(inst, nd, rules):
-    """``run_dp``'s result on an optimize instance, and every node table
-    the walk filled, read through ``sys.settrace`` before it drops
-    them."""
-    tables = {}
+    """``run_dp``'s result, every node table the walk filled and every
+    node's record ``(edges to come, decided mask)``, read through
+    ``sys.settrace`` before the walk drops them.  A parent updates its
+    child's edge counts in place, so each record is copied on the first
+    line after it is stored."""
+    tables, records = {}, {}
 
     def tracer(frame, event, arg):
         if frame.f_code is not run_dp.__code__:
@@ -70,6 +72,9 @@ def node_tables(inst, nd, rules):
 
         def local(frame, event, arg):
             tables.update(frame.f_locals.get("tables", {}))
+            for nid, (left, decided) in frame.f_locals.get(
+                    "lefts", {}).items():
+                records.setdefault(nid, (dict(left), decided))
             return local
         return local
 
@@ -80,7 +85,7 @@ def node_tables(inst, nd, rules):
                        {"nodes_expanded": 0, "states_touched": 0})
     finally:
         sys.settrace(old)
-    return found, tables
+    return found, tables, records
 
 
 def reroute(nd: NiceDecomposition, drop: int | None = None,

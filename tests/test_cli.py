@@ -199,6 +199,23 @@ class TestSolve:
         assert code == 0
         assert json.loads(out)["stats"]["epsilon"] == "1/4"
 
+    def test_epsilon_decision_no_is_not_a_proof(self, capsys, tmp_path):
+        # d is the optimum, so the exact decision is a yes; under
+        # --epsilon 1 a "no" says only that the FPTAS witness fell short
+        inst = random_instance(Variant.CONNECTED, "gnp", 8, 8, max_value=50)
+        path = write_instance(tmp_path, replace(inst, d=186))
+        code, out = run(capsys, "solve", "--input", path)
+        assert code == 0 and json.loads(out)["best_value"] == 186
+        code, out = run(capsys, "solve", "--input", path,
+                        "--mode", "decision")
+        assert code == 0 and json.loads(out)["best_value"] == 186
+        code, out = run(capsys, "solve", "--input", path,
+                        "--mode", "decision", "--epsilon", "1")
+        doc = json.loads(out)
+        assert code == 1 and doc["feasible"] is False
+        assert (doc["stats"]["scaled_value"], doc["stats"]["alpha_max"]) == (
+            31, 44)
+
     @pytest.mark.parametrize("variant", list(Variant))
     def test_oracle_engine_witness_verifies(self, capsys, tmp_path, variant):
         from graphsack.model import verify_solution
@@ -383,6 +400,22 @@ class TestGenerate:
             assert captured.out == ""
             lines = captured.err.splitlines()
             assert len(lines) == 1 and lines[0].startswith("error:"), n
+
+    @pytest.mark.parametrize("p", ["15", "1.01", "-1", "nan", "inf"])
+    def test_p_outside_unit_interval_exit_two(self, capsys, p):
+        # a p outside [0, 1] used to give a complete or an edgeless graph
+        assert main(["generate", "--random", "gnp", "--n", "6",
+                     "--p", p]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), p
+
+    def test_p_at_either_end_accepted(self, capsys):
+        for p, m in (("0", 0), ("1", 15)):
+            code, out = run(capsys, "generate", "--random", "gnp", "--n",
+                            "6", "--p", p)
+            assert code == 0 and len(json.loads(out)["edges"]) == m
 
     def test_ladder_reduction_with_sidecar(self, capsys, tmp_path):
         items = tmp_path / "items.json"

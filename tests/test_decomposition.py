@@ -500,7 +500,7 @@ class TestDoomedStates:
                     else:
                         nd = decompose(inst, {inst.x, inst.y})
                         rules = _PathRules(inst)
-                    found, tables = node_tables(inst, nd, rules)
+                    found, tables, _ = node_tables(inst, nd, rules)
                     counts = edges_to_come(inst, nd)
                     for nid, node in enumerate(nd.nodes):
                         left = counts[nid]
@@ -644,6 +644,41 @@ class TestDecisionMode:
                 cut += report.stats["pairs_cut"]
         assert cut > 0 and joins > 0
 
+    @pytest.mark.parametrize("variant", [Variant.CONNECTED, Variant.PATH])
+    def test_walk_record_matches_recounts(self, variant):
+        # each node's record (edges to come, decided mask) against a
+        # recount; a decided mask that misses vertices only loosens the
+        # cut, so no answer would show it
+        rng = random.Random(31)
+        checked = joins = 0
+        for seed in range(60):
+            base = random_instance(variant, ("tree", "gnp", "grid")[seed % 3],
+                                   2 + seed % 11, 6100 + seed, p=0.4,
+                                   decision=True)
+            pinned = () if variant is Variant.CONNECTED else {base.x, base.y}
+            order = [v for v in range(base.n) if v not in pinned]
+            rng.shuffle(order)
+            rules = (_ConnectedRules() if variant is Variant.CONNECTED
+                     else _PathRules(base))
+            for nd in (decompose(base, pinned), build_nice_decomposition(
+                    base, (*order, *sorted(pinned)), pinned)):
+                counts = edges_to_come(base, nd)
+                seen = []  # per node: the vertices in a bag at or below it
+                for node in nd.nodes:
+                    seen.append(node.bag.union(*(seen[c]
+                                                 for c in node.children)))
+                for d in (base.d, sum(base.value) // 8):
+                    inst = dataclasses.replace(base, d=d)
+                    bit = _Bound(inst).bit
+                    _, _, records = node_tables(inst, nd, rules)
+                    for nid, (left, decided) in records.items():
+                        assert left == counts[nid], (inst, nid)
+                        assert decided == sum(bit[v] for v in seen[nid]), (
+                            inst, nid)
+                        checked += 1
+                        joins += nd.nodes[nid].kind == JOIN
+        assert checked > 500 and joins > 5
+
     def test_bound_is_the_fractional_knapsack(self):
         # against an exact Fraction greedy over the undecided vertices,
         # zero weights and values included
@@ -654,7 +689,7 @@ class TestDecisionMode:
                 graph(n, ()), weight=tuple(rng.randint(0, 5) for _ in range(n)),
                 value=tuple(rng.randint(0, 5) for _ in range(n)),
                 s=rng.randint(0, 15), d=rng.randint(0, 20))
-            bound = _Bound(inst, decompose(inst))
+            bound = _Bound(inst)
             decided = [v for v in range(n) if rng.random() < 0.4]
             mask = sum(bound.bit[v] for v in decided)
             keep = bound.test(mask)

@@ -308,7 +308,7 @@ class TestRuleProtocol:
         nd = NiceDecomposition(nodes, 5, frozenset(), 1)
         inst = make(n=2, edges=((0, 1),), weight=(1, 2), value=(3, 4))
         assert validate_nice_decomposition(inst, nd)
-        _, tables = node_tables(inst, nd, Refuse)
+        _, tables, _ = node_tables(inst, nd, Refuse)
         taken = [((0b10,),), ((0b01,),), ((0b01, 0b10),)]
         assert tables[2].keys() == {((),), *taken}
         assert tables[3].keys() == tables[2].keys() - {((0b01,),)}
