@@ -6,7 +6,7 @@ from importlib import import_module
 
 _EXPORTS = {  # {module: the names it exports}
     "approx": "fptas_optimize scale_values",
-    "connected": "solve_connected",
+    "connected": "solve_connected solve_connected_tree",
     "decomposition": "NiceDecomposition build_nice_decomposition decompose "
                      "elimination_order_minfill validate_nice_decomposition",
     "model": "Instance ParetoSet SolveReport Variant VerifyResult "

@@ -39,8 +39,11 @@ def _oracle(inst: Instance) -> SolveReport:
 def _engines(seed: int, trials: Optional[int]) -> dict:
     """{engine: {variant: solver}} over ``ENGINES``, each solver read off
     its module on each call, so that a solver rebound there is the one
-    that runs.  On Path, ``auto`` runs the tree solver, whose own walk
-    is the forest check, and else the treewidth DP."""
+    that runs.  On Path, ``auto`` runs the tree solver, whose forest
+    check refuses a cycle, and else the treewidth DP.  On Connected,
+    ``auto`` and ``treewidth`` both run ``solve_connected``, which takes
+    an optimize solve on a forest to the rooted-subtree DP and else to
+    the partition-state DP; ``tree`` runs the rooted-subtree DP alone."""
     from . import connected, paths, shortest
 
     def path_auto(inst: Instance) -> SolveReport:
@@ -57,8 +60,9 @@ def _engines(seed: int, trials: Optional[int]) -> dict:
         "color": {Variant.PATH: lambda inst: paths.solve_path_color_sweep(
             inst, seed=seed, trials=trials)},
         "labels": {Variant.SHORTEST_PATH: shortest.solve_shortest_path},
-        "tree": dict.fromkeys((Variant.PATH, Variant.SHORTEST_PATH),
-                              paths.solve_path_tree),
+        "tree": {Variant.CONNECTED: connected.solve_connected_tree,
+                 **dict.fromkeys((Variant.PATH, Variant.SHORTEST_PATH),
+                                 paths.solve_path_tree)},
         "oracle": dict.fromkeys(Variant, _oracle),
     }
 

@@ -1,5 +1,6 @@
-"""Exact Connected Knapsack solver: one partition-state DP pass over an
-unpinned nice edge tree decomposition.
+"""Exact Connected Knapsack solvers: a rooted-subtree Pareto DP on
+forests, and one partition-state DP pass over an unpinned nice edge
+tree decomposition on any graph.
 
 A DP state at node t is (blocks,): one block per connected component
 trace of the partial solution in the bag, each a vertex bitmask (bit
@@ -20,8 +21,9 @@ where it becomes so.
 """
 from __future__ import annotations
 
-from .decomposition import DONE, decompose, run_dp, union_blocks
-from .model import (Instance, SolveReport, Variant, build_report,
+from . import errors
+from .decomposition import DONE, _vertex_set, decompose, run_dp, union_blocks
+from .model import (Instance, SolveReport, Variant, build_report, prune_pairs,
                     require_variant)
 
 
@@ -55,14 +57,71 @@ class _ConnectedRules:
         return [(union_blocks(state1[0], state2[0]),)]
 
 
+def solve_connected_tree(inst: Instance) -> SolveReport:
+    """Frontier over all connected vertex subsets within the budget on a
+    forest, the empty set included; NotATree on any cycle.
+
+    A connected subset of a forest is a subtree with one top vertex v.
+    F(v), the frontier of the subtrees topped by v as (w, alpha, mask)
+    in ascending weight, starts at v's own pair and takes in each child
+    c as F(v) x (F(c) + {(0, 0)}), cut at s and pruned to its frontier.
+    Each finished F(v) feeds one weight-keyed best, where a set replaces
+    an earlier one only with a larger value.  ``nodes_expanded`` counts
+    the vertices and ``states_touched`` the pairs of every F(v)."""
+    require_variant(inst, Variant.CONNECTED)
+    n, s = inst.n, inst.s
+    parent = inst.forest_parents()
+    table = [[(w, a, 1 << v)] if w <= s else []
+             for v, (w, a) in enumerate(zip(inst.weight, inst.value))]
+    best: dict[int, tuple] = {}  # {w: (alpha, mask)}
+    stats = {"nodes_expanded": n, "states_touched": 0}
+    for v in reversed(parent):  # children before parents
+        fv, table[v] = table[v], None
+        stats["states_touched"] += len(fv)
+        for w, a, m in fv:
+            if w not in best or a > best[w][0]:
+                best[w] = a, m
+        p = parent[v]
+        if p is None or not fv or not table[p]:
+            continue
+        fp = table[p]
+        out = {w: (a, m) for w, a, m in fp}  # c takes nothing
+        for wp, ap, mp in fp:
+            for wc, ac, mc in fv:
+                w = wp + wc
+                if w > s:
+                    break  # F(c) ascends in weight
+                if w not in out or ap + ac > out[w][0]:
+                    out[w] = ap + ac, mp | mc
+        table[p], top = [], -1
+        for w in sorted(out):
+            a, m = out[w]
+            if a > top:
+                table[p].append((w, a, m))
+                top = a
+    ids = tuple(range(n))
+    masks = {(w, a): m for w, (a, m) in best.items()}
+    found = {p: _vertex_set(masks[p], ids) for p in prune_pairs(masks)}
+    return build_report(inst, {**found, (0, 0): ()}, stats)
+
+
 def solve_connected(inst: Instance, early_stop: bool = False) -> SolveReport:
     """Frontier over all connected vertex subsets within the budget, the
-    empty set included, from one DP pass.  With d set, the pass drops
+    empty set included.  In optimize mode (d unset) a forest takes the
+    rooted-subtree DP (``solve_connected_tree``), whose ``stats`` count
+    vertices and subtree pairs; every other graph, and every decision
+    solve, takes one partition-state DP pass, whose ``stats`` count
+    decomposition nodes and states.  With d set, the pass drops
     every pair that cannot reach d and stops at the first finished
     component that does (``run_dp``), and the report is the decision
     answer.  ``early_stop`` is accepted for old callers and ignored:
     decision mode always stops."""
     require_variant(inst, Variant.CONNECTED)
+    if inst.d is None:
+        try:
+            return solve_connected_tree(inst)
+        except errors.NotATree:
+            pass  # a cycle: the partition-state DP below
     stats = {"nodes_expanded": 0, "states_touched": 0}
     # run_dp returns the non-empty connected subsets; add the empty one
     found = run_dp(inst, decompose(inst), _ConnectedRules(), stats)

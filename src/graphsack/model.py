@@ -49,6 +49,34 @@ class Instance:
             adj[v].append(u)
         return adj
 
+    def forest_parents(self, first: Optional[int] = None
+                       ) -> dict[int, Optional[int]]:
+        """``{vertex: parent}`` from one DFS over every tree, the tree of
+        ``first`` first, each root's parent None; a vertex comes after
+        its parent.  NotATree on any cycle: at once when m >= n >= 1,
+        as a forest has at most n - 1 edges, and else at the first
+        vertex reached twice."""
+        if self.edges and len(self.edges) >= self.n:
+            raise errors.NotATree("graph contains a cycle")
+        adj = self.adjacency()
+        parent: dict[int, Optional[int]] = {}
+        starts = range(self.n) if first is None else (first, *range(self.n))
+        for start in starts:
+            if start in parent:
+                continue
+            parent[start] = None
+            stack = [(start, None)]
+            while stack:
+                u, prev = stack.pop()
+                for v in adj[u]:
+                    if v == prev:
+                        continue
+                    if v in parent:
+                        raise errors.NotATree("graph contains a cycle")
+                    parent[v] = u
+                    stack.append((v, u))
+        return parent
+
     def cost_map(self) -> dict[tuple[int, int], int]:
         if self.edge_cost is None:
             return {e: 1 for e in self.edges}

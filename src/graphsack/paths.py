@@ -36,23 +36,7 @@ def solve_path_tree(inst: Instance) -> SolveReport:
     takes Shortest-Path instances: a forest's one x-y path is the
     shortest."""
     require_variant(inst, Variant.PATH, Variant.SHORTEST_PATH)
-    adj = inst.adjacency()
-    parent: dict[int, Optional[int]] = {}
-    for start in (inst.x, *range(inst.n)):
-        if start in parent:
-            continue
-        parent[start] = None
-        stack = [(start, None)]
-        while stack:
-            u, prev = stack.pop()
-            for v in adj[u]:
-                if v == prev:
-                    continue
-                if v in parent:
-                    raise errors.NotATree("graph contains a cycle")
-                parent[v] = u
-                stack.append((v, u))
-
+    parent = inst.forest_parents(inst.x)
     # the walk starts at x, so y's parents lead back to x unless y lies
     # in another tree, where there is no x-y path
     path = [inst.y]

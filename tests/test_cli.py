@@ -77,7 +77,7 @@ class TestSolve:
                    "treewidth": [Variant.CONNECTED, Variant.PATH],
                    "color": [Variant.PATH],
                    "labels": [Variant.SHORTEST_PATH],
-                   "tree": [Variant.PATH, Variant.SHORTEST_PATH],
+                   "tree": list(Variant),
                    "oracle": list(Variant)}[engine]
         for extra in ([], ["--epsilon", "1/3"]):
             code = main(["solve", "--input", path, "--engine", engine,
@@ -249,7 +249,7 @@ class TestSolve:
         assert code == 0
         assert doc == {"best_value": 6, "feasible": True,
                        "frontier": [[0, 3], [2, 6]],
-                       "stats": {"nodes_expanded": 17, "states_touched": 53},
+                       "stats": {"nodes_expanded": 6, "states_touched": 7},
                        "witness": [3, 4]}
         # the README prints the same document after `$ graphsack solve`
         readme = (Path(__file__).parents[1] / "README.md").read_text(
@@ -649,13 +649,14 @@ class TestDecompose:
 # mode, in decision mode and under the FPTAS at eps = 1/3; an engine's
 # GraphsackError is hashed by its class name.
 REPORT_DIGESTS = {
-    ("auto", "connected"): "a8dfc077859defdd70431260e2b00fb36dd39d8a91a7bac39ab805a9f1ace6d6",
+    ("auto", "connected"): "e0684a2bc03b6738b6319101f55bbe792a6b28df44334f8921359a410db40f5a",
     ("auto", "path"): "e1df65f4527547405b8a953365297d58a28215ad104f12ac2fca6117c3f50d7b",
     ("auto", "shortest_path"): "761297690811164cefb765b074483ae56e08110ddacb264c4488ce2b648e28e5",
-    ("treewidth", "connected"): "a8dfc077859defdd70431260e2b00fb36dd39d8a91a7bac39ab805a9f1ace6d6",
+    ("treewidth", "connected"): "e0684a2bc03b6738b6319101f55bbe792a6b28df44334f8921359a410db40f5a",
     ("treewidth", "path"): "c9a9fc5d54b996de887dd89de14c361f380299985fcb88785cdd812593f0c252",
     ("color", "path"): "5e00d0f88fb67e7426611e7229f3fbb8263b64307deab1eb6f1619f4cd968542",
     ("labels", "shortest_path"): "761297690811164cefb765b074483ae56e08110ddacb264c4488ce2b648e28e5",
+    ("tree", "connected"): "cdeea7c510375edbdfeba061add2f59e28fdf175a20d59e99e2a0d781f15d479",
     ("tree", "path"): "f220f7c0466bf75cd0fe64fced596790fd284ecdbb40126d3f344e3183d29810",
     ("tree", "shortest_path"): "5e3a8f4664d4a2ddeaed2274b9bb888dba81632d66ac92ab326b22d542d13ac1",
     ("oracle", "connected"): "ed3e2ae95f9b23d89a075da1bdc5754ab955f715f98d2876753af9e6b4b053bc",

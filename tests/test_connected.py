@@ -5,7 +5,13 @@ from pathlib import Path
 import pytest
 
 from graphsack import (Instance, Variant, oracle_for, solve_connected,
-                       validate_instance, verify_solution)
+                       solve_connected_tree, validate_instance,
+                       verify_solution)
+from graphsack.connected import _ConnectedRules
+from graphsack.decomposition import decompose, run_dp
+from graphsack.errors import NotATree
+from graphsack.generators import random_instance
+from graphsack.model import prune_pairs
 from conftest import instance_stream
 
 
@@ -118,3 +124,87 @@ class TestFull:
             value=(0, 0), s=0, x=0, y=1))
         with pytest.raises(ValueError):
             solve_connected(inst)
+
+
+def partition_dp(inst):
+    """The partition-state DP's frontier, which ``solve_connected`` no
+    longer runs on an optimize forest: ``run_dp``'s pairs with the
+    empty set's."""
+    found = run_dp(inst, decompose(inst), _ConnectedRules(),
+                   {"nodes_expanded": 0, "states_touched": 0})
+    return prune_pairs({*found, (0, 0)})
+
+
+def forests(kind, n, seeds, p=0.4):
+    """The instances of the seeds whose graph has no cycle."""
+    for seed in seeds:
+        inst = random_instance(Variant.CONNECTED, kind, n, seed, p=p)
+        try:
+            yield inst, solve_connected_tree(inst)
+        except NotATree:
+            pass
+
+
+class TestTree:
+    """The rooted-subtree DP against the partition-state DP and the
+    oracle, and where ``solve_connected`` runs it."""
+
+    @pytest.mark.parametrize("n", [200, 500, 1000])
+    def test_large_tree_matches_partition_dp(self, n):
+        (inst, report), = forests("tree", n, [1])
+        want = partition_dp(inst)
+        assert report.frontier.pairs == want
+        assert report.best_value == want[-1][1]
+        assert verify_solution(inst, report.witness).ok
+        assert report.stats["nodes_expanded"] == n
+
+    def test_multi_component_forests_match_partition_dp(self):
+        # G(60, 1/60): eleven of the twelve seeds are forests of 19 to
+        # 38 trees each
+        checked = 0
+        for inst, report in forests("gnp", 60, range(12), p=1 / 60):
+            assert report.frontier.pairs == partition_dp(inst), inst
+            assert verify_solution(inst, report.witness).ok
+            checked += 1
+        assert checked == 11
+
+    def test_small_forests_match_oracle(self):
+        checked = 0
+        for kind in ("tree", "gnp"):
+            for n in (1, 2, 5, 9, 12):
+                for inst, report in forests(kind, n, range(10), p=0.15):
+                    assert report.frontier.pairs == oracle_for(inst).pairs
+                    assert verify_solution(inst, report.witness).ok
+                    checked += 1
+        assert checked >= 60
+
+    def test_heavy_vertex_splits_its_tree(self):
+        inst = make(5, ((0, 1), (1, 2), (2, 3), (3, 4)),
+                    (1, 1, 9, 1, 1), (1, 2, 9, 4, 3), 2)
+        report = solve_connected_tree(inst)
+        assert report.frontier.pairs == ((0, 0), (1, 4), (2, 7))
+        assert report.witness == frozenset({3, 4})
+
+    @pytest.mark.parametrize("edges", [
+        ((0, 1), (1, 2), (0, 2)),  # a triangle and three lone vertices
+        ((0, 1), (1, 2), (2, 3), (3, 0), (4, 5)),
+    ])
+    def test_cycle_falls_back_to_partition_dp(self, edges):
+        inst = make(6, edges, (1, 2, 1, 3, 1, 2), (2, 1, 4, 3, 5, 1), 4)
+        with pytest.raises(NotATree):
+            solve_connected_tree(inst)
+        report = solve_connected(inst)
+        assert report.frontier.pairs == oracle_for(inst).pairs
+        assert report.stats["nodes_expanded"] > inst.n  # decomposition nodes
+
+    def test_optimize_forest_takes_the_tree_dp(self):
+        inst = random_instance(Variant.CONNECTED, "tree", 12, 3)
+        assert solve_connected(inst) == solve_connected_tree(inst)
+
+    def test_decision_on_a_tree_keeps_the_partition_dp(self):
+        inst = random_instance(Variant.CONNECTED, "tree", 12, 3,
+                               decision=True)
+        report = solve_connected(inst)
+        assert "pairs_cut" in report.stats
+        assert report.feasible == (
+            oracle_for(inst).pairs[-1][1] >= inst.d)
