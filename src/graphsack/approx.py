@@ -94,5 +94,5 @@ def fptas_optimize(inst: Instance, epsilon,
              "scaled_value": report.best_value}
     witness, found = report.witness, {}
     if witness is not None and (w := inst.total_weight(witness)) <= inst.s:
-        found[w, inst.total_value(witness)] = witness
+        found[w, inst.total_value(witness)] = sum(1 << v for v in witness)
     return build_report(inst, found, stats)

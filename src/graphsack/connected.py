@@ -6,9 +6,9 @@ A DP state at node t is (blocks,): one block per connected component
 trace of the partial solution in the bag, each a vertex bitmask (bit
 v = vertex v), with the blocks sorted.  Forgetting the last bag vertex
 of the only block returns ``DONE``: a non-empty connected subset is
-finished and leaves the walk for the ``{pair: vertex set}`` frontier
-that ``run_dp`` returns, which with the empty solution ``(0, 0): ()``
-prunes to the whole frontier in ``build_report``.
+finished and leaves the walk for the ``{pair: mask}`` cell that
+``run_dp`` returns, which with the empty solution ``(0, 0): 0`` prunes
+to the whole frontier in ``build_report``.
 ``decomposition.run_dp`` introduces vertices, carries the (weight,
 value) frontiers and their witnesses, and derives each state's key
 from its blocks; this module only supplies the rules for solution
@@ -22,8 +22,8 @@ where it becomes so.
 from __future__ import annotations
 
 from . import errors
-from .decomposition import DONE, _vertex_set, decompose, run_dp, union_blocks
-from .model import (Instance, SolveReport, Variant, build_report, prune_pairs,
+from .decomposition import DONE, decompose, run_dp, union_blocks
+from .model import (Instance, SolveReport, Variant, build_report,
                     require_variant)
 
 
@@ -73,7 +73,7 @@ def solve_connected_tree(inst: Instance) -> SolveReport:
     parent = inst.forest_parents()
     table = [[(w, a, 1 << v)] if w <= s else []
              for v, (w, a) in enumerate(zip(inst.weight, inst.value))]
-    best: dict[int, tuple] = {}  # {w: (alpha, mask)}
+    best = {0: (0, 0)}  # {w: (alpha, mask)}, from the empty set
     stats = {"nodes_expanded": n, "states_touched": 0}
     for v in reversed(parent):  # children before parents
         fv, table[v] = table[v], None
@@ -99,10 +99,7 @@ def solve_connected_tree(inst: Instance) -> SolveReport:
             if a > top:
                 table[p].append((w, a, m))
                 top = a
-    ids = tuple(range(n))
-    masks = {(w, a): m for w, (a, m) in best.items()}
-    found = {p: _vertex_set(masks[p], ids) for p in prune_pairs(masks)}
-    return build_report(inst, {**found, (0, 0): ()}, stats)
+    return build_report(inst, {(w, a): m for w, (a, m) in best.items()}, stats)
 
 
 def solve_connected(inst: Instance, early_stop: bool = False) -> SolveReport:
@@ -125,4 +122,4 @@ def solve_connected(inst: Instance, early_stop: bool = False) -> SolveReport:
     stats = {"nodes_expanded": 0, "states_touched": 0}
     # run_dp returns the non-empty connected subsets; add the empty one
     found = run_dp(inst, decompose(inst), _ConnectedRules(), stats)
-    return build_report(inst, {**found, (0, 0): ()}, stats)
+    return build_report(inst, {**found, (0, 0): 0}, stats)

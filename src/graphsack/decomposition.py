@@ -21,8 +21,8 @@ that reached it, so no child table outlives its parent.  Stored cells are
 frontiers and never change, so a state that one cell feeds shares it,
 and only a state where two cells meet is pruned.  A rule marks a
 finished solution by returning ``DONE``; it leaves the walk for one
-finished cell, which ``run_dp`` prunes and returns as ``{pair: vertex
-frozenset}``, so no witness bitmask leaves this module.  A state keeps
+finished cell, which ``run_dp`` returns as ``{pair: mask}`` for
+``build_report`` to prune and decode.  A state keeps
 each block of bag vertices as an int bitmask (bit v = vertex v), and
 ``union_blocks`` merges two partitions of them.  In decision mode
 ``run_dp`` drops every pair that a fractional knapsack bound shows
@@ -109,17 +109,6 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-# maps the binary digits of a mask to set flags
-_SET = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def _vertex_set(mask: int, ids: tuple[int, ...]) -> frozenset[int]:
-    """The vertices whose bits are set in ``mask``, where ``ids`` is
-    ``tuple(range(n))``: one pass in C over its binary digits, lowest
-    first, that makes no new int."""
-    return frozenset(compress(ids, bin(mask)[:1:-1].encode().translate(_SET)))
-
-
 def _left_masks(left: dict) -> tuple[int, int]:
     """``none_left`` and ``one_left``: the masks of the vertices with
     no edge and with one edge to come in ``{vertex: edges to come}``."""
@@ -184,8 +173,8 @@ class _Bound:
 
 def run_dp(inst: Instance, nd: NiceDecomposition, rules, stats: dict) -> dict:
     """Fill a (weight, value) Pareto DP over ``nd`` bottom-up and return
-    the finished solutions as ``{pair: vertex frozenset}``, pruned to
-    their frontier in ascending weight, as ``build_report`` takes them.
+    the finished solutions as ``{pair: vertex bitmask}``, as
+    ``build_report`` takes them.
 
     A state's first entry is its sorted tuple of block masks (bit v =
     vertex v); their union, the state's key, is the set of bag vertices
@@ -243,14 +232,13 @@ def run_dp(inst: Instance, nd: NiceDecomposition, rules, stats: dict) -> dict:
     the ``DONE`` cell then joins the finished cell, the first finished
     in node order winning a tie.  Nodes are filled in id order, a child
     table is dropped once its parent is filled, and no stored cell
-    changes.  After the root the finished cell is pruned and each
-    witness mask becomes its vertex set.  It counts ``nodes_expanded``
-    and ``states_touched`` (pairs kept in node tables) in ``stats``.
+    changes.  It counts ``nodes_expanded`` and ``states_touched`` (pairs
+    kept in node tables) in ``stats``.
 
     The walk ends at the first node whose table is empty once its
     ``DONE`` cell, its prune and the bound's cut are done, and returns
-    what has finished: the pruned finished cell, ``{}`` in decision
-    mode.  The outputs cannot change:
+    what has finished: the finished cell, ``{}`` in decision mode.  The
+    outputs cannot change:
 
     - every state made later is dead: each node's table is made from
       its children's, a join pairing states of both, so an empty table
@@ -269,7 +257,7 @@ def run_dp(inst: Instance, nd: NiceDecomposition, rules, stats: dict) -> dict:
 
     Decision mode (``inst.d`` set) keeps no finished cell.  After a
     node's prune, the first pair of its ``DONE`` cell with value >= d
-    is returned at once, alone with its vertex set; a walk that finds
+    is returned at once, alone with its mask; a walk that finds
     none returns an empty dict.  And at each leaf, introduce-vertex and
     join node, the only nodes that decide vertices, ``_Bound`` tests
     each distinct pair of the pruned table once against the node's
@@ -405,7 +393,7 @@ def run_dp(inst: Instance, nd: NiceDecomposition, rules, stats: dict) -> dict:
             if d is None:
                 finished.setdefault(p, mask)
             elif p[1] >= d:
-                return {p: _vertex_set(mask, tuple(range(inst.n)))}
+                return {p: mask}
         # only these kinds shrink the undecided vertices
         if out and d is not None and node.kind in (LEAF, INTRODUCE_VERTEX,
                                                     JOIN):
@@ -423,8 +411,7 @@ def run_dp(inst: Instance, nd: NiceDecomposition, rules, stats: dict) -> dict:
         stats["states_touched"] += sum(map(len, out.values()))
         tables[nid] = out
         lefts[nid] = left, decided
-    ids = tuple(range(inst.n))
-    return {p: _vertex_set(finished[p], ids) for p in prune_pairs(finished)}
+    return finished
 
 
 def _eliminate(adj: list[int], v: int) -> int:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import compress
 from typing import Iterable, Optional
 
 from . import errors
@@ -221,18 +222,29 @@ class SolveReport:
     stats: dict = field(default_factory=dict)
 
 
+# maps the binary digits of a mask to set flags
+_SET = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _vertex_set(mask: int, n: int) -> frozenset[int]:
+    """The vertices of an n-vertex graph whose bits are set in ``mask``:
+    one pass in C over its binary digits, lowest first."""
+    return frozenset(compress(range(n),
+                              bin(mask)[:1:-1].encode().translate(_SET)))
+
+
 def build_report(inst: Instance, found: dict, stats: dict) -> SolveReport:
     """Assemble a SolveReport from the solutions a solver found.
 
     Every solver returns through here.  ``found`` maps each (w, alpha)
-    pair, all within s already, to the vertices of one solution with it
-    as any iterable (an x-y tuple or a frozenset); the pairs are pruned
-    to the frontier here, and the reported pair's vertices are the
-    witness.  Optimize mode (d unset) reports the whole frontier and its
-    most valuable pair, and is feasible whenever the frontier is
-    non-empty.  Decision mode (d set) reports only its answer: "yes" has
-    the cheapest pair of value >= d as the one pair of its frontier and
-    its value as ``best_value``; "no" has an empty frontier and no
+    pair, all within s already, to the vertex bitmask (bit v = vertex v)
+    of one solution with it; the pairs are pruned to the frontier here,
+    and only the reported pair's mask is decoded, as the witness.
+    Optimize mode (d unset) reports the whole frontier and its most
+    valuable pair, and is feasible whenever the frontier is non-empty.
+    Decision mode (d set) reports only its answer: "yes" has the
+    cheapest pair of value >= d as the one pair of its frontier and its
+    value as ``best_value``; "no" has an empty frontier and no
     ``best_value``.
     """
     frontier = ParetoSet(prune_pairs(found))
@@ -243,7 +255,8 @@ def build_report(inst: Instance, found: dict, stats: dict) -> SolveReport:
         frontier = ParetoSet((top,) if top else ())
     if top is None:
         return SolveReport(False, None, None, frontier, stats)
-    return SolveReport(True, top[1], frozenset(found[top]), frontier, stats)
+    return SolveReport(True, top[1], _vertex_set(found[top], inst.n),
+                       frontier, stats)
 
 
 @dataclass(frozen=True)

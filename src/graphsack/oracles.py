@@ -22,7 +22,7 @@ def _connected_found(inst: Instance) -> dict:
         adj_mask[u] |= 1 << v
         adj_mask[v] |= 1 << u
 
-    found = {(0, 0): frozenset()}
+    found = {(0, 0): 0}
     for mask in range(1, 1 << inst.n):
         w = a = 0
         m = mask
@@ -44,8 +44,7 @@ def _connected_found(inst: Instance) -> dict:
             seen |= grow
             frontier |= grow
         if seen == mask:
-            found[(w, a)] = frozenset(
-                v for v in range(inst.n) if mask >> v & 1)
+            found[(w, a)] = mask
     return found
 
 
@@ -83,7 +82,8 @@ def _paths_found(inst: Instance) -> dict:
     for path in _all_simple_paths(inst):
         w = inst.total_weight(path)
         if w <= inst.s:
-            found.setdefault((w, inst.total_value(path)), frozenset(path))
+            found.setdefault((w, inst.total_value(path)),
+                             sum(1 << v for v in path))
     return found
 
 
@@ -101,15 +101,16 @@ def _shortest_paths_found(inst: Instance) -> dict:
         if best_cost is None or cost < best_cost:
             best_cost, found = cost, {}
         if cost == best_cost and (w := inst.total_weight(path)) <= inst.s:
-            found.setdefault((w, inst.total_value(path)), frozenset(path))
+            found.setdefault((w, inst.total_value(path)),
+                             sum(1 << v for v in path))
     if best_cost is None:
         raise errors.Unreachable(f"no path from {inst.x} to {inst.y}")
     return found
 
 
 def oracle_witnesses(inst: Instance) -> dict:
-    """{pair: the first solution the enumeration met with it} over every
-    solution of ``inst``'s variant within the budget."""
+    """{pair: the vertex mask of the first solution the enumeration met
+    with it} over every solution of ``inst``'s variant within the budget."""
     return {Variant.CONNECTED: _connected_found,
             Variant.PATH: _paths_found,
             Variant.SHORTEST_PATH: _shortest_paths_found}[inst.variant](inst)

@@ -10,10 +10,9 @@ blocks of the bag and the bag vertices at solution degree 1 and 2.
 ``decomposition.run_dp`` derives each state's key from its blocks,
 calls the segment rules only for solution vertices and edges, drops a
 state once a vertex of it is short of the edges its degree still needs
-(a non-terminal needs degree 2, a terminal 1), and returns the frontier
-of the paths they finish with their vertex sets;
-the tree walk and the color sweep give ``build_report`` each path as
-its x-y vertex tuple.
+(a non-terminal needs degree 2, a terminal 1), and returns the paths
+they finish.  All three routes give ``build_report`` each path as its
+vertex bitmask (bit v = vertex v).
 """
 from __future__ import annotations
 
@@ -42,11 +41,13 @@ def solve_path_tree(inst: Instance) -> SolveReport:
     path = [inst.y]
     while parent[path[-1]] is not None:
         path.append(parent[path[-1]])
-    path = path[::-1] if path[-1] == inst.x else []
+    if path[-1] != inst.x:
+        path = []
 
     w = inst.total_weight(path)
     stats = {"nodes_expanded": len(path), "states_touched": 1 if path else 0}
-    found = {(w, inst.total_value(path)): path} if path and w <= inst.s else {}
+    found = ({(w, inst.total_value(path)): sum(1 << v for v in path)}
+             if path and w <= inst.s else {})
     return build_report(inst, found, stats)
 
 
@@ -71,9 +72,9 @@ def solve_path_color_sweep(inst: Instance, seed: int = 0,
     The run uses k colors, where k counts the lightest vertices whose
     weights fit in s together (1 when x == y): no longer path fits the
     budget.  Each trial colors the vertices at random, and its level j
-    maps ``(mask, v)`` to the undominated colorful x-v paths on j
-    vertices whose colors are ``mask``, each (w, alpha) pair to its x-v
-    vertex tuple, in ascending weight; only the current level is kept.
+    maps ``(colors, v)`` to the undominated colorful x-v paths on j
+    vertices with those colors, each (w, alpha) pair to its path's
+    vertex mask, in ascending weight; only the current level is kept.
     Cells at y are never expanded, as a colorful path cannot leave y and
     come back to it, and their pairs go into one pool, where each pair
     keeps its first path in trial, level and insertion order.  So one
@@ -101,7 +102,7 @@ def solve_path_color_sweep(inst: Instance, seed: int = 0,
     stats = {"nodes_expanded": 0, "states_touched": 0, "trials_run": 0}
     rng = random.Random(seed)
     adj = inst.adjacency()
-    start = {(weight[x], value[x]): (x,)} if weight[x] <= s else {}
+    start = {(weight[x], value[x]): 1 << x} if weight[x] <= s else {}
     pool = dict(start) if x == y else {}
     for _ in range(trials or default_trials(k)):
         coloring = [rng.randrange(k) for _ in range(inst.n)]
@@ -110,28 +111,28 @@ def solve_path_color_sweep(inst: Instance, seed: int = 0,
         level = {(1 << coloring[x], x): start} if start else {}
         for _ in range(1, k):
             nxt: dict[tuple[int, int], dict] = {}
-            for (mask, v), cell in level.items():
+            for (colors, v), cell in level.items():
                 if v == y:
                     continue
                 lightest = next(iter(cell))[0]
                 for u in adj[v]:
                     bit = 1 << coloring[u]
                     wu, au = weight[u], value[u]
-                    if mask & bit or lightest + wu > s:
+                    if colors & bit or lightest + wu > s:
                         continue
-                    dst = nxt.setdefault((mask | bit, u), {})
-                    for (w, a), path in cell.items():
+                    dst = nxt.setdefault((colors | bit, u), {})
+                    for (w, a), mask in cell.items():
                         if w + wu > s:
                             break  # every later pair is heavier
-                        dst.setdefault((w + wu, a + au), path + (u,))
+                        dst.setdefault((w + wu, a + au), mask | 1 << u)
             for key, cell in nxt.items():
                 # a single pair is already its own frontier
                 if len(cell) > 1:
                     nxt[key] = cell = {p: cell[p] for p in prune_pairs(cell)}
                 stats["states_touched"] += len(cell)
                 if key[1] == y:
-                    for pair, path in cell.items():
-                        pool.setdefault(pair, path)
+                    for pair, mask in cell.items():
+                        pool.setdefault(pair, mask)
             level = nxt
         if inst.d is not None and any(a >= inst.d for _, a in pool):
             break

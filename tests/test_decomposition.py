@@ -19,7 +19,7 @@ from graphsack.decomposition import (FORGET_VERTEX, INTRODUCE_EDGE,
                                      INTRODUCE_VERTEX, JOIN, LEAF, DecompNode,
                                      NiceDecomposition, _Bound, run_dp,
                                      union_blocks)
-from graphsack.model import build_report, prune_pairs
+from graphsack.model import _vertex_set, build_report, prune_pairs
 from graphsack.paths import _PathRules
 from graphsack.generators import random_instance
 
@@ -414,11 +414,11 @@ class TestSharedDriver:
 
 
 class TestRootWitnesses:
-    """Once the walk reaches the root, ``run_dp`` returns the frontier
-    of the finished cell, every solution a rule returned as ``DONE``, in
-    ascending weight and each pair with its witness's vertex set.  Each
-    family runs at sizes past the oracles' limits, where a verified
-    witness per pair is what shows the frontier sound, and on the
+    """Once the walk reaches the root, ``run_dp`` returns the finished
+    cell, every solution a rule returned as ``DONE``, each pair with its
+    witness's vertex bitmask; ``build_report`` prunes it.  Each family
+    runs at sizes past the oracles' limits, where a verified witness per
+    frontier pair is what shows the frontier sound, and on the
     oracle-size seeded stream, where the cell must prune to the oracle's
     frontier; Connected adds the empty solution ``(0, 0)`` first.  Path
     also runs a y = x copy of every fifth oracle-size instance."""
@@ -451,10 +451,9 @@ class TestRootWitnesses:
                               _PathRules(inst),
                               {"nodes_expanded": 0, "states_touched": 0})
                 pairs = list(cell)
-            assert tuple(cell) == prune_pairs(cell), inst
-            for pair, witness in cell.items():
-                assert type(witness) is frozenset and witness, (inst, pair)
-                assert witness <= frozenset(range(inst.n)), (inst, pair)
+            for pair in prune_pairs(cell):
+                assert 0 < cell[pair] < 1 << inst.n, (inst, pair)
+                witness = _vertex_set(cell[pair], inst.n)
                 result = verify_solution(inst, witness)
                 assert result.ok, (inst, pair, result.reason)
                 assert (result.w, result.alpha) == pair, inst
@@ -634,7 +633,7 @@ class TestDecisionMode:
                     stats = {"nodes_expanded": 0, "states_touched": 0}
                     report = build_report(
                         inst, {**run_dp(inst, nd, _ConnectedRules(), stats),
-                               (0, 0): ()}, stats)
+                               (0, 0): 0}, stats)
                 else:
                     report = path_dp(inst, nd)
                 assert report.feasible == (opt >= d), (inst, order)

@@ -189,7 +189,7 @@ class TestRuleProtocol:
         # a tied pair keeps the witness of the first state in table
         # order: (0, 0) the empty set's over {0}'s at the forget of 0,
         # and (1, 5) {1}'s over the "a" state's {0, 1} at the join
-        assert cell == {(0, 0): frozenset(), (1, 5): frozenset({1})}
+        assert cell == {(0, 0): 0, (1, 5): 0b10}
 
     @staticmethod
     def _pruned_at(monkeypatch, inst, nd, rules):
@@ -208,9 +208,9 @@ class TestRuleProtocol:
     def test_cells_are_pruned_only_where_two_cells_meet(self, monkeypatch):
         # 0 introduced and forgotten, then 1, joined with a bare leaf: a
         # stored cell is already a frontier, so only the forgets, where
-        # the taken and skipped states merge, prune, and then the
-        # finished cell once the walk is over.  The join's leaf side is
-        # one pair, so its product is the other side shifted, a frontier
+        # the taken and skipped states merge, prune.  The join's leaf
+        # side is one pair, so its product is the other side shifted, a
+        # frontier, and the finished cell is returned unpruned
         nodes = (DecompNode(LEAF, frozenset(), ()),
                  DecompNode(INTRODUCE_VERTEX, frozenset({0}), (0,), 0),
                  DecompNode(FORGET_VERTEX, frozenset(), (1,), 0),
@@ -221,15 +221,14 @@ class TestRuleProtocol:
         nd = NiceDecomposition(nodes, 6, frozenset(), 0)
         inst = make(n=2, edges=(), weight=(1, 2), value=(3, 4))
         cell, pruned_at = self._pruned_at(monkeypatch, inst, nd, _SubsetRules)
-        assert pruned_at == [2, 4, 6]
-        assert cell == {(0, 0): frozenset(), (1, 3): frozenset({0}),
-                        (2, 4): frozenset({1}), (3, 7): frozenset({0, 1})}
+        assert pruned_at == [2, 4]
+        assert cell == {(0, 0): 0, (1, 3): 0b01, (2, 4): 0b10, (3, 7): 0b11}
 
     def test_join_of_two_multi_pair_cells_is_pruned(self, monkeypatch):
         # 0 introduced and forgotten on one side, 1 on the other: both
         # join cells hold two pairs, so the product is pruned at the join
         # (node 6), where (1, 2) falls to (1, 3); the finished cell is
-        # pruned once more after the walk
+        # returned as the join left it
         nodes = (DecompNode(LEAF, frozenset(), ()),
                  DecompNode(INTRODUCE_VERTEX, frozenset({0}), (0,), 0),
                  DecompNode(FORGET_VERTEX, frozenset(), (1,), 0),
@@ -240,9 +239,8 @@ class TestRuleProtocol:
         nd = NiceDecomposition(nodes, 6, frozenset(), 0)
         inst = make(n=2, edges=(), weight=(1, 1), value=(3, 2))
         cell, pruned_at = self._pruned_at(monkeypatch, inst, nd, _SubsetRules)
-        assert pruned_at == [2, 5, 6, 6]
-        assert cell == {(0, 0): frozenset(), (1, 3): frozenset({0}),
-                        (2, 5): frozenset({0, 1})}
+        assert pruned_at == [2, 5, 6]
+        assert cell == {(0, 0): 0, (1, 3): 0b01, (2, 5): 0b11}
 
     def test_state_fed_by_one_cell_shares_it(self):
         # the forget of 0 maps each state to one of its own, so each
@@ -349,7 +347,7 @@ class TestRuleProtocol:
                     value=(1, 1, 5, 1))
         assert validate_nice_decomposition(inst, nd)
         stats = {"nodes_expanded": 0, "states_touched": 0}
-        assert run_dp(inst, nd, Drop, stats) == {(4, 7): frozenset({0, 1, 2})}
+        assert run_dp(inst, nd, Drop, stats) == {(4, 7): 0b111}
         assert stats == {"nodes_expanded": 4 + 1, "states_touched": 7}
 
 
@@ -440,6 +438,20 @@ class TestParetoOps:
         front = prune_pairs(pairs)
         for p in front:
             assert insert(front, p) == front
+
+
+class TestBuildReport:
+    @pytest.mark.parametrize("d, top, frontier", [
+        (None, (4, 9), ((0, 0), (1, 3), (2, 5), (4, 9))),
+        (4, (2, 5), ((2, 5),))])  # the cheapest pair with alpha >= d
+    def test_only_the_reported_pair_is_decoded(self, d, top, frontier):
+        # every other pair maps to None, which no decode takes
+        pairs = [(0, 0), (1, 3), (2, 5), (3, 5), (4, 9)]
+        found = {p: 0b101 if p == top else None for p in pairs}
+        report = model.build_report(make(d=d), found, {})
+        assert report.feasible and report.best_value == top[1]
+        assert report.witness == frozenset({0, 2})
+        assert report.frontier.pairs == frontier
 
 
 class TestVerifySolution:

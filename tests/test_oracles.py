@@ -81,7 +81,7 @@ class TestShortestPathOracle:
                     (1, 1, 1), (1, 5, 1), 9, x=0, y=2, edge_cost=(2, 2, 1))
         assert next(_all_simple_paths(inst)) == (0, 1, 2)
         assert oracle_for(inst).pairs == ((2, 2),)
-        assert oracle_witnesses(inst) == {(2, 2): frozenset({0, 2})}
+        assert oracle_witnesses(inst) == {(2, 2): 0b101}
 
 
 class TestOracleOutputsAreCanonical:
