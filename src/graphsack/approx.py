@@ -72,10 +72,10 @@ def fptas_optimize(inst: Instance, epsilon,
                    exact_solver: Optional[Callable] = None) -> SolveReport:
     """(1 - eps)-optimal if alpha_max <= OPT; witness feasible in ``inst``.
 
-    ``exact_solver`` defaults to the variant's treewidth DP or, for
-    Shortest-Path, the label solver; it runs on ``scale_values``'
-    instance, so its witness is already in ``inst``'s ids.  A terminal
-    heavier than s is reported infeasible without a solve.  The report
+    ``exact_solver`` defaults to the solver the CLI's ``auto`` engine
+    runs; it runs on ``scale_values``' instance, so its witness is
+    already in ``inst``'s ids.  A terminal heavier than s is reported
+    infeasible without a solve.  The report
     holds the one pair of that witness re-valued in ORIGINAL units; the
     scaled run's outcome is recorded under stats["scaled_value"].
     """

@@ -39,24 +39,17 @@ def _oracle(inst: Instance) -> SolveReport:
 def _engines(seed: int, trials: Optional[int]) -> dict:
     """{engine: {variant: solver}} over ``ENGINES``, each solver read off
     its module on each call, so that a solver rebound there is the one
-    that runs.  On Path, ``auto`` runs the tree solver, whose forest
-    check refuses a cycle, and else the treewidth DP.  On Connected,
-    ``auto`` and ``treewidth`` both run ``solve_connected``, which takes
-    an optimize solve on a forest to the rooted-subtree DP and else to
-    the partition-state DP; ``tree`` runs the rooted-subtree DP alone."""
+    that runs.  ``auto`` and ``treewidth`` map Connected and Path to the
+    same exact solvers, which take a forest to the tree solver and any
+    other graph to the treewidth DP; ``tree`` runs the tree solvers
+    alone."""
     from . import connected, paths, shortest
-
-    def path_auto(inst: Instance) -> SolveReport:
-        try:
-            return paths.solve_path_tree(inst)
-        except errors.NotATree:
-            return paths.solve_path_treewidth(inst)
+    exact = {Variant.CONNECTED: connected.solve_connected,
+             Variant.PATH: paths.solve_path_treewidth}
     return {
-        "auto": {Variant.CONNECTED: connected.solve_connected,
-                 Variant.PATH: path_auto,
+        "auto": {**exact,
                  Variant.SHORTEST_PATH: shortest.solve_shortest_path},
-        "treewidth": {Variant.CONNECTED: connected.solve_connected,
-                      Variant.PATH: paths.solve_path_treewidth},
+        "treewidth": exact,
         "color": {Variant.PATH: lambda inst: paths.solve_path_color_sweep(
             inst, seed=seed, trials=trials)},
         "labels": {Variant.SHORTEST_PATH: shortest.solve_shortest_path},

@@ -1,6 +1,6 @@
 """Exact Connected Knapsack solvers: a rooted-subtree Pareto DP on
 forests, and one partition-state DP pass over an unpinned nice edge
-tree decomposition on any graph.
+tree decomposition, which ``solve_connected`` runs on any other graph.
 
 A DP state at node t is (blocks,): one block per connected component
 trace of the partial solution in the bag, each a vertex bitmask (bit
@@ -104,21 +104,19 @@ def solve_connected_tree(inst: Instance) -> SolveReport:
 
 def solve_connected(inst: Instance, early_stop: bool = False) -> SolveReport:
     """Frontier over all connected vertex subsets within the budget, the
-    empty set included.  In optimize mode (d unset) a forest takes the
-    rooted-subtree DP (``solve_connected_tree``), whose ``stats`` count
-    vertices and subtree pairs; every other graph, and every decision
-    solve, takes one partition-state DP pass, whose ``stats`` count
-    decomposition nodes and states.  With d set, the pass drops
-    every pair that cannot reach d and stops at the first finished
-    component that does (``run_dp``), and the report is the decision
-    answer.  ``early_stop`` is accepted for old callers and ignored:
-    decision mode always stops."""
+    empty set included.  A forest takes the rooted-subtree DP
+    (``solve_connected_tree``), whose ``stats`` count vertices and
+    subtree pairs; any other graph takes one partition-state DP pass,
+    whose ``stats`` count decomposition nodes and states, and which with
+    d set drops every pair that cannot reach d and stops at the first
+    finished component that does (``run_dp``).  With d set, the report
+    is the decision answer.  ``early_stop`` is accepted for old callers
+    and ignored."""
     require_variant(inst, Variant.CONNECTED)
-    if inst.d is None:
-        try:
-            return solve_connected_tree(inst)
-        except errors.NotATree:
-            pass  # a cycle: the partition-state DP below
+    try:
+        return solve_connected_tree(inst)
+    except errors.NotATree:
+        pass  # a cycle: the partition-state DP below
     stats = {"nodes_expanded": 0, "states_touched": 0}
     # run_dp returns the non-empty connected subsets; add the empty one
     found = run_dp(inst, decompose(inst), _ConnectedRules(), stats)

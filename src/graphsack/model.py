@@ -243,9 +243,9 @@ def build_report(inst: Instance, found: dict, stats: dict) -> SolveReport:
     Optimize mode (d unset) reports the whole frontier and its most
     valuable pair, and is feasible whenever the frontier is non-empty.
     Decision mode (d set) reports only its answer: "yes" has the
-    cheapest pair of value >= d as the one pair of its frontier and its
-    value as ``best_value``; "no" has an empty frontier and no
-    ``best_value``.
+    lightest pair of value >= d among the pairs handed in as the one
+    pair of its frontier and its value as ``best_value``; "no" has an
+    empty frontier and no ``best_value``.
     """
     frontier = ParetoSet(prune_pairs(found))
     if inst.d is None:

@@ -2,11 +2,12 @@
 path; the subgraph it induces may hold more edges.
 
 Three routes with very different profiles: the unique-path walk on
-trees, a randomized color-coding search whose trials with k colors
-each put x-y paths of every length up to k into one pool, and an
-exact segment-state DP over a nice edge tree decomposition pinned at
-both terminals.  The segment states are vertex bitmasks: the path
-blocks of the bag and the bag vertices at solution degree 1 and 2.
+forests, a randomized color-coding search whose trials with k colors
+each put x-y paths of every length up to k into one pool, and an exact
+segment-state DP over a nice edge tree decomposition pinned at both
+terminals, which ``solve_path_treewidth`` runs on any graph but a
+forest.  The segment states are vertex bitmasks: the path blocks of the
+bag and the bag vertices at solution degree 1 and 2.
 ``decomposition.run_dp`` derives each state's key from its blocks,
 calls the segment rules only for solution vertices and edges, drops a
 state once a vertex of it is short of the edges its degree still needs
@@ -209,12 +210,17 @@ class _PathRules:
 def solve_path_treewidth(inst: Instance) -> SolveReport:
     """Exact frontier over all simple x-y paths within the budget.
 
-    The decomposition eliminates G - {x, y} by min-fill and the
-    terminals last, as they sit in every bag.  With d set, the walk
+    A forest takes the unique-path walk (``solve_path_tree``).  On any
+    other graph the decomposition eliminates G - {x, y} by min-fill and
+    the terminals last, as they sit in every bag.  With d set, the walk
     drops every pair that cannot reach d and stops at the first finished
     path that does (``run_dp``).  Shortest-Path instances are refused:
     the DP ignores dist(x, y)."""
     require_variant(inst, Variant.PATH)
+    try:
+        return solve_path_tree(inst)
+    except errors.NotATree:
+        pass  # a cycle: the segment-state DP below
     stats = {"nodes_expanded": 0, "states_touched": 0}
     nd = decompose(inst, {inst.x, inst.y})
     return build_report(inst, run_dp(inst, nd, _PathRules(inst), stats), stats)

@@ -1,6 +1,7 @@
-"""Shared helpers: seeded instance streams, the Path DP on a given
-decomposition, a decomposition mutation, and brute-force solvers for
-the reduction source problems (kept independent of the library)."""
+"""Shared helpers: seeded instance streams, the Connected and Path DPs
+on a given decomposition, a decomposition mutation, and brute-force
+solvers for the reduction source problems (kept independent of the
+library)."""
 from __future__ import annotations
 
 import itertools
@@ -10,6 +11,7 @@ import sys
 import pytest
 
 from graphsack import Variant
+from graphsack.connected import _ConnectedRules
 from graphsack.decomposition import DecompNode, NiceDecomposition, run_dp
 from graphsack.generators import random_instance
 from graphsack.model import build_report
@@ -50,10 +52,19 @@ def random_items(rng: random.Random, n: int) -> KnapsackItems:
                          rng.randint(0, 12), rng.randint(0, 15))
 
 
+def connected_dp(inst, nd):
+    """The partition-state DP's report on the unpinned decomposition
+    ``nd``, the empty solution included, which ``solve_connected`` runs
+    only on a graph that is not a forest."""
+    stats = {"nodes_expanded": 0, "states_touched": 0}
+    found = run_dp(inst, nd, _ConnectedRules(), stats)
+    return build_report(inst, {**found, (0, 0): 0}, stats)
+
+
 def path_dp(inst, nd):
     """The Path DP's report on the decomposition ``nd``, which must be
     pinned at {x, y}, in place of the one ``solve_path_treewidth``
-    builds."""
+    builds, which runs it only on a graph that is not a forest."""
     stats = {"nodes_expanded": 0, "states_touched": 0}
     return build_report(inst, run_dp(inst, nd, _PathRules(inst), stats), stats)
 

@@ -1,4 +1,5 @@
 """Connected Knapsack DP against the brute-force oracle."""
+import dataclasses
 import re
 from pathlib import Path
 
@@ -7,12 +8,10 @@ import pytest
 from graphsack import (Instance, Variant, oracle_for, solve_connected,
                        solve_connected_tree, validate_instance,
                        verify_solution)
-from graphsack.connected import _ConnectedRules
-from graphsack.decomposition import decompose, run_dp
+from graphsack.decomposition import decompose
 from graphsack.errors import NotATree
 from graphsack.generators import random_instance
-from graphsack.model import prune_pairs
-from conftest import instance_stream
+from conftest import connected_dp, instance_stream
 
 
 def make(n, edges, weight, value, s, d=None):
@@ -126,15 +125,6 @@ class TestFull:
             solve_connected(inst)
 
 
-def partition_dp(inst):
-    """The partition-state DP's frontier, which ``solve_connected`` no
-    longer runs on an optimize forest: ``run_dp``'s pairs with the
-    empty set's."""
-    found = run_dp(inst, decompose(inst), _ConnectedRules(),
-                   {"nodes_expanded": 0, "states_touched": 0})
-    return prune_pairs({*found, (0, 0)})
-
-
 def forests(kind, n, seeds, p=0.4):
     """The instances of the seeds whose graph has no cycle."""
     for seed in seeds:
@@ -152,7 +142,7 @@ class TestTree:
     @pytest.mark.parametrize("n", [200, 500, 1000])
     def test_large_tree_matches_partition_dp(self, n):
         (inst, report), = forests("tree", n, [1])
-        want = partition_dp(inst)
+        want = connected_dp(inst, decompose(inst)).frontier.pairs
         assert report.frontier.pairs == want
         assert report.best_value == want[-1][1]
         assert verify_solution(inst, report.witness).ok
@@ -163,7 +153,8 @@ class TestTree:
         # 38 trees each
         checked = 0
         for inst, report in forests("gnp", 60, range(12), p=1 / 60):
-            assert report.frontier.pairs == partition_dp(inst), inst
+            want = connected_dp(inst, decompose(inst)).frontier.pairs
+            assert report.frontier.pairs == want, inst
             assert verify_solution(inst, report.witness).ok
             checked += 1
         assert checked == 11
@@ -201,10 +192,20 @@ class TestTree:
         inst = random_instance(Variant.CONNECTED, "tree", 12, 3)
         assert solve_connected(inst) == solve_connected_tree(inst)
 
-    def test_decision_on_a_tree_keeps_the_partition_dp(self):
-        inst = random_instance(Variant.CONNECTED, "tree", 12, 3,
-                               decision=True)
-        report = solve_connected(inst)
-        assert "pairs_cut" in report.stats
-        assert report.feasible == (
-            oracle_for(inst).pairs[-1][1] >= inst.d)
+    def test_decision_forest_takes_the_tree_dp(self):
+        checked = yes = 0
+        for kind, p in (("tree", 0.4), ("gnp", 0.15)):
+            for n in (1, 2, 5, 9, 12):
+                for inst, _ in forests(kind, n, range(10), p=p):
+                    opt = oracle_for(inst).pairs[-1][1]
+                    for d in (opt // 2, opt, opt + 1):
+                        case = dataclasses.replace(inst, d=d)
+                        report = solve_connected(case)
+                        assert report == solve_connected_tree(case), case
+                        assert report.feasible == (opt >= d), case
+                        if report.feasible:
+                            assert verify_solution(case,
+                                                   report.witness).ok
+                        checked += 1
+                        yes += report.feasible
+        assert checked >= 150 and 0 < yes < checked

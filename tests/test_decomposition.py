@@ -19,12 +19,12 @@ from graphsack.decomposition import (FORGET_VERTEX, INTRODUCE_EDGE,
                                      INTRODUCE_VERTEX, JOIN, LEAF, DecompNode,
                                      NiceDecomposition, _Bound, run_dp,
                                      union_blocks)
-from graphsack.model import _vertex_set, build_report, prune_pairs
+from graphsack.model import _vertex_set, prune_pairs
 from graphsack.paths import _PathRules
 from graphsack.generators import random_instance
 
-from conftest import (GRAPH_KINDS, instance_stream, node_tables, path_dp,
-                      reroute)
+from conftest import (GRAPH_KINDS, connected_dp, instance_stream, node_tables,
+                      path_dp, reroute)
 
 
 def graph(n, edges):
@@ -379,15 +379,17 @@ class TestUnionBlocks:
 
 
 class TestSharedDriver:
-    """Pins what the CLI prints for the two solvers on ``run_dp`` and
-    the frontier tests cannot see: which witness a tie yields, and how
-    many nodes and states the DP visits.  The Path rows run on the
-    min-fill order of the whole graph, x and y included, so that they
-    pin the driver and not the solver's pin-aware order.  Odd seeds are
-    decision instances: the walk stops at the first finished solution
-    that reaches d, and ``pairs_cut`` counts the pairs the bound cut.
-    Any walk also stops at its first empty table: the Path 3x3 grid of
-    seed 4 has 38 nodes, and its table empties at node 34."""
+    """Pins what the two DPs on ``run_dp`` report and the frontier tests
+    cannot see: which witness a tie yields, and how many nodes and
+    states the DP visits.  The DPs run here on the tree of seed 5 too,
+    which the solvers hand to their tree solvers.  The Path rows run on
+    the min-fill order of the whole graph, x and y included, so that
+    they pin the driver and not the solver's pin-aware order.  Odd
+    seeds are decision instances: the walk stops at the first finished
+    solution that reaches d, and ``pairs_cut`` counts the pairs the
+    bound cut.  Any walk also stops at its first empty table: the Path
+    3x3 grid of seed 4 has 38 nodes, and its table empties at node
+    34."""
 
     @pytest.mark.parametrize("variant, kind, n, seed, witness, counts", [
         (Variant.CONNECTED, "tree", 12, 5, {1, 2, 3}, (52, 191, 9)),
@@ -401,7 +403,7 @@ class TestSharedDriver:
         inst = random_instance(variant, kind, n, seed, max_weight=8,
                                max_value=8, p=0.3, decision=bool(seed % 2))
         if variant is Variant.CONNECTED:
-            report = solve_connected(inst)
+            report = connected_dp(inst, decompose(inst))
         else:
             nd = build_nice_decomposition(
                 inst, elimination_order_minfill(inst), {inst.x, inst.y})
@@ -575,16 +577,19 @@ class TestEarlyStop:
 class TestDecisionMode:
     """With d set, ``run_dp`` cuts every pair that the fractional
     knapsack bound shows cannot reach d and returns at the first
-    finished pair that does.  The cut must never lose a "yes": the
-    answers must equal the oracle's with d the generator's, an eighth
-    of the total value and one over the optimum, and each report must
-    follow the decision contract."""
+    finished pair that does.  The DP runs on forests too, which the
+    solvers hand to their tree solvers.  The cut must never lose a
+    "yes": the answers must equal the oracle's with d the generator's,
+    an eighth of the total value and one over the optimum, and each
+    report must follow the decision contract."""
 
     @pytest.mark.parametrize("variant", [Variant.CONNECTED, Variant.PATH])
     @pytest.mark.parametrize("kind", ["tree", "gnp", "grid"])
     def test_answer_matches_oracle(self, variant, kind):
-        solve = (solve_connected if variant is Variant.CONNECTED
-                 else solve_path_treewidth)
+        def solve(inst):  # the DP, which the solvers skip on a forest
+            if variant is Variant.CONNECTED:
+                return connected_dp(inst, decompose(inst))
+            return path_dp(inst, decompose(inst, {inst.x, inst.y}))
         cut = stopped = 0
         for seed in range(40):
             base = random_instance(variant, kind, 2 + seed % 10, 4200 + seed,
@@ -629,13 +634,8 @@ class TestDecisionMode:
             opt = pairs[-1][1] if pairs else -1
             for d in (base.d, sum(base.value) // 8, opt + 1):
                 inst = dataclasses.replace(base, d=d)
-                if variant is Variant.CONNECTED:
-                    stats = {"nodes_expanded": 0, "states_touched": 0}
-                    report = build_report(
-                        inst, {**run_dp(inst, nd, _ConnectedRules(), stats),
-                               (0, 0): 0}, stats)
-                else:
-                    report = path_dp(inst, nd)
+                report = (connected_dp if variant is Variant.CONNECTED
+                          else path_dp)(inst, nd)
                 assert report.feasible == (opt >= d), (inst, order)
                 if report.feasible:
                     result = verify_solution(inst, report.witness)

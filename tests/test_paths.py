@@ -204,6 +204,25 @@ class TestTreewidthDP:
         assert (solve_path_treewidth(inst).frontier.pairs
                 == solve_path_tree(inst).frontier.pairs)
 
+    def test_forest_takes_the_tree_solver(self):
+        # optimize and decision alike: the report, stats included, is the
+        # unique-path walk's
+        checked = 0
+        for kind, p in (("tree", 0.4), ("gnp", 0.15)):
+            for n in (1, 2, 5, 9, 12):
+                for seed in range(10):
+                    inst = random_instance(Variant.PATH, kind, n, seed, p=p,
+                                           decision=True)
+                    try:
+                        inst.forest_parents()
+                    except errors.NotATree:
+                        continue
+                    for case in (dataclasses.replace(inst, d=None), inst):
+                        assert (solve_path_treewidth(case)
+                                == solve_path_tree(case)), case
+                        checked += 1
+        assert checked >= 150
+
     def test_nonadjacent_terminals_edgeless(self):
         inst = make(2, (), (0, 0), (0, 0), 0, x=0, y=1)
         assert not solve_path_treewidth(inst).feasible
