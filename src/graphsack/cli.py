@@ -1,10 +1,11 @@
 """Command-line front end: solve, generate, verify, decompose.
 
 stdout carries machine-readable JSON only; stderr carries nothing but
-an error, as one ``error:`` line.  ``solve`` looks its solver up in one
-``{engine: {variant: solver}}`` table, ``auto`` included.  Exit codes:
-0 solved/feasible, 1 infeasible, 2 usage or validation error.  Each
-command imports the modules it uses when it runs, and no others.
+an error, a usage error too, as one ``error:`` line.  ``solve`` looks
+its solver up in one ``{engine: {variant: solver}}`` table: ``auto``
+(exact), ``color`` and ``oracle``.  Exit codes: 0 solved/feasible,
+1 infeasible, 2 usage or validation error.  Each command imports the
+modules it uses when it runs, and no others.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from .model import (Instance, SolveReport, Variant, build_report,
                     instance_from_json, instance_to_json, is_int_list,
                     json_object, verify_solution)
 
-ENGINES = ("auto", "treewidth", "color", "labels", "tree", "oracle")
+ENGINES = ("auto", "color", "oracle")
 
 
 def _read(path: str) -> str:
@@ -39,23 +40,16 @@ def _oracle(inst: Instance) -> SolveReport:
 def _engines(seed: int, trials: Optional[int]) -> dict:
     """{engine: {variant: solver}} over ``ENGINES``, each solver read off
     its module on each call, so that a solver rebound there is the one
-    that runs.  ``auto`` and ``treewidth`` map Connected and Path to the
-    same exact solvers, which take a forest to the tree solver and any
-    other graph to the treewidth DP; ``tree`` runs the tree solvers
-    alone."""
+    that runs.  ``auto`` maps Connected and Path to the exact solvers
+    that take a forest to their tree solver and any other graph to the
+    treewidth DP, and Shortest-Path to the labels."""
     from . import connected, paths, shortest
-    exact = {Variant.CONNECTED: connected.solve_connected,
-             Variant.PATH: paths.solve_path_treewidth}
     return {
-        "auto": {**exact,
+        "auto": {Variant.CONNECTED: connected.solve_connected,
+                 Variant.PATH: paths.solve_path_treewidth,
                  Variant.SHORTEST_PATH: shortest.solve_shortest_path},
-        "treewidth": exact,
         "color": {Variant.PATH: lambda inst: paths.solve_path_color_sweep(
             inst, seed=seed, trials=trials)},
-        "labels": {Variant.SHORTEST_PATH: shortest.solve_shortest_path},
-        "tree": {Variant.CONNECTED: connected.solve_connected_tree,
-                 **dict.fromkeys((Variant.PATH, Variant.SHORTEST_PATH),
-                                 paths.solve_path_tree)},
         "oracle": dict.fromkeys(Variant, _oracle),
     }
 
@@ -183,21 +177,23 @@ def cmd_verify(args) -> int:
 
 def cmd_decompose(args) -> int:
     inst = instance_from_json(_read(args.input))
-    pinned = []
-    if args.pin:
-        try:
-            pinned = [int(tok) for tok in args.pin.split(",")]
-        except ValueError as exc:
-            raise errors.BadInstanceJson(f"bad --pin value: {args.pin}") from exc
     from .decomposition import decompose, validate_nice_decomposition
-    nd = decompose(inst, pinned)
+    nd = decompose(inst, () if inst.x is None else {inst.x, inst.y})
     validate_nice_decomposition(inst, nd)
     _emit(nd.to_doc())
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is one ``error:`` line; subparsers inherit this."""
+
+    def error(self, message):
+        sys.stderr.write(f"error: {message}\n")
+        raise SystemExit(2)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="graphsack",
         description="Knapsack with graph constraints: connected subsets, "
                     "x-y paths, and shortest x-y paths.")
@@ -248,9 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("decompose",
-                       help="emit a nice edge tree decomposition")
+                       help="emit the decomposition the treewidth DP walks")
     p.add_argument("--input", required=True)
-    p.add_argument("--pin", default=None, help="comma-separated vertex ids")
     p.set_defaults(func=cmd_decompose)
     return parser
 

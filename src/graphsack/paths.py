@@ -32,10 +32,8 @@ from .model import (Instance, SolveReport, Variant, build_report, prune_pairs,
 # Trees: there is exactly one x-y path to check.
 
 def solve_path_tree(inst: Instance) -> SolveReport:
-    """Unique-path solver for forests; NotATree on any cycle.  It also
-    takes Shortest-Path instances: a forest's one x-y path is the
-    shortest."""
-    require_variant(inst, Variant.PATH, Variant.SHORTEST_PATH)
+    """Unique-path solver for forests; NotATree on any cycle."""
+    require_variant(inst, Variant.PATH)
     parent = inst.forest_parents(inst.x)
     # the walk starts at x, so y's parents lead back to x unless y lies
     # in another tree, where there is no x-y path

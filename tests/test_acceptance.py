@@ -254,18 +254,17 @@ def test_cli_byte_determinism(tmp_path):
         ["generate", "--random", "gnp", "--n", "9", "--seed", "5"],
         ["generate", "--random", "tree", "--n", "9", "--seed", "5"],
         ["generate", "--random", "grid", "--n", "9", "--seed", "5"],
-        ["solve", "--input", str(inst_path), "--engine", "treewidth",
-         "--seed", "5"],
+        ["solve", "--input", str(inst_path), "--seed", "5"],
         ["solve", "--input", str(inst_path), "--engine", "color",
          "--seed", "5"],
         ["solve", "--input", str(inst_path), "--engine", "oracle",
          "--seed", "5"],
-        ["solve", "--input", str(sp_path), "--engine", "labels",
-         "--seed", "5"],
+        ["solve", "--input", str(sp_path), "--seed", "5"],
         ["solve", "--input", str(inst_path), "--epsilon", "1/4",
          "--seed", "5"],
         ["verify", "--input", str(inst_path), "--witness", str(wit_path)],
         ["decompose", "--input", str(inst_path)],
+        ["decompose", "--input", str(sp_path)],
     ]
     # Run the CLI with this interpreter and the graphsack package this test
     # imported, so no console script or install is needed.  PYTHONHASHSEED

@@ -10,14 +10,14 @@ from pathlib import Path
 import pytest
 
 import graphsack
-from graphsack import cli, connected, decomposition, errors, paths
+from graphsack import cli, connected, decomposition, errors, paths, shortest
 from graphsack.approx import fptas_optimize
 from graphsack.cli import main
 from graphsack.decomposition import INTRODUCE_EDGE, decompose
 from graphsack.model import Instance, instance_to_json, validate_instance
 from graphsack.generators import random_instance
 from graphsack import Variant
-from conftest import reroute
+from conftest import connected_dp, path_dp, reroute
 
 
 def run(capsys, *argv):
@@ -44,8 +44,9 @@ def diamond_sp(tmp_path):
 
 class TestSolve:
     def test_labels_optimize(self, capsys, diamond_sp):
+        # the default engine runs the labels on Shortest-Path
         code, out = run(capsys, "solve", "--input", diamond_sp,
-                        "--engine", "labels", "--mode", "optimize")
+                        "--mode", "optimize")
         doc = json.loads(out)
         assert code == 0 and doc["best_value"] == 5
         assert doc["frontier"] == [[1, 1], [2, 5]]
@@ -63,33 +64,57 @@ class TestSolve:
         inst = random_instance(Variant.CONNECTED, "tree", 4, 2)
         path = write_instance(tmp_path, inst)
         code, _ = run(capsys, "solve", "--input", path,
-                      "--engine", "labels")
+                      "--engine", "color")
         assert code == 2
 
     @pytest.mark.parametrize("variant", list(Variant))
     @pytest.mark.parametrize("engine", ["auto", "treewidth", "color",
                                         "labels", "tree", "oracle"])
     def test_engine_table(self, capsys, tmp_path, engine, variant):
-        # a tree, so that every engine of the variant runs
+        # a tree, so that every engine of the variant runs; the removed
+        # names treewidth, labels and tree are usage errors
         inst = random_instance(variant, "tree", 7, 3)
         path = write_instance(tmp_path, inst)
         handled = {"auto": list(Variant),
-                   "treewidth": [Variant.CONNECTED, Variant.PATH],
                    "color": [Variant.PATH],
-                   "labels": [Variant.SHORTEST_PATH],
-                   "tree": list(Variant),
-                   "oracle": list(Variant)}[engine]
+                   "oracle": list(Variant)}.get(engine)
         for extra in ([], ["--epsilon", "1/3"]):
             code = main(["solve", "--input", path, "--engine", engine,
                          *extra])
             out, err = capsys.readouterr()
-            if variant in handled:
+            if handled is None:
+                # how the choices are quoted differs between Python versions
+                assert code == 2 and out == "" and err.count("\n") == 1
+                assert err.startswith(f"error: argument --engine: invalid "
+                                      f"choice: '{engine}' (choose from ")
+            elif variant in handled:
                 assert code in (0, 1) and err == ""
                 assert json.loads(out)["feasible"] is (code == 0)
             else:
                 assert code == 2 and out == ""
                 assert err == (f"error: engine {engine} does not handle "
                                f"variant {variant.value}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("solve", "--input", "x.json", "--engine", "bogus"),
+        ("solve", "--input", "x.json", "--bogus"),
+        ("solve",), ()],
+        ids=["engine", "flag", "no-input", "no-command"])
+    def test_usage_error_printed_once(self, argv):
+        # a child process, so all that argparse writes is captured here
+        src_dir = str(Path(graphsack.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-m", "graphsack.cli", *argv],
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src_dir))
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error: "), proc.stderr
+        assert proc.stderr.count("\n") == 1, proc.stderr
+
+    @pytest.mark.parametrize("argv", [("--help",), ("solve", "--help")])
+    def test_help_exit_zero(self, capsys, argv):
+        assert main(list(argv)) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: graphsack") and err == ""
 
     def test_decision_without_target_exit_two(self, capsys, tmp_path):
         inst = random_instance(Variant.CONNECTED, "tree", 4, 3)
@@ -176,11 +201,17 @@ class TestSolve:
         assert doc["frontier"] == [] and doc["witness"] is None
 
     @pytest.mark.parametrize("epsilon", [None, "1/2"])
-    @pytest.mark.parametrize("engine", ["labels", "tree", "oracle"])
-    def test_unreachable_y_exit_one(self, capsys, tmp_path, engine, epsilon):
+    # named by the solver that runs: auto runs the labels on
+    # Shortest-Path and the tree walk on a Path forest
+    @pytest.mark.parametrize("variant, engine", [
+        pytest.param(Variant.SHORTEST_PATH, "auto", id="labels"),
+        pytest.param(Variant.PATH, "auto", id="tree"),
+        pytest.param(Variant.SHORTEST_PATH, "oracle", id="oracle")])
+    def test_unreachable_y_exit_one(self, capsys, tmp_path, variant, engine,
+                                    epsilon):
         from graphsack.model import Instance, validate_instance
         inst = validate_instance(Instance(
-            variant=Variant.SHORTEST_PATH, n=3, edges=((0, 1),),
+            variant=variant, n=3, edges=((0, 1),),
             weight=(1,) * 3, value=(1,) * 3, s=3, x=0, y=2))
         path = write_instance(tmp_path, inst)
         argv = ["solve", "--input", path, "--engine", engine]
@@ -258,46 +289,64 @@ class TestSolve:
         assert json.loads(block.split("\n```")[0]) == doc
 
 
+def _path_dp(inst):
+    return path_dp(inst, decompose(inst, {inst.x, inst.y}))
+
+
+def _connected_dp(inst):
+    return connected_dp(inst, decompose(inst))
+
+
 def _auto_cases():
-    """(id, instance, the engine that auto must match); every instance
-    has a target d, and every cyclic Path instance keeps its cycles
+    """(id, instance, the library route that auto must print); every
+    instance has a target d, and every cyclic instance keeps its cycles
     when the FPTAS cuts the edges of the vertices heavier than s."""
     tree = random_instance(Variant.PATH, "tree", 8, 5, decision=True)
-    yield "path-tree", tree, "tree"
-    yield "path-x-is-y", replace(tree, y=tree.x), "tree"
+    yield "path-tree", tree, paths.solve_path_tree
+    yield "path-x-is-y", replace(tree, y=tree.x), paths.solve_path_tree
     yield "path-y-in-other-tree", validate_instance(Instance(
         variant=Variant.PATH, n=6, edges=((0, 1), (1, 2), (3, 4), (4, 5)),
         weight=(1, 2, 1, 1, 2, 1), value=(3, 1, 2, 4, 1, 2), s=5, x=0, y=4,
-        d=3)), "tree"
+        d=3)), paths.solve_path_tree
     for kind, seed in (("gnp", 3), ("gnp", 4), ("grid", 3)):
         inst = random_instance(Variant.PATH, kind, 8, seed, p=0.5,
                                decision=True)
         assert max(inst.weight) <= inst.s
-        yield f"path-{kind}{seed}", inst, "treewidth"
+        yield f"path-{kind}{seed}", inst, _path_dp
     for kind in ("tree", "gnp", "grid"):
         yield (f"connected-{kind}", random_instance(
-            Variant.CONNECTED, kind, 8, 3, p=0.5, decision=True), "treewidth")
+            Variant.CONNECTED, kind, 8, 3, p=0.5, decision=True),
+            connected.solve_connected_tree if kind == "tree"
+            else _connected_dp)
     for kind in ("tree", "gnp", "grid"):
         yield (f"sp-{kind}", random_instance(
-            Variant.SHORTEST_PATH, kind, 9, 3, p=0.5, decision=True), "labels")
+            Variant.SHORTEST_PATH, kind, 9, 3, p=0.5, decision=True),
+            shortest.solve_shortest_path)
 
 
 class TestAutoRow:
-    @pytest.mark.parametrize("extra", [[], ["--epsilon", "1/3"],
-                                       ["--mode", "decision"]],
-                             ids=["optimize", "fptas", "decision"])
-    @pytest.mark.parametrize("inst, engine", [
-        pytest.param(inst, engine, id=name)
-        for name, inst, engine in _auto_cases()])
+    @pytest.mark.parametrize("mode", ["optimize", "fptas", "decision"])
+    @pytest.mark.parametrize("inst, route", [
+        pytest.param(inst, route, id=name)
+        for name, inst, route in _auto_cases()])
     def test_auto_prints_its_engine_bytes(self, capsys, tmp_path, inst,
-                                          engine, extra):
+                                          route, mode):
+        # a forest takes its tree solver, any other graph the treewidth
+        # DP on the decomposition ``graphsack decompose`` prints
         path = write_instance(tmp_path, inst)
+        extra = {"optimize": [], "fptas": ["--epsilon", "1/3"],
+                 "decision": ["--mode", "decision"]}[mode]
         printed = []
-        for argv in ([], ["--engine", "auto"], ["--engine", engine]):
+        for argv in ([], ["--engine", "auto"]):
             code = main(["solve", "--input", path, *argv, *extra])
             printed.append((code, *capsys.readouterr()))
-        assert printed[0] == printed[1] == printed[2]
-        assert printed[0][0] in (0, 1) and printed[0][2] == ""
+        optimize = replace(inst, d=None)
+        report = {"optimize": lambda: route(optimize),
+                  "fptas": lambda: fptas_optimize(optimize, "1/3", route),
+                  "decision": lambda: route(inst)}[mode]()
+        doc = json.dumps(cli._report_doc(report), indent=2, sort_keys=True)
+        assert printed[0] == printed[1] == (int(not report.feasible),
+                                            doc + "\n", "")
 
     def test_fptas_picks_tree_solver_after_pruning(self, capsys, tmp_path):
         # vertex 2 (weight 9 > s) is on the one cycle, and the FPTAS
@@ -316,15 +365,21 @@ class TestAutoRow:
             "witness": [0, 1, 3]}
 
     def test_library_fptas_matches_the_cli(self, capsys, tmp_path):
-        # the FPTAS's default Path solver is the one ``auto`` runs, so the
-        # library and the CLI print the same report
-        inst = validate_instance(Instance(
-            variant=Variant.PATH, n=4, edges=((0, 1), (0, 2), (1, 2), (1, 3)),
-            weight=(1, 1, 9, 1), value=(2, 3, 5, 4), s=4, x=0, y=3))
-        path = write_instance(tmp_path, inst)
-        code, out = run(capsys, "solve", "--input", path, "--epsilon", "1/3")
-        assert code == 0
-        assert json.loads(out) == cli._report_doc(fptas_optimize(inst, "1/3"))
+        # the FPTAS's default solver is the one ``auto`` runs for each
+        # variant, so the library and the CLI print the same report
+        for inst in (random_instance(Variant.CONNECTED, "gnp", 8, 3, p=0.5),
+                     validate_instance(Instance(
+                         variant=Variant.PATH, n=4,
+                         edges=((0, 1), (0, 2), (1, 2), (1, 3)),
+                         weight=(1, 1, 9, 1), value=(2, 3, 5, 4), s=4, x=0,
+                         y=3)),
+                     random_instance(Variant.SHORTEST_PATH, "grid", 9, 0)):
+            path = write_instance(tmp_path, inst)
+            code, out = run(capsys, "solve", "--input", path,
+                            "--epsilon", "1/3")
+            assert code == 0, inst
+            assert (json.loads(out)
+                    == cli._report_doc(fptas_optimize(inst, "1/3"))), inst
 
 
 # A child process that imports graphsack.cli and, given arguments, runs
@@ -585,28 +640,32 @@ class TestDecompose:
         assert code == 0 and json.loads(out)["width"] == 3
 
     def test_pins_in_every_bag(self, capsys, tmp_path):
-        inst = random_instance(Variant.CONNECTED, "tree", 6, 11)
+        # a Path instance is pinned at {x, y}, as its treewidth DP is
+        inst = random_instance(Variant.PATH, "gnp", 8, 11, p=0.5)
         path = write_instance(tmp_path, inst)
-        code, out = run(capsys, "decompose", "--input", path,
-                        "--pin", "0,2")
+        code, out = run(capsys, "decompose", "--input", path)
         assert code == 0
         doc = json.loads(out)
-        assert all({0, 2} <= set(node["bag"]) for node in doc["nodes"])
+        pins = sorted({inst.x, inst.y})
+        assert doc["pinned"] == pins
+        assert all(set(pins) <= set(node["bag"]) for node in doc["nodes"])
 
     def test_bad_pin_exit_two(self, capsys, tmp_path):
+        # the pins come from the instance, and --pin is no option
         inst = random_instance(Variant.CONNECTED, "tree", 4, 12)
         path = write_instance(tmp_path, inst)
         code = main(["decompose", "--input", path, "--pin", "9"])
-        assert code == 2
-        assert capsys.readouterr().err == "error: pinned set [9] out of range\n"
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == "error: unrecognized arguments: --pin 9\n"
 
     def test_negative_pin_exit_two(self, capsys, tmp_path):
         inst = random_instance(Variant.CONNECTED, "tree", 4, 12)
         path = write_instance(tmp_path, inst)
         code = main(["decompose", "--input", path, "--pin", "-1"])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err == "error: pinned set [-1] out of range\n"
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == "error: unrecognized arguments: --pin -1\n"
 
     def test_printed_decomposition_is_validated(self, capsys, tmp_path,
                                                 monkeypatch):
@@ -629,13 +688,13 @@ class TestDecompose:
                 and captured.err.count("\n") == 1)
 
     @pytest.mark.parametrize("variant", ["connected", "path"])
-    def test_solvers_run_on_the_printed_decomposition(self, variant,
-                                                      monkeypatch):
+    def test_solvers_run_on_the_printed_decomposition(self, variant, capsys,
+                                                      tmp_path, monkeypatch):
         # the treewidth solver walks what ``graphsack decompose`` prints
         # for the same instance, and walks nothing on a forest, which it
         # hands to its tree solver
         module = connected if variant == "connected" else paths
-        solve = cli._engines(0, None)["treewidth"][Variant(variant)]
+        solve = cli._engines(0, None)["auto"][Variant(variant)]
         dp, walked = module.run_dp, []
 
         def spy(inst, nd, rules, stats):
@@ -653,9 +712,9 @@ class TestDecompose:
                     try:
                         inst.forest_parents()
                     except errors.NotATree:
-                        pins = () if inst.x is None else {inst.x, inst.y}
-                        assert (walked.pop().to_doc()
-                                == decompose(inst, pins).to_doc()), inst
+                        _, out = run(capsys, "decompose", "--input",
+                                     write_instance(tmp_path, inst))
+                        assert walked.pop().to_doc() == json.loads(out), inst
                     else:
                         forests += 1
                     assert not walked, inst
@@ -670,13 +729,7 @@ REPORT_DIGESTS = {
     ("auto", "connected"): "9d151218f64bf269e4f3ae880d2c2bd67a47f892a5a5122c3e5e98da9ffd1ae4",
     ("auto", "path"): "e1df65f4527547405b8a953365297d58a28215ad104f12ac2fca6117c3f50d7b",
     ("auto", "shortest_path"): "761297690811164cefb765b074483ae56e08110ddacb264c4488ce2b648e28e5",
-    ("treewidth", "connected"): "9d151218f64bf269e4f3ae880d2c2bd67a47f892a5a5122c3e5e98da9ffd1ae4",
-    ("treewidth", "path"): "e1df65f4527547405b8a953365297d58a28215ad104f12ac2fca6117c3f50d7b",
     ("color", "path"): "5e00d0f88fb67e7426611e7229f3fbb8263b64307deab1eb6f1619f4cd968542",
-    ("labels", "shortest_path"): "761297690811164cefb765b074483ae56e08110ddacb264c4488ce2b648e28e5",
-    ("tree", "connected"): "cdeea7c510375edbdfeba061add2f59e28fdf175a20d59e99e2a0d781f15d479",
-    ("tree", "path"): "f220f7c0466bf75cd0fe64fced596790fd284ecdbb40126d3f344e3183d29810",
-    ("tree", "shortest_path"): "5e3a8f4664d4a2ddeaed2274b9bb888dba81632d66ac92ab326b22d542d13ac1",
     ("oracle", "connected"): "ed3e2ae95f9b23d89a075da1bdc5754ab955f715f98d2876753af9e6b4b053bc",
     ("oracle", "path"): "bc78c0e1af6d00cdc9157e38440e5c78d5982361eaed9c57f93c838cc14ed54c",
     ("oracle", "shortest_path"): "9dfeebd74c6c6df446e2d3aae853044aea379796984f834e613edc0de59db6a2",

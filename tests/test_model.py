@@ -388,17 +388,17 @@ class TestParetoOps:
 
         for module in (model, decomposition, paths, shortest):
             monkeypatch.setattr(module, "prune_pairs", checked)
-        engines = {Variant.CONNECTED: ("treewidth", "oracle"),
-                   Variant.PATH: ("treewidth", "color", "tree", "oracle"),
-                   Variant.SHORTEST_PATH: ("labels", "tree", "oracle")}
-        for (variant, names), decision in itertools.product(
-                engines.items(), (False, True)):
+        engines = cli._engines(0, 64)
+        for variant, decision in itertools.product(Variant, (False, True)):
+            # every engine of the variant, and the Path tree walk alone
+            solvers = [table[variant] for table in engines.values()
+                       if variant in table]
+            if variant is Variant.PATH:
+                solvers.append(paths.solve_path_tree)
             for inst in instance_stream(variant, 24, 31000, 8,
                                         decision=decision):
                 budget[:] = [inst.s]
-                for name in names:
-                    def solve(i):
-                        return cli._engines(0, 64)[name][i.variant](i)
+                for solve in solvers:
                     try:
                         solve(inst)
                         fptas_optimize(inst, "1/3", solve)

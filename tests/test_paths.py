@@ -4,7 +4,7 @@ import dataclasses
 import pytest
 
 from graphsack import (Instance, Variant, build_nice_decomposition,
-                       elimination_order_minfill, oracle_for,
+                       decompose, elimination_order_minfill, oracle_for,
                        solve_path_color_sweep, solve_path_tree,
                        solve_path_treewidth, validate_instance,
                        verify_solution)
@@ -60,16 +60,11 @@ class TestTreeSolver:
         report = solve_path_tree(make(**P3, s=3, x=1, y=1))
         assert report.witness == frozenset({1})
 
-    def test_shortest_path_forest_accepted(self):
-        # a forest's one x-y path is also the shortest one
-        found = 0
-        for seed in range(10):
-            inst = random_instance(Variant.SHORTEST_PATH, "tree", 9, seed)
-            report = solve_path_tree(inst)
-            if report.witness is not None:
-                assert verify_solution(inst, report.witness).ok, inst
-                found += 1
-        assert found
+    def test_shortest_path_refused(self):
+        # Shortest-Path takes the labels, on a forest too
+        inst = random_instance(Variant.SHORTEST_PATH, "tree", 9, 0)
+        with pytest.raises(ValueError):
+            solve_path_tree(inst)
 
 
 class TestColorCoding:
@@ -200,8 +195,10 @@ class TestColorCoding:
 
 class TestTreewidthDP:
     def test_matches_tree_solver_on_path(self):
+        # solve_path_treewidth hands a forest to the tree walk, so the
+        # segment DP runs here on its own decomposition
         inst = make(**P3, s=3, x=0, y=2)
-        assert (solve_path_treewidth(inst).frontier.pairs
+        assert (path_dp(inst, decompose(inst, {0, 2})).frontier.pairs
                 == solve_path_tree(inst).frontier.pairs)
 
     def test_forest_takes_the_tree_solver(self):
@@ -287,7 +284,8 @@ class TestTreewidthDP:
         for seed in range(20):
             inst = random_instance(Variant.PATH, "tree", 8, 6000 + seed)
             frontier = solve_path_tree(inst).frontier.pairs
-            assert solve_path_treewidth(inst).frontier.pairs == frontier
+            dp = path_dp(inst, decompose(inst, {inst.x, inst.y}))
+            assert dp.frontier.pairs == frontier, inst
             # color coding is one-sided, but on a tree the unique path's
             # length k is hit with overwhelming probability by the sweep
             got = solve_path_color_sweep(inst, seed=seed).frontier.pairs
